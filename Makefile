@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-smoke chaos serve-smoke reload-smoke fleet-smoke dist-smoke learn-dist-smoke vuln
+.PHONY: ci fmt vet build test race bench perfbench-smoke chaos serve-smoke reload-smoke fleet-smoke dist-smoke learn-dist-smoke vuln
 
 # ci is the full verification gate: formatting, static checks, build,
 # the race-enabled test suite, the fault-injection suite, a smoke run
-# of the benchmark harness, a smoke run of the HTTP service, the
+# of the repo benchmark (perfbench), a smoke run of the HTTP service, the
 # crash-recovery/hot-reload smoke, the fleet-scale sharded-check
 # smoke, the worker-process shard backend smoke, the sharded
 # map-reduce learning smoke, and a best-effort vulnerability scan.
-ci: fmt vet build race chaos bench-smoke serve-smoke reload-smoke fleet-smoke dist-smoke learn-dist-smoke vuln
+ci: fmt vet build race chaos perfbench-smoke serve-smoke reload-smoke fleet-smoke dist-smoke learn-dist-smoke vuln
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -92,44 +92,26 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# bench reproduces the committed BENCH_PR10.json — the learn phase
-# (fast lex/intern/mining path vs. the string-keyed baseline), the
-# check phase (compiled engine vs. the pre-PR linear scan), the warm
-# phase (incremental run over a populated artifact cache vs. the cold
-# path), the serve phase (concurrent HTTP clients against the
-# resident service, with compile-once, output-identity, and
-# hot-reload-soak gates: 50 bundle swaps under load must drop zero
-# requests and leave served output byte-identical), and the fleet
-# phase (one check run over a 10k-device generated fleet, unsharded
-# vs. sharded, with byte-identity and streaming-peak-heap gates; the
-# ≥3x worker-scaling gate arms only on hosts with ≥8-way parallelism)
-# and the dist phase (the same fleet tiers through the worker-process
-# shard backend: identity grid, per-shard dispatch overhead, and the
-# ≥2x multi-process scaling gate, likewise armed only on ≥8-way
-# hosts) and the learn-fleet phase (one whole-fleet Learn run
-# unsharded vs. sharded on both backends: a {1,3,16}-shard two-backend
-# byte-identity grid, the streaming-peak-heap gate, and a ≥2x
-# worker-scaling gate armed only on ≥8-way hosts) — and runs the Go
-# micro-benchmarks. Both are pinned — fixed
-# GOMAXPROCS, fixed iteration counts — so numbers are comparable
-# across machines of the same class and across runs.
+# bench runs the Go benchmarks in bench_test.go: one per table and
+# figure of the paper's evaluation, plus per-role learn and check,
+# lexer, brute-force and Apriori miner, and minimization
+# micro-benchmarks. GOMAXPROCS is pinned and each runs one iteration,
+# so numbers are comparable across runs on one machine. The end-to-end
+# benchmark is perfbench (see perfbench/README.md and BENCHMARK.json).
 BENCH_GOMAXPROCS ?= 4
 
 bench:
 	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -bench=. -benchtime=1x -count=1 -run=^$$ .
-	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) run ./cmd/concord bench -count 3 -out BENCH_PR10.json
 
-# bench-smoke is the ci gate: a fast, tiny-scale run of the bench
-# harness that still cross-checks output equality on every corpus in
-# all seven phases — the mined contract set must be byte-identical
-# between the fast and baseline learn paths, check violations
-# identical between the compiled and linear engines, the warm
-# (incremental, cache-replayed) run identical to both cold paths,
-# the served responses identical to the one-shot engine with exactly
-# one compile across the client burst, the sharded fleet runs
-# byte-identical to unsharded with a lower streaming peak heap, the
-# worker-process backend byte-identical across its whole identity
-# grid, and every sharded learn byte-identical to the unsharded mine
-# on both backends (the harness fails on any divergence).
-bench-smoke:
-	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) run ./cmd/concord bench -scale 0.1 -fleet-scale 0.02 -count 1 -out $${TMPDIR:-/tmp}/concord_bench_smoke.json
+# perfbench-smoke is the ci gate on the repo benchmark: one short run of
+# each perfbench workload at the pinned seed. A run exits non-zero when
+# any output misses its pinned digest (learned sets and check reports),
+# when the process-backend check differs from the in-process one, or
+# when a served response differs from the direct registry check.
+PERFBENCH_WORKLOADS = learn check-fleet serve-check check-dist
+
+perfbench-smoke:
+	@set -e; for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0; \
+	done

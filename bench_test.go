@@ -269,13 +269,10 @@ func BenchmarkMinimization(b *testing.B) {
 	}
 }
 
-// benchmarkCheckEngine times the check hot path with the engine pinned
-// to one mode: LinearScan=true is the pre-PR per-contract scan,
-// LinearScan=false the compiled (indexed) engine. Contracts are learned
-// once from a subset so the timed loop measures checking only; the
-// speedup between the two benchmarks is tracked in BENCH_PR7.json
-// (regenerate with `make bench`).
-func benchmarkCheckEngine(b *testing.B, roleName string, linear bool) {
+// benchmarkCheckEngine times the compiled check hot path. Contracts
+// are learned once from a subset so the timed loop measures checking
+// only.
+func benchmarkCheckEngine(b *testing.B, roleName string) {
 	srcs, meta := benchCorpus(b, roleName)
 	eng := core.MustNew(core.DefaultOptions())
 	cfgs, pstats := eng.Process(srcs, meta)
@@ -287,20 +284,15 @@ func benchmarkCheckEngine(b *testing.B, roleName string, linear bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.DefaultOptions()
-	opts.LinearScan = linear
-	ceng := core.MustNew(opts)
 	b.ReportMetric(float64(len(cfgs)), "configs")
 	b.ReportMetric(float64(lr.Set.Len()), "contracts")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ceng.CheckProcessed(lr.Set, cfgs, pstats); err != nil {
+		if _, err := eng.CheckProcessed(lr.Set, cfgs, pstats); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkCheckLinear_WANWide(b *testing.B)   { benchmarkCheckEngine(b, "W4", true) }
-func BenchmarkCheckCompiled_WANWide(b *testing.B) { benchmarkCheckEngine(b, "W4", false) }
-func BenchmarkCheckLinear_Edge(b *testing.B)      { benchmarkCheckEngine(b, "E2", true) }
-func BenchmarkCheckCompiled_Edge(b *testing.B)    { benchmarkCheckEngine(b, "E2", false) }
+func BenchmarkCheckCompiled_WANWide(b *testing.B) { benchmarkCheckEngine(b, "W4") }
+func BenchmarkCheckCompiled_Edge(b *testing.B)    { benchmarkCheckEngine(b, "E2") }

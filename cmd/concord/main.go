@@ -61,8 +61,6 @@ func main() {
 		err = runServe(os.Args[2:], os.Stdout)
 	case "bundle":
 		err = runBundle(os.Args[2:], os.Stdout)
-	case "bench":
-		err = runBench(os.Args[2:], os.Stdout)
 	case "shard-worker":
 		// Hidden mode: serve the process shard backend's worker protocol
 		// over stdin/stdout. Spawned by a parent concord run with
@@ -92,7 +90,6 @@ func usage() {
   concord serve [-addr HOST:PORT] [-contracts FILE] [-bundle-dir DIR] [options]
   concord bundle pack -dir DIR -contracts FILE [-overlay FILE] [-suppress FILE]
   concord bundle inspect -dir DIR
-  concord bench [-out FILE] [-scale F] [-roles LIST] [-count N]
 
 serve (resident HTTP service; POST /v1/check, GET /v1/coverage,
 POST /v1/learn + GET /v1/jobs/{id}, POST/GET /v1/bundles, GET /healthz,

@@ -54,8 +54,11 @@ type Checker struct {
 	rec        *telemetry.Recorder
 	dc         *diag.Collector
 	strict     bool
-	linear     bool
-	interns    *intern.Table
+	// linear selects the pre-compilation reference strategy
+	// (checkLinear and the linear branches of coverage and equals
+	// matching). Only tests set it, to diff the compiled path against.
+	linear  bool
+	interns *intern.Table
 }
 
 // CheckerOption customizes a checker built by NewChecker.
@@ -123,15 +126,6 @@ func WithStrict(strict bool) CheckerOption {
 // identical either way.
 func WithInterns(tab *intern.Table) CheckerOption {
 	return func(ch *Checker) { ch.interns = tab }
-}
-
-// WithLinearScan forces the pre-compilation check strategy: every
-// contract is evaluated against every configuration with no
-// index-based skipping. It exists for differential testing and
-// benchmarking of the compiled hot path; results are identical either
-// way.
-func WithLinearScan(linear bool) CheckerOption {
-	return func(ch *Checker) { ch.linear = linear }
 }
 
 // NewChecker builds a checker for the given contract set, compiling the
@@ -385,8 +379,8 @@ func (v *view) computeWitnesses(ch *Checker, pattern string, paramIdx int, trans
 // (present, unique existence) are always evaluated, while ordering,
 // sequence, relational, and type contract groups whose anchor pattern
 // the view's index proves absent are skipped wholesale (they are
-// vacuously satisfied). WithLinearScan selects the pre-compilation
-// strategy instead; both produce identical violations.
+// vacuously satisfied). The linear reference strategy (checkLinear)
+// produces identical violations.
 func (ch *Checker) Check(cfg *lexer.Config) []Violation {
 	v := ch.newView(cfg)
 	var out []Violation
@@ -402,8 +396,8 @@ func (ch *Checker) Check(cfg *lexer.Config) []Violation {
 }
 
 // checkLinear is the pre-compilation strategy: every contract of the
-// set is evaluated in set order. Kept for differential testing against
-// the compiled path.
+// set is evaluated in set order. Kept as the reference the tests diff
+// the compiled path against.
 func (ch *Checker) checkLinear(v *view) []Violation {
 	var out []Violation
 	for _, c := range ch.set.Contracts {
@@ -853,8 +847,8 @@ func (ch *Checker) CheckUniqueFromContributions(names []string, contribs []map[s
 // equalsFast reports whether an equals contract can use the hash-based
 // witness index: the built-in Equals semantics is exactly key equality,
 // so the index is valid unless a user definition overrides Equals.
-// Linear-scan mode keeps the pre-compilation pairwise evaluation so it
-// stays a faithful baseline.
+// The linear reference keeps the pre-compilation pairwise evaluation
+// so it stays faithful.
 func (ch *Checker) equalsFast(c *Relational) bool {
 	if ch.linear || c.Rel != relations.Equals {
 		return false

@@ -97,33 +97,21 @@ type Options struct {
 	// Calls are serialized by the engine, so the callback need not be
 	// thread-safe; it must be fast, as it runs on worker goroutines.
 	Progress func(stage telemetry.Stage, done, total int)
-	// LinearScan forces the pre-compilation check strategy (every
-	// contract evaluated against every configuration, no index-based
-	// skipping). It exists for differential testing and benchmarking of
-	// the compiled check engine; results are identical either way.
-	LinearScan bool
 	// LexCacheSize sizes the per-run lexer memoization cache in distinct
 	// lines: 0 selects lexer.DefaultCacheEntries, negative disables the
 	// cache entirely. The cache is created fresh for each processed
 	// corpus and shared across that run's parallel workers.
 	LexCacheSize int
-	// LearnBaseline forces the pre-optimization learn path: per-line
-	// linear lexing with no memoization cache, no pattern interning, and
-	// string-keyed mining tables. It exists for differential testing and
-	// benchmarking of the fast learn path; the learned contract set is
-	// byte-identical either way.
-	LearnBaseline bool
 	// Artifacts, when non-nil, is a content-addressed on-disk artifact
 	// cache (see internal/artifact). Processing then persists each
 	// cleanly lexed source as a binary artifact keyed by its content
 	// hash plus a fingerprint of every option affecting lexing, and
 	// replays it on later runs instead of re-lexing. Corrupt or stale
 	// entries degrade to the cold path with a warning diagnostic —
-	// results are identical with or without a cache. Ignored in
-	// LearnBaseline mode. Note that user token specs with custom Parse
-	// funcs are fingerprinted by name, pattern, and flags only: changing
-	// a Parse func's behavior without changing the spec requires a fresh
-	// cache directory.
+	// results are identical with or without a cache. Note that user
+	// token specs with custom Parse funcs are fingerprinted by name,
+	// pattern, and flags only: changing a Parse func's behavior without
+	// changing the spec requires a fresh cache directory.
 	Artifacts *artifact.Cache
 	// Incremental additionally replays cached per-configuration check
 	// results in Check/CheckContext: configurations whose content hash,
@@ -400,7 +388,7 @@ type sourceArt struct {
 }
 
 // artState carries per-corpus artifact bookkeeping from processing to
-// checking. Nil when no cache is attached or the run is LearnBaseline.
+// checking. Nil when no cache is attached.
 type artState struct {
 	cache  *artifact.Cache
 	per    []sourceArt
@@ -491,9 +479,7 @@ type corpusRun struct {
 	cache     *lexer.Cache
 	interns   *intern.Table
 	metaLines []lexer.Line
-	// artOn reports the artifact cache participates in this run (cache
-	// attached and not a baseline run, which bypasses the
-	// interned-pattern pipeline the cache needs).
+	// artOn reports the artifact cache participates in this run.
 	artOn  bool
 	metaFP artifact.Key
 }
@@ -516,7 +502,7 @@ func (e *Engine) newCorpusRun(dc *diag.Collector, meta []Source) (*corpusRun, er
 	cr := &corpusRun{lim: lim}
 	if e.resident != nil {
 		cr.cache, cr.interns = e.resident.cache, e.resident.interns
-	} else if !e.opts.LearnBaseline {
+	} else {
 		if e.opts.LexCacheSize >= 0 {
 			cr.cache = lexer.NewCache(e.opts.LexCacheSize)
 		}
@@ -527,7 +513,7 @@ func (e *Engine) newCorpusRun(dc *diag.Collector, meta []Source) (*corpusRun, er
 		return nil, err
 	}
 	cr.metaLines = metaLines
-	cr.artOn = e.opts.Artifacts != nil && !e.opts.LearnBaseline
+	cr.artOn = e.opts.Artifacts != nil
 	if cr.artOn {
 		mh := artifact.NewHasher("concord/meta/v1")
 		for _, m := range meta {
@@ -573,7 +559,7 @@ func (e *Engine) processOneSource(dc *diag.Collector, cr *corpusRun, src Source)
 	cfg := format.Process(src.Name, src.Text, e.lx,
 		format.Options{Embed: e.opts.ContextEmbedding, Limits: cr.lim,
 			Telemetry: e.opts.Telemetry, Diagnostics: sdc,
-			Cache: cr.cache, Interns: cr.interns, Baseline: e.opts.LearnBaseline})
+			Cache: cr.cache, Interns: cr.interns})
 	if cr.artOn {
 		dc.Merge(sdc)
 	}
@@ -688,7 +674,7 @@ func (e *Engine) processOneMeta(dc *diag.Collector, lim format.Limits, m Source,
 	faultinject.At("core.process.meta", m.Name)
 	cfg := format.Process(m.Name, m.Text, e.lx,
 		format.Options{Embed: e.opts.ContextEmbedding, Limits: lim, Diagnostics: dc,
-			Cache: cache, Interns: interns, Baseline: e.opts.LearnBaseline})
+			Cache: cache, Interns: interns})
 	if cfg.Skipped {
 		return nil, nil
 	}
@@ -904,7 +890,6 @@ func (e *Engine) newLearnMiner(dc *diag.Collector, progress func(done, total int
 		Diagnostics:      dc,
 		Strict:           e.opts.Strict,
 		Progress:         progress,
-		Baseline:         e.opts.LearnBaseline,
 	})
 }
 
@@ -1090,18 +1075,30 @@ type covCount struct {
 }
 
 // checkFingerprint hashes everything besides a config's own content
-// that determines its check result: the processing options, the
-// metadata corpus, the contract set (via its canonical JSON), and the
-// checker's transform and relation registries. Any mismatch makes
-// every check-artifact lookup miss, so replay is only ever exact.
+// that determines its check result: the check inputs (see
+// checkInputsHasher) plus the metadata corpus. Any mismatch makes every
+// check-artifact lookup miss, so replay is only ever exact.
 func (e *Engine) checkFingerprint(set *contracts.Set, metaFP artifact.Key) (artifact.Key, bool) {
-	setJSON, err := json.Marshal(set)
+	h, err := e.checkInputsHasher("concord/check/v1", set)
 	if err != nil {
 		return artifact.Key{}, false
 	}
-	h := artifact.NewHasher("concord/check/v1")
-	h.Key(e.procFP).Key(metaFP).Bytes(setJSON)
-	h.Bool(e.opts.LinearScan)
+	return h.Key(metaFP).Sum(), true
+}
+
+// checkInputsHasher starts a domain-separated hash over the inputs
+// every check-result fingerprint shares: the processing options
+// (procFP), the contract set's canonical JSON, and the checker's
+// transform and relation registries. Both the check-artifact key and
+// the registry fingerprint build on it, so an option that changes check
+// output is hashed here, once.
+func (e *Engine) checkInputsHasher(domain string, set *contracts.Set) (*artifact.Hasher, error) {
+	setJSON, err := json.Marshal(set)
+	if err != nil {
+		return nil, err
+	}
+	h := artifact.NewHasher(domain)
+	h.Key(e.procFP).Bytes(setJSON)
 	h.Int(len(e.transforms))
 	for _, t := range e.transforms {
 		h.Str(t.Name)
@@ -1110,7 +1107,7 @@ func (e *Engine) checkFingerprint(set *contracts.Set, metaFP artifact.Key) (arti
 	for _, d := range e.opts.ExtraRelations {
 		h.Str(string(d.Rel))
 	}
-	return h.Sum(), true
+	return h, nil
 }
 
 // checkKey is the cache address of one configuration's check result:
@@ -1163,7 +1160,17 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 			e.invalidateArtifact(dc, cfg.Name, lerr)
 		}
 	}
-	before := dc.Len()
+	// Check through a fork with a private collector so the store below
+	// judges only this config's diagnostics: other workers grow the
+	// shared collector concurrently, and their warnings must not veto
+	// this config's (repair) store. The deferred merge also runs when a
+	// panic unwinds to the caller's containment.
+	var cdc *diag.Collector
+	if warmKey {
+		cdc = diag.New()
+		checker = checker.ForRequest(e.opts.Telemetry, cdc)
+		defer dc.Merge(cdc)
+	}
 	out := checkedConfig{violations: checker.Check(cfg)}
 	if cov := checker.Coverage(cfg); cov != nil {
 		cc := &covCount{cov.SourceLines, len(cov.Covered), make(map[contracts.Category]int, len(cov.ByCategory))}
@@ -1176,10 +1183,9 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 		out.contrib = checker.UniqueContributions(cfg)
 	}
 	// Persist only results that are certainly complete: the config
-	// processed cleanly, coverage succeeded, and the check added no
-	// diagnostics (the Len comparison is conservative under concurrent
-	// workers — a skipped store costs speed, never correctness).
-	if warmKey && clean && out.cov != nil && dc.Len() == before {
+	// processed cleanly, coverage succeeded, and checking it recorded no
+	// diagnostics.
+	if warmKey && clean && out.cov != nil && cdc.Len() == 0 {
 		entry := &artifact.CheckEntry{
 			Violations:  out.violations,
 			SourceLines: out.cov.sourceLines,
@@ -1339,7 +1345,6 @@ func (e *Engine) newChecker(set *contracts.Set, dc *diag.Collector, interns *int
 		contracts.WithTelemetry(e.opts.Telemetry),
 		contracts.WithDiagnostics(dc),
 		contracts.WithStrict(e.opts.Strict),
-		contracts.WithLinearScan(e.opts.LinearScan),
 		contracts.WithInterns(interns))
 }
 

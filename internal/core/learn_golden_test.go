@@ -6,15 +6,17 @@ import (
 	"encoding/json"
 	"testing"
 
+	"concord/internal/lexer"
 	"concord/internal/synth"
 )
 
 // TestLearnGoldenFastMatchesBaseline is the learn-side golden
-// comparison behind PR 4's acceptance criterion: over the W4 synth
-// corpus, the fast learn path (memoized single-pass lexer, lex cache,
-// interned pattern store, ID-keyed stats and relational tables) must
-// mine a contract set that is byte-identical, as JSON, to the baseline
-// path (LexLinear, no cache, string-keyed mining).
+// comparison: over the W4 synth corpus, the fast learn path (interned
+// pattern store, ID-keyed stats and relational tables) must mine a
+// contract set that is byte-identical, as JSON, to the string-keyed
+// reference path. MineContext takes that path for any corpus without a
+// single shared intern table, so the reference run learns from copies
+// of the same processed configs with Interns cleared.
 func TestLearnGoldenFastMatchesBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second corpus; skipped in -short mode")
@@ -29,15 +31,22 @@ func TestLearnGoldenFastMatchesBaseline(t *testing.T) {
 		srcs = append(srcs, Source{Name: f.Name, Text: f.Text})
 	}
 
-	run := func(baseline bool) ([]byte, int) {
-		opts := DefaultOptions()
-		opts.LearnBaseline = baseline
-		eng := MustNew(opts)
+	run := func(stringKeyed bool) ([]byte, int) {
+		eng := MustNew(DefaultOptions())
 		cfgs, pstats, err := eng.ProcessContext(context.Background(), srcs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr, err := eng.LearnProcessed(cfgs[:40], pstats)
+		train := cfgs[:40]
+		if stringKeyed {
+			train = make([]*lexer.Config, len(cfgs[:40]))
+			for i, cfg := range cfgs[:40] {
+				c := *cfg
+				c.Interns = nil
+				train[i] = &c
+			}
+		}
+		lr, err := eng.LearnProcessed(train, pstats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +60,10 @@ func TestLearnGoldenFastMatchesBaseline(t *testing.T) {
 	want, wantN := run(true)
 	got, gotN := run(false)
 	if wantN < 200 {
-		t.Fatalf("baseline mined only %d contracts; comparison too small to be meaningful", wantN)
+		t.Fatalf("string-keyed path mined only %d contracts; comparison too small to be meaningful", wantN)
 	}
 	if !bytes.Equal(want, got) {
-		t.Errorf("mined contract sets differ: baseline=%d contracts (%d bytes), fast=%d contracts (%d bytes)",
+		t.Errorf("mined contract sets differ: string-keyed=%d contracts (%d bytes), fast=%d contracts (%d bytes)",
 			wantN, len(want), gotN, len(got))
 		// Locate the first divergent contract for the failure report.
 		var ws, gs []json.RawMessage
@@ -62,7 +71,7 @@ func TestLearnGoldenFastMatchesBaseline(t *testing.T) {
 			n := min(len(ws), len(gs))
 			for i := 0; i < n; i++ {
 				if !bytes.Equal(ws[i], gs[i]) {
-					t.Errorf("first divergence at contract %d:\nbaseline = %s\nfast     = %s", i, ws[i], gs[i])
+					t.Errorf("first divergence at contract %d:\nstring-keyed = %s\nfast         = %s", i, ws[i], gs[i])
 					break
 				}
 			}

@@ -16,7 +16,6 @@ package core
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -137,23 +136,11 @@ func (r *EngineRegistry) Fingerprint(set *contracts.Set) (string, error) {
 }
 
 func (r *EngineRegistry) fingerprint(set *contracts.Set) (artifact.Key, error) {
-	setJSON, err := json.Marshal(set)
+	h, err := r.template.checkInputsHasher("concord/registry/v1", set)
 	if err != nil {
 		return artifact.Key{}, fmt.Errorf("core: fingerprinting contract set: %w", err)
 	}
-	e := r.template
-	h := artifact.NewHasher("concord/registry/v1")
-	h.Key(e.procFP).Bytes(setJSON)
-	h.Bool(e.opts.LinearScan).Bool(e.opts.Strict)
-	h.Int(len(e.transforms))
-	for _, t := range e.transforms {
-		h.Str(t.Name)
-	}
-	h.Int(len(e.opts.ExtraRelations))
-	for _, d := range e.opts.ExtraRelations {
-		h.Str(string(d.Rel))
-	}
-	return h.Sum(), nil
+	return h.Bool(r.template.opts.Strict).Sum(), nil
 }
 
 // Acquire returns the resident entry for the contract set, compiling it
@@ -358,7 +345,6 @@ func (en *RegistryEntry) compile(r *EngineRegistry) {
 		contracts.WithTransforms(eng.transforms),
 		contracts.WithRelations(eng.opts.ExtraRelations),
 		contracts.WithStrict(eng.opts.Strict),
-		contracts.WithLinearScan(eng.opts.LinearScan),
 		contracts.WithInterns(res.interns))
 	r.compiles.Add(1)
 }

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"concord/internal/artifact"
 	"concord/internal/contracts"
@@ -86,14 +85,20 @@ type progressCounter struct {
 	e     *Engine
 	stage telemetry.Stage
 	total int
-	done  atomic.Int64
+	done  int // guarded by e.progressMu
 }
 
+// tick counts one unit of work and reports the new count. Counting and
+// reporting share the engine's progress lock: counting outside it let
+// two shards report their counts out of order.
 func (p *progressCounter) tick() {
 	if p.e.opts.Progress == nil {
 		return
 	}
-	p.e.progress(p.stage, int(p.done.Add(1)), p.total)
+	p.e.progressMu.Lock()
+	defer p.e.progressMu.Unlock()
+	p.done++
+	p.e.opts.Progress(p.stage, p.done, p.total)
 }
 
 // checkShardedContext is the fleet-scale implementation behind

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -58,22 +59,34 @@ func TestShardedLearnMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedLearnBaselineMode composes sharding with the baseline
-// (string-keyed, uninterned) mining path: the two orthogonal toggles
-// must not interfere.
-func TestShardedLearnBaselineMode(t *testing.T) {
+// TestShardedLearnMatchesStringKeyed checks the sharded learn driver
+// against the string-keyed reference miner: the learned set must be
+// byte-identical to LearnProcessed over the same processed configs
+// with their intern table cleared, which makes MineContext key every
+// statistic and relational candidate by pattern string.
+func TestShardedLearnMatchesStringKeyed(t *testing.T) {
 	train := chaosSources(30)
-	base, err := MustNew(DefaultOptions()).Learn(train, nil)
+	eng := MustNew(DefaultOptions())
+	cfgs, pstats, err := eng.ProcessContext(context.Background(), train, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := learnJSON(t, base)
-	got, err := shardEngine(t, 3, 2, func(o *Options) { o.LearnBaseline = true }).Learn(train, nil)
+	for i, cfg := range cfgs {
+		c := *cfg
+		c.Interns = nil
+		cfgs[i] = &c
+	}
+	ref, err := eng.LearnProcessed(cfgs, pstats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := learnJSON(t, ref)
+	got, err := shardEngine(t, 3, 2, nil).Learn(train, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gj := learnJSON(t, got); gj != want {
-		t.Errorf("sharded baseline-mode learned set diverges:\n got %s\nwant %s", gj, want)
+		t.Errorf("sharded learned set diverges from the string-keyed reference:\n got %s\nwant %s", gj, want)
 	}
 }
 

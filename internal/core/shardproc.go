@@ -194,9 +194,7 @@ func (e *Engine) newShardJobBase(meta []Source, cr *corpusRun) (*shardrpc.Job, e
 	lim := e.opts.Limits.WithDefaults()
 	job := &shardrpc.Job{
 		ContextEmbedding: e.opts.ContextEmbedding,
-		LinearScan:       e.opts.LinearScan,
 		Strict:           e.opts.Strict,
-		LearnBaseline:    e.opts.LearnBaseline,
 		LexCacheSize:     e.opts.LexCacheSize,
 		MaxFileSize:      lim.MaxFileSize,
 		MaxLineLen:       lim.MaxLineLen,
@@ -342,9 +340,7 @@ func newShardWorker(job *shardrpc.Job) (*shardWorker, error) {
 	opts := Options{
 		Parallelism:      1, // a worker runs one shard at a time, sequentially
 		ContextEmbedding: job.ContextEmbedding,
-		LinearScan:       job.LinearScan,
 		Strict:           job.Strict,
-		LearnBaseline:    job.LearnBaseline,
 		LexCacheSize:     job.LexCacheSize,
 	}
 	opts.Limits.MaxFileSize = job.MaxFileSize

@@ -123,30 +123,20 @@ type Options struct {
 	// lines and is recorded on the returned Config for downstream
 	// consumers (mining, contract compilation).
 	Interns *intern.Table
-	// Baseline selects the pre-optimization learn path: per-line
-	// LexLinear with no cache and no interning. Kept for differential
-	// testing and benchmarking; output is byte-identical to the fast
-	// path (minus PatternID annotations).
-	Baseline bool
 }
 
-// lexRun bundles the per-file lexing state: strategy selection, the
-// shared memoization cache and intern table, and the lexed-line count
-// (flushed to telemetry once per file to avoid per-line counter
-// traffic).
+// lexRun bundles the per-file lexing state: the shared memoization
+// cache and intern table, and the lexed-line count (flushed to
+// telemetry once per file to avoid per-line counter traffic).
 type lexRun struct {
 	lx      *lexer.Lexer
 	cache   *lexer.Cache
 	interns *intern.Table
-	linear  bool
 	lines   int64
 }
 
 func (r *lexRun) lex(s string) lexer.Lexed {
 	r.lines++
-	if r.linear {
-		return r.lx.LexLinear(s)
-	}
 	return r.lx.LexCached(r.cache, s)
 }
 
@@ -185,10 +175,7 @@ func Process(name string, text []byte, lx *lexer.Lexer, opts Options) lexer.Conf
 	if !opts.Embed {
 		cat = Flat
 	}
-	r := &lexRun{lx: lx, cache: opts.Cache, interns: opts.Interns, linear: opts.Baseline}
-	if r.linear {
-		r.cache, r.interns = nil, nil
-	}
+	r := &lexRun{lx: lx, cache: opts.Cache, interns: opts.Interns}
 	var cfg lexer.Config
 	switch cat {
 	case JSON:

@@ -133,9 +133,7 @@ type Translator struct {
 }
 
 // NewTranslator builds a translator from the foreign table's ordered
-// strings onto local. A nil local table still supports String — callers
-// that key by strings (the baseline learn path) translate IDs straight
-// to text.
+// strings onto local.
 func NewTranslator(local *Table, foreign []string) *Translator {
 	return &Translator{local: local, foreign: foreign, ids: make([]int32, len(foreign))}
 }

@@ -14,16 +14,16 @@
 // single left-to-right scan: each spec carries a byte-class prefilter
 // (the conservative set of bytes a match can start with) and an
 // anchored form of its regex, so at most positions most specs are
-// dismissed with a bitmap test and no regex runs at all. LexLinear is
+// dismissed with a bitmap test and no regex runs at all. The tests keep
 // the pre-optimization strategy — every spec's FindAllStringIndex over
-// the whole line followed by a global sort — kept as the differential
-// baseline. The memoization Cache (see LexCached) sits above either.
+// the whole line followed by a global sort — as LexLinear, the
+// reference FuzzLex compares Lex against. The memoization Cache (see
+// LexCached) sits above Lex.
 package lexer
 
 import (
 	"fmt"
 	"regexp"
-	"slices"
 	"sync"
 	"unicode/utf8"
 
@@ -211,12 +211,10 @@ const MaxParamsPerLine = 64
 // pathological single-line inputs.
 const MaxLexLine = 1 << 20
 
-// scratch is the pooled per-call working state shared by both matching
-// strategies; nothing in it escapes a Lex call (output strings and the
+// scratch is the pooled per-call working state; nothing in it escapes a Lex call (output strings and the
 // Params slice are freshly built).
 type scratch struct {
 	cursors []cursor
-	cands   []span
 	spans   []span
 	untyped []byte
 	display []byte
@@ -245,9 +243,9 @@ type cursor struct {
 // text. Matching is greedy left to right; at each position the
 // highest-precedence token whose span parses successfully wins.
 //
-// Lex is the optimized single-pass scan; LexLinear is the equivalent
-// baseline. Both resolve overlaps identically: earliest start first,
-// then highest precedence (lowest spec index).
+// Lex is the optimized single-pass scan; LexLinear (linear_test.go) is
+// the equivalent reference. Both resolve overlaps identically: earliest
+// start first, then highest precedence (lowest spec index).
 func (lx *Lexer) Lex(line string) Lexed {
 	if len(line) > MaxLexLine {
 		line = line[:MaxLexLine]
@@ -299,7 +297,7 @@ func (lx *Lexer) Lex(line string) Lexed {
 // advanceCursor moves a cursor to its spec's next accepted span, or
 // marks it done. Guard or parse failures discard the span but consume
 // its text (search resumes at the span's end), mirroring how the
-// baseline's FindAllStringIndex never revisits a matched region.
+// reference's FindAllStringIndex never revisits a matched region.
 func (lx *Lexer) advanceCursor(c *cursor, si int, line string) {
 	spec := &lx.specs[si]
 	if !spec.pf.sliceSafe {
@@ -331,7 +329,7 @@ func (lx *Lexer) advanceCursor(c *cursor, si int, line string) {
 		}
 		if start == end {
 			// Empty match: never a candidate; advance one rune like the
-			// baseline's FindAll does.
+			// reference's FindAll does.
 			_, w := utf8.DecodeRuneInString(line[start:])
 			if w == 0 {
 				w = 1
@@ -391,64 +389,6 @@ func (lx *Lexer) accept(spec *compiledSpec, line string, start, end int) (netdat
 		return v, true
 	}
 	return netdata.Str(line[start:end]), true
-}
-
-// LexLinear is the pre-optimization matching strategy: every spec's
-// matches are collected over the whole line, globally sorted, and
-// resolved by position and precedence. It produces output identical to
-// Lex and is kept as the differential baseline (see FuzzLex and the
-// learn-path golden tests).
-func (lx *Lexer) LexLinear(line string) Lexed {
-	if len(line) > MaxLexLine {
-		line = line[:MaxLexLine]
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	// Collect candidate spans from every spec, then resolve overlaps by
-	// position and precedence.
-	candidates := sc.cands[:0]
-	for si := range lx.specs {
-		spec := &lx.specs[si]
-		for _, loc := range spec.re.FindAllStringIndex(line, -1) {
-			start, end := loc[0], loc[1]
-			if start == end {
-				continue
-			}
-			v, ok := lx.accept(spec, line, start, end)
-			if !ok {
-				continue
-			}
-			candidates = append(candidates, span{start: start, end: end, spec: si, value: v})
-		}
-	}
-	// Stable resolution: earlier start first; at equal start, higher
-	// precedence (lower spec index) first; ties broken by longer span.
-	slices.SortFunc(candidates, func(a, b span) int {
-		if a.start != b.start {
-			return a.start - b.start
-		}
-		if a.spec != b.spec {
-			return a.spec - b.spec
-		}
-		return b.end - a.end
-	})
-
-	chosen := sc.spans[:0]
-	pos := 0
-	for _, c := range candidates {
-		if c.start < pos {
-			continue
-		}
-		if len(chosen) >= MaxParamsPerLine {
-			break
-		}
-		chosen = append(chosen, c)
-		pos = c.end
-	}
-	res := lx.render(line, chosen, sc)
-	sc.cands = candidates[:0]
-	sc.spans = chosen[:0]
-	return res
 }
 
 // render builds the Lexed result from resolved spans, writing the

@@ -32,70 +32,38 @@ import (
 	"concord/internal/score"
 )
 
-// StatsAccumulator holds one shard's mining evidence: the statistics
-// the category miners consume plus the relational candidate table.
-// Exactly one of the interned/baseline forms is active, mirroring
-// collectStats' fast-path split. Not safe for concurrent use; shards
-// fold into private accumulators and merge afterwards.
+// StatsAccumulator holds one shard's mining evidence: the interned
+// statistics the category miners consume plus the relational candidate
+// table, keyed by IDs of the run-wide intern table. Not safe for
+// concurrent use; shards fold into private accumulators and merge
+// afterwards.
 type StatsAccumulator struct {
-	m   *Miner
-	tab *intern.Table // nil selects the baseline string-keyed form
-
-	// Interned form (corpus carries a run-wide table, !opts.Baseline).
+	m     *Miner
+	tab   *intern.Table
 	sti   *statsI
 	candI map[candKeyI]*candState
-
-	// Baseline form.
-	sts   *stats
-	candS map[candKey]*candState
 
 	scratch *scanScratch
 }
 
-// NewStatsAccumulator returns an empty accumulator. A non-nil tab (the
-// run-wide intern table every folded configuration must carry) selects
-// the interned fast path unless Options.Baseline forces string keys.
+// NewStatsAccumulator returns an empty accumulator over tab, the
+// run-wide intern table every folded configuration must carry; tab
+// must be non-nil.
 func (m *Miner) NewStatsAccumulator(tab *intern.Table) *StatsAccumulator {
-	if m.opts.Baseline {
-		tab = nil
+	return &StatsAccumulator{
+		m:     m,
+		tab:   tab,
+		sti:   newStatsI(0, tab),
+		candI: make(map[candKeyI]*candState),
 	}
-	a := &StatsAccumulator{m: m, tab: tab}
-	if tab != nil {
-		a.sti = newStatsI(0, tab)
-		a.candI = make(map[candKeyI]*candState)
-	} else {
-		a.sts = &stats{
-			patterns:  make(map[string]*patternStats),
-			pairs:     make(map[[2]string]*pairStats),
-			firstOccs: make(map[string]int),
-			types:     make(map[string]*typeStats),
-			seqs:      make(map[string]*seqStats),
-			uniqs:     make(map[string]*uniqStats),
-			constants: make(map[string]*patternStats),
-			seqMeta:   make(map[string]patternParam),
-			uniqMeta:  make(map[string]patternParam),
-		}
-		a.candS = make(map[candKey]*candState)
-	}
-	return a
 }
 
 // NConfigs returns the number of configurations folded (and, after
 // merges, the merged total) — the denominator the miners divide by.
-func (a *StatsAccumulator) NConfigs() int {
-	if a.sti != nil {
-		return a.sti.nConfigs
-	}
-	return a.sts.nConfigs
-}
+func (a *StatsAccumulator) NConfigs() int { return a.sti.nConfigs }
 
 // Candidates returns the size of the relational candidate table.
-func (a *StatsAccumulator) Candidates() int {
-	if a.sti != nil {
-		return len(a.candI)
-	}
-	return len(a.candS)
-}
+func (a *StatsAccumulator) Candidates() int { return len(a.candI) }
 
 // Fold streams one configuration into the accumulator: the statistics
 // fold followed by the relational scan, under the same per-config
@@ -105,53 +73,35 @@ func (a *StatsAccumulator) Candidates() int {
 // per in-flight shard, not the corpus.
 func (a *StatsAccumulator) Fold(cfg *lexer.Config) error {
 	m := a.m
-	if a.sti != nil {
-		a.sti.nConfigs++
-		if err := m.statsOneConfigFast(cfg, a.sti); err != nil {
-			return err
-		}
-	} else {
-		a.sts.nConfigs++
-		if err := m.statsOneConfig(cfg, a.sts); err != nil {
-			return err
-		}
+	a.sti.nConfigs++
+	if err := m.statsOneConfigFast(cfg, a.sti); err != nil {
+		return err
 	}
 	if !m.opts.enabled(contracts.CatRelation) {
 		return nil
 	}
-	if a.sti != nil {
-		return m.contain(cfg.Name, func() {
-			faultinject.At("mining.relational.config", cfg.Name)
-			if a.scratch == nil {
-				a.scratch = newScanScratch(len(m.transforms))
-			}
-			m.scanRelationalConfig(cfg, a.tab, a.scratch)
-			m.foldScanInterned(a.scratch, a.candI)
-		})
-	}
 	return m.contain(cfg.Name, func() {
 		faultinject.At("mining.relational.config", cfg.Name)
-		m.mineRelationalConfigBaseline(cfg, a.candS)
+		if a.scratch == nil {
+			a.scratch = newScanScratch(len(m.transforms))
+		}
+		m.scanRelationalConfig(cfg, a.tab, a.scratch)
+		m.foldScanInterned(a.scratch, a.candI)
 	})
 }
 
-// Merge folds b into a. Both accumulators must be of the same form
-// (same intern table or both baseline) and built by miners with the
-// same registries. Merge steals b's sub-structures; b must not be used
-// afterwards. When merging shards in index order a sees lower-index
-// evidence first, reproducing corpus order for the first-wins display
-// fields — though the merge laws above make any order equivalent.
+// Merge folds b into a. Both accumulators must share one intern table
+// and be built by miners with the same registries. Merge steals b's
+// sub-structures; b must not be used afterwards. When merging shards in
+// index order a sees lower-index evidence first, reproducing corpus
+// order for the first-wins display fields — though the merge laws above
+// make any order equivalent.
 func (a *StatsAccumulator) Merge(b *StatsAccumulator) {
-	if (a.sti == nil) != (b.sti == nil) {
-		panic("mining: merging accumulators of different key forms")
+	if a.tab != b.tab {
+		panic("mining: merging accumulators over different intern tables")
 	}
-	if a.sti != nil {
-		mergeStatsInterned(a.sti, b.sti)
-		mergeCands(a.candI, b.candI)
-		return
-	}
-	mergeStatsBaseline(a.sts, b.sts)
-	mergeCands(a.candS, b.candS)
+	mergeStatsInterned(a.sti, b.sti)
+	mergeCands(a.candI, b.candI)
 }
 
 func mergePatternStats(dst map[string]*patternStats, src map[string]*patternStats) {
@@ -233,49 +183,7 @@ func mergeStatsInterned(dst, src *statsI) {
 	mergePatternStats(dst.constants, src.constants)
 }
 
-func mergeStatsBaseline(dst, src *stats) {
-	dst.nConfigs += src.nConfigs
-	mergePatternStats(dst.patterns, src.patterns)
-	for k, ps := range src.pairs {
-		if g := dst.pairs[k]; g != nil {
-			g.holdConfigs += ps.holdConfigs
-		} else {
-			dst.pairs[k] = ps
-		}
-	}
-	for k, n := range src.firstOccs {
-		dst.firstOccs[k] += n
-	}
-	mergeTypeStats(dst.types, src.types)
-	for k, ss := range src.seqs {
-		if g := dst.seqs[k]; g != nil {
-			g.configsWith2 += ss.configsWith2
-			g.configsSeq += ss.configsSeq
-		} else {
-			dst.seqs[k] = ss
-		}
-	}
-	for k, us := range src.uniqs {
-		g := dst.uniqs[k]
-		if g == nil {
-			dst.uniqs[k] = us
-			continue
-		}
-		g.totalValues += us.totalValues
-		for v, n := range us.valueCount {
-			g.valueCount[v] += n
-		}
-	}
-	mergePatternStats(dst.constants, src.constants)
-	for k, pp := range src.seqMeta {
-		dst.seqMeta[k] = pp
-	}
-	for k, pp := range src.uniqMeta {
-		dst.uniqMeta[k] = pp
-	}
-}
-
-func mergeCands[K comparable](dst, src map[K]*candState) {
+func mergeCands(dst, src map[candKeyI]*candState) {
 	for k, cs := range src {
 		g := dst[k]
 		if g == nil {
@@ -293,24 +201,14 @@ func mergeCands[K comparable](dst, src map[K]*candState) {
 // output is byte-identical to MineContext over the concatenation of
 // every folded configuration.
 func (m *Miner) MineAccumulated(ctx context.Context, acc *StatsAccumulator) (*contracts.Set, error) {
-	var st *stats
-	if acc.sti != nil {
-		st = acc.sti.finalize()
-	} else {
-		st = acc.sts
-	}
+	st := acc.sti.finalize()
 	set, err := m.mineFromStats(ctx, st, func() ([]contracts.Contract, error) {
-		if acc.sti != nil {
-			return m.acceptRelationalInterned(acc.candI, st, acc.tab), nil
-		}
-		return m.acceptRelationalBaseline(acc.candS, st), nil
+		return m.acceptRelationalInterned(acc.candI, st, acc.tab), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if acc.tab != nil {
-		m.opts.Telemetry.Add("mine.interned_strings", int64(acc.tab.Len()))
-	}
+	m.opts.Telemetry.Add("mine.interned_strings", int64(acc.tab.Len()))
 	return set, nil
 }
 
@@ -445,15 +343,10 @@ func (b *stateBuilder) sid(s string) StrID {
 }
 
 // Export converts the accumulator to its portable form. The stats view
-// is finalized to string keys first (interned and baseline accumulators
-// export identically), then every table is emitted in canonical order.
+// is finalized to string keys first, then every table is emitted in
+// canonical order.
 func (a *StatsAccumulator) Export() *AccumulatorState {
-	var st *stats
-	if a.sti != nil {
-		st = a.sti.finalize()
-	} else {
-		st = a.sts
-	}
+	st := a.sti.finalize()
 	b := &stateBuilder{ids: make(map[string]StrID)}
 	out := &AccumulatorState{NConfigs: st.nConfigs}
 
@@ -530,20 +423,14 @@ func (a *StatsAccumulator) exportCands(b *stateBuilder) []AccCand {
 		k  candKey
 		cs *candState
 	}
-	var cands []flat
-	if a.sti != nil {
-		m := a.m
-		for k, cs := range a.candI {
-			cands = append(cands, flat{candKey{
-				p1: a.tab.String(k.p1), i1: int(k.i1), t1: m.transforms[k.t1].Name,
-				rel: m.rels[k.rel],
-				p2:  a.tab.String(k.p2), i2: int(k.i2), t2: m.transforms[k.t2].Name,
-			}, cs})
-		}
-	} else {
-		for k, cs := range a.candS {
-			cands = append(cands, flat{k, cs})
-		}
+	m := a.m
+	cands := make([]flat, 0, len(a.candI))
+	for k, cs := range a.candI {
+		cands = append(cands, flat{candKey{
+			p1: a.tab.String(k.p1), i1: int(k.i1), t1: m.transforms[k.t1].Name,
+			rel: m.rels[k.rel],
+			p2:  a.tab.String(k.p2), i2: int(k.i2), t2: m.transforms[k.t2].Name,
+		}, cs})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		x, y := cands[i].k, cands[j].k
@@ -591,23 +478,19 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // ImportAccumulator rebinds a wire-form accumulator onto this miner's
-// registries and the run's intern table (nil tab selects the baseline
-// form, matching a LearnBaseline run). Every dictionary reference is
+// registries and the run's intern table. Every dictionary reference is
 // range-checked and every transform/relation name resolved against the
 // local registries — malformed or registry-skewed state returns an
 // error, never a panic and never a silently partial accumulator.
 func (m *Miner) ImportAccumulator(state *AccumulatorState, tab *intern.Table) (*StatsAccumulator, error) {
 	a := m.NewStatsAccumulator(tab)
+	sti := a.sti
 	tr := intern.NewTranslator(tab, state.Strings)
-	if a.sti != nil {
-		a.sti.nConfigs = state.NConfigs
-	} else {
-		a.sts.nConfigs = state.NConfigs
-	}
+	sti.nConfigs = state.NConfigs
 
 	str := tr.String
 	for _, p := range state.Patterns {
-		pattern, err := str(p.Pattern)
+		pid, err := tr.ID(p.Pattern)
 		if err != nil {
 			return nil, err
 		}
@@ -615,23 +498,14 @@ func (m *Miner) ImportAccumulator(state *AccumulatorState, tab *intern.Table) (*
 		if err != nil {
 			return nil, err
 		}
-		ps := &patternStats{display: display, configCount: p.ConfigCount, lineCount: p.LineCount}
-		if a.sti != nil {
-			pid, err := tr.ID(p.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			a.sti.patterns[pid] = ps
-		} else {
-			a.sts.patterns[pattern] = ps
-		}
+		sti.patterns[pid] = &patternStats{display: display, configCount: p.ConfigCount, lineCount: p.LineCount}
 	}
 	for _, p := range state.Pairs {
-		first, err := str(p.First)
+		id1, err := tr.ID(p.First)
 		if err != nil {
 			return nil, err
 		}
-		second, err := str(p.Second)
+		id2, err := tr.ID(p.Second)
 		if err != nil {
 			return nil, err
 		}
@@ -643,37 +517,15 @@ func (m *Miner) ImportAccumulator(state *AccumulatorState, tab *intern.Table) (*
 		if err != nil {
 			return nil, err
 		}
-		ps := &pairStats{displayFirst: d1, displaySecond: d2, holdConfigs: p.HoldConfigs}
-		if a.sti != nil {
-			id1, err := tr.ID(p.First)
-			if err != nil {
-				return nil, err
-			}
-			id2, err := tr.ID(p.Second)
-			if err != nil {
-				return nil, err
-			}
-			a.sti.pairs[[2]int32{id1, id2}] = ps
-		} else {
-			a.sts.pairs[[2]string{first, second}] = ps
-		}
+		sti.pairs[[2]int32{id1, id2}] = &pairStats{displayFirst: d1, displaySecond: d2, holdConfigs: p.HoldConfigs}
 	}
 	for _, f := range state.FirstOccs {
-		if a.sti != nil {
-			pid, err := tr.ID(f.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			a.sti.firstOccs[pid] = f.Configs
-		} else {
-			pattern, err := str(f.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			a.sts.firstOccs[pattern] = f.Configs
+		pid, err := tr.ID(f.Pattern)
+		if err != nil {
+			return nil, err
 		}
+		sti.firstOccs[pid] = f.Configs
 	}
-	types := a.types()
 	for _, at := range state.Types {
 		ag, err := str(at.Agnostic)
 		if err != nil {
@@ -691,10 +543,10 @@ func (m *Miner) ImportAccumulator(state *AccumulatorState, tab *intern.Table) (*
 			}
 			ts.perParam = append(ts.perParam, uses)
 		}
-		types[ag] = ts
+		sti.types[ag] = ts
 	}
 	for _, s := range state.Seqs {
-		pattern, err := str(s.Pattern)
+		pid, err := tr.ID(s.Pattern)
 		if err != nil {
 			return nil, err
 		}
@@ -702,21 +554,10 @@ func (m *Miner) ImportAccumulator(state *AccumulatorState, tab *intern.Table) (*
 		if err != nil {
 			return nil, err
 		}
-		ss := &seqStats{display: display, configsWith2: s.ConfigsWith2, configsSeq: s.ConfigsSeq}
-		if a.sti != nil {
-			pid, err := tr.ID(s.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			a.sti.seqs[key2i(pid, s.Idx)] = ss
-		} else {
-			k := key2(pattern, s.Idx)
-			a.sts.seqs[k] = ss
-			a.sts.seqMeta[k] = patternParam{pattern: pattern, idx: s.Idx}
-		}
+		sti.seqs[key2i(pid, s.Idx)] = &seqStats{display: display, configsWith2: s.ConfigsWith2, configsSeq: s.ConfigsSeq}
 	}
 	for _, u := range state.Uniqs {
-		pattern, err := str(u.Pattern)
+		pid, err := tr.ID(u.Pattern)
 		if err != nil {
 			return nil, err
 		}
@@ -732,44 +573,19 @@ func (m *Miner) ImportAccumulator(state *AccumulatorState, tab *intern.Table) (*
 			}
 			us.valueCount[key] = v.Count
 		}
-		if a.sti != nil {
-			pid, err := tr.ID(u.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			a.sti.uniqs[key2i(pid, u.Idx)] = us
-		} else {
-			k := key2(pattern, u.Idx)
-			a.sts.uniqs[k] = us
-			a.sts.uniqMeta[k] = patternParam{pattern: pattern, idx: u.Idx}
-		}
+		sti.uniqs[key2i(pid, u.Idx)] = us
 	}
-	constants := a.constants()
 	for _, c := range state.Constants {
 		text, err := str(c.Text)
 		if err != nil {
 			return nil, err
 		}
-		constants[text] = &patternStats{display: text, configCount: c.ConfigCount}
+		sti.constants[text] = &patternStats{display: text, configCount: c.ConfigCount}
 	}
 	if err := m.importCands(a, state, tr); err != nil {
 		return nil, err
 	}
 	return a, nil
-}
-
-func (a *StatsAccumulator) types() map[string]*typeStats {
-	if a.sti != nil {
-		return a.sti.types
-	}
-	return a.sts.types
-}
-
-func (a *StatsAccumulator) constants() map[string]*patternStats {
-	if a.sti != nil {
-		return a.sti.constants
-	}
-	return a.sts.constants
 }
 
 func (m *Miner) importCands(a *StatsAccumulator, state *AccumulatorState, tr *intern.Translator) error {
@@ -811,39 +627,27 @@ func (m *Miner) importCands(a *StatsAccumulator, state *AccumulatorState, tr *in
 			}
 			cs.agg.AddInstance(key, s.Score)
 		}
-		if a.sti != nil {
-			ti1, ok := transformIdx[t1]
-			if !ok {
-				return fmt.Errorf("mining: imported accumulator names unknown transform %q", t1)
-			}
-			ti2, ok := transformIdx[t2]
-			if !ok {
-				return fmt.Errorf("mining: imported accumulator names unknown transform %q", t2)
-			}
-			ri, ok := relIdx[rel]
-			if !ok {
-				return fmt.Errorf("mining: imported accumulator names unknown relation %q", rel)
-			}
-			p1, err := tr.ID(c.P1)
-			if err != nil {
-				return err
-			}
-			p2, err := tr.ID(c.P2)
-			if err != nil {
-				return err
-			}
-			a.candI[candKeyI{p1: p1, i1: int32(c.I1), t1: ti1, rel: ri, p2: p2, i2: int32(c.I2), t2: ti2}] = cs
-		} else {
-			p1, err := tr.String(c.P1)
-			if err != nil {
-				return err
-			}
-			p2, err := tr.String(c.P2)
-			if err != nil {
-				return err
-			}
-			a.candS[candKey{p1: p1, i1: c.I1, t1: t1, rel: rel, p2: p2, i2: c.I2, t2: t2}] = cs
+		ti1, ok := transformIdx[t1]
+		if !ok {
+			return fmt.Errorf("mining: imported accumulator names unknown transform %q", t1)
 		}
+		ti2, ok := transformIdx[t2]
+		if !ok {
+			return fmt.Errorf("mining: imported accumulator names unknown transform %q", t2)
+		}
+		ri, ok := relIdx[rel]
+		if !ok {
+			return fmt.Errorf("mining: imported accumulator names unknown relation %q", rel)
+		}
+		p1, err := tr.ID(c.P1)
+		if err != nil {
+			return err
+		}
+		p2, err := tr.ID(c.P2)
+		if err != nil {
+			return err
+		}
+		a.candI[candKeyI{p1: p1, i1: int32(c.I1), t1: ti1, rel: ri, p2: p2, i2: int32(c.I2), t2: ti2}] = cs
 	}
 	return nil
 }

@@ -59,67 +59,64 @@ func mineJSON(t *testing.T, m *Miner, acc *StatsAccumulator) string {
 // sharded learning: for randomized contiguous corpus splits, merging
 // the per-split accumulators under a random association and a random
 // shard order mines a learned set byte-identical to folding the whole
-// corpus into one accumulator. Runs on both the interned and baseline
-// accumulator forms.
+// corpus into one accumulator, which in turn matches the string-keyed
+// MineContext over the same corpus uninterned.
 func TestAccumulatorMergeProperty(t *testing.T) {
 	const corpus = 24
-	for _, baseline := range []bool{false, true} {
-		name := "interned"
-		if baseline {
-			name = "baseline"
+	t.Run("interned", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.ConstantLearning = true
+		tab := intern.NewTable()
+		cfgs := accCorpus(t, 0, corpus, tab)
+		m := New(opts)
+		whole := foldAll(t, m, tab, cfgs)
+		if whole.NConfigs() != corpus || whole.Candidates() == 0 {
+			t.Fatalf("whole-corpus accumulator: %d configs, %d candidates; corpus does not exercise the relational fold",
+				whole.NConfigs(), whole.Candidates())
 		}
-		t.Run(name, func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.ConstantLearning = true
-			opts.Baseline = baseline
-			var tab *intern.Table
-			if !baseline {
-				tab = intern.NewTable()
-			}
-			cfgs := accCorpus(t, 0, corpus, tab)
-			m := New(opts)
-			whole := foldAll(t, m, tab, cfgs)
-			if whole.NConfigs() != corpus || whole.Candidates() == 0 {
-				t.Fatalf("whole-corpus accumulator: %d configs, %d candidates; corpus does not exercise the relational fold",
-					whole.NConfigs(), whole.Candidates())
-			}
-			want := mineJSON(t, m, whole)
+		want := mineJSON(t, m, whole)
+		ref, err := m.MineContext(context.Background(), accCorpus(t, 0, corpus, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := json.Marshal(ref); string(b) != want {
+			t.Fatalf("whole-corpus fold diverges from the string-keyed MineContext:\n fold %s\n  ref %s", want, b)
+		}
 
-			rng := rand.New(rand.NewSource(41))
-			for trial := 0; trial < 8; trial++ {
-				// Random contiguous split into 1..8 shards (empty shards
-				// included: cuts may coincide).
-				k := 1 + rng.Intn(8)
-				cuts := []int{0, corpus}
-				for i := 1; i < k; i++ {
-					cuts = append(cuts, rng.Intn(corpus+1))
-				}
-				sort.Ints(cuts)
-				var accs []*StatsAccumulator
-				for i := 0; i+1 < len(cuts); i++ {
-					accs = append(accs, foldAll(t, m, tab, cfgs[cuts[i]:cuts[i+1]]))
-				}
-				// Random association and order: repeatedly merge one random
-				// accumulator into another until one remains.
-				for len(accs) > 1 {
-					i := rng.Intn(len(accs))
-					j := rng.Intn(len(accs) - 1)
-					if j >= i {
-						j++
-					}
-					accs[i].Merge(accs[j])
-					accs = append(accs[:j], accs[j+1:]...)
-				}
-				if accs[0].NConfigs() != corpus {
-					t.Fatalf("trial %d (cuts %v): merged NConfigs = %d, want %d", trial, cuts, accs[0].NConfigs(), corpus)
-				}
-				if got := mineJSON(t, m, accs[0]); got != want {
-					t.Fatalf("trial %d (cuts %v): merged learned set diverges from whole-corpus fold:\n got %s\nwant %s",
-						trial, cuts, got, want)
-				}
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 8; trial++ {
+			// Random contiguous split into 1..8 shards (empty shards
+			// included: cuts may coincide).
+			k := 1 + rng.Intn(8)
+			cuts := []int{0, corpus}
+			for i := 1; i < k; i++ {
+				cuts = append(cuts, rng.Intn(corpus+1))
 			}
-		})
-	}
+			sort.Ints(cuts)
+			var accs []*StatsAccumulator
+			for i := 0; i+1 < len(cuts); i++ {
+				accs = append(accs, foldAll(t, m, tab, cfgs[cuts[i]:cuts[i+1]]))
+			}
+			// Random association and order: repeatedly merge one random
+			// accumulator into another until one remains.
+			for len(accs) > 1 {
+				i := rng.Intn(len(accs))
+				j := rng.Intn(len(accs) - 1)
+				if j >= i {
+					j++
+				}
+				accs[i].Merge(accs[j])
+				accs = append(accs[:j], accs[j+1:]...)
+			}
+			if accs[0].NConfigs() != corpus {
+				t.Fatalf("trial %d (cuts %v): merged NConfigs = %d, want %d", trial, cuts, accs[0].NConfigs(), corpus)
+			}
+			if got := mineJSON(t, m, accs[0]); got != want {
+				t.Fatalf("trial %d (cuts %v): merged learned set diverges from whole-corpus fold:\n got %s\nwant %s",
+					trial, cuts, got, want)
+			}
+		}
+	})
 }
 
 // TestAccumulatorExportImportRoundtrip simulates the process backend's

@@ -70,11 +70,6 @@ type Options struct {
 	// Strict converts the first contained panic into an error aborting
 	// MineContext, instead of a diagnostic.
 	Strict bool
-	// Baseline forces the pre-interning learn path: statistics and
-	// relational candidate tables keyed by pattern strings even when the
-	// configs carry an intern table. Kept for differential testing and
-	// benchmarking; the mined contract set is byte-identical either way.
-	Baseline bool
 	// Progress, when non-nil, is called after each configuration of the
 	// relational mining pass (the dominant cost); it must be safe for
 	// concurrent calls when Parallelism > 1.
@@ -162,7 +157,7 @@ func (m *Miner) MineContext(ctx context.Context, cfgs []*lexer.Config) (*contrac
 	if err != nil {
 		return nil, err
 	}
-	if tab := commonInterns(cfgs); tab != nil && !m.opts.Baseline {
+	if tab := commonInterns(cfgs); tab != nil {
 		rec.Add("mine.interned_strings", int64(tab.Len()))
 	}
 	return set, nil
@@ -365,7 +360,7 @@ func (m *Miner) contain(unit string, fn func()) (err error) {
 }
 
 func (m *Miner) collectStats(ctx context.Context, cfgs []*lexer.Config) (*stats, error) {
-	if tab := commonInterns(cfgs); tab != nil && !m.opts.Baseline {
+	if tab := commonInterns(cfgs); tab != nil {
 		sti := newStatsI(len(cfgs), tab)
 		for _, cfg := range cfgs {
 			if err := ctx.Err(); err != nil {

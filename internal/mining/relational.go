@@ -61,11 +61,7 @@ type candState struct {
 // Cancellation is checked between configurations: a cancelled context
 // aborts within one per-config iteration and returns ctx.Err().
 func (m *Miner) mineRelational(ctx context.Context, cfgs []*lexer.Config, st *stats) ([]contracts.Contract, error) {
-	tab := commonInterns(cfgs)
-	if m.opts.Baseline {
-		tab = nil
-	}
-	if tab != nil {
+	if tab := commonInterns(cfgs); tab != nil {
 		return m.mineRelationalInterned(ctx, cfgs, st, tab)
 	}
 	global, err := relationalPass(m, ctx, cfgs, func(cfg *lexer.Config, t map[candKey]*candState) error {
@@ -765,11 +761,10 @@ func (m *Miner) scanRelationalConfig(cfg *lexer.Config, gtab *intern.Table, ss *
 
 }
 
-// mineRelationalConfigBaseline is the pre-PR per-configuration pass,
-// kept verbatim as the Baseline reference implementation: it folds
-// straight into the string-keyed candidate table, and its per-value
-// allocation behavior is what the learn benchmark's baseline mode
-// measures against.
+// mineRelationalConfigBaseline is the pre-interning per-configuration
+// pass, the string-keyed path MineContext takes when the corpus shares
+// no intern table: it folds straight into the string-keyed candidate
+// table. The learn golden test compares the interned path against it.
 func (m *Miner) mineRelationalConfigBaseline(cfg *lexer.Config, global map[candKey]*candState) {
 	// Intern patterns and (pattern, param, transform) sources.
 	patternID := make(map[string]int32)

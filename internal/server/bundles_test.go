@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -157,10 +158,18 @@ func TestServeBundleRollback(t *testing.T) {
 	}
 }
 
-// TestServeReloadUnderLoad: concurrent default-set checks run while
-// Reload hot-swaps a newer bundle in; no request may fail, and after
-// the swap the server serves the new bundle.
+// TestServeReloadUnderLoad swaps the serving set while clients keep
+// checking against it: a single SIGHUP-style Reload of a staged bundle,
+// and a soak of revision-bumped pushes with a broken push mixed in.
 func TestServeReloadUnderLoad(t *testing.T) {
+	t.Run("staged-reload", testReloadStaged)
+	t.Run("push-soak", testReloadPushSoak)
+}
+
+// testReloadStaged: concurrent default-set checks run while Reload
+// hot-swaps a newer bundle in; no request may fail, and after the swap
+// the server serves the new bundle.
+func testReloadStaged(t *testing.T) {
 	set := learnSet(t)
 	if set.Len() < 2 {
 		t.Fatalf("learned set too small: %d", set.Len())
@@ -236,6 +245,110 @@ func TestServeReloadUnderLoad(t *testing.T) {
 	wantJSON, _ := json.Marshal(want.Violations)
 	if got := defaultCheckViolations(t, base, test); !bytes.Equal(got, wantJSON) {
 		t.Errorf("post-reload serving set is not the new bundle's effective set")
+	}
+}
+
+// testReloadPushSoak is the hot-reload endurance gate: 50
+// revision-bumped bundle pushes, with a broken push before every 10th,
+// while two clients check continuously against the default set. No
+// request may fail, a rejected push must leave the active bundle
+// untouched, and a whole-corpus batch check after every swap must stay
+// byte-identical (violations, coverage and stats) to the first one.
+func testReloadPushSoak(t *testing.T) {
+	set := learnSet(t)
+	setJSON, _ := json.Marshal(set)
+	corpus := fixtureSources(12)
+	// A duplicated router-id gives the batch output violations to keep
+	// identical, not just an empty list.
+	corpus = append(corpus, core.Source{Name: "dup.cfg", Text: []byte(
+		"hostname dup\ninterface Loopback0\n   ip address 10.0.99.1\n" +
+			"router bgp 65000\n   router-id 10.0.1.1\n   vlan 990\n")})
+	srv, base := startServer(t, core.DefaultOptions(), Options{BundleDir: t.TempDir()})
+	batchOutput := func() []byte {
+		t.Helper()
+		status, body := postJSON(t, base+"/v1/check", CheckRequest{Configs: toJSONSources(corpus)})
+		if status != http.StatusOK {
+			t.Fatalf("batch check = %d: %s", status, body)
+		}
+		var cr CheckResponse
+		if err := json.Unmarshal(body, &cr); err != nil {
+			t.Fatal(err)
+		}
+		out, _ := json.Marshal(struct {
+			Violations []contracts.Violation
+			Coverage   core.CoverageSummary
+			Stats      core.ProcessStats
+		}{cr.Violations, cr.Coverage, cr.Stats})
+		return out
+	}
+	pushBundle(t, base, BundleRequest{Name: "soak", Revision: "r0", Contracts: setJSON})
+	ref := batchOutput()
+	if !bytes.Contains(ref, []byte(`"contract_id"`)) {
+		t.Fatalf("reference batch has no violations; identity check is vacuous: %s", ref)
+	}
+
+	const clients = 2
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var failed, done [clients]int
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				src := corpus[(c+i)%len(corpus)]
+				body, _ := json.Marshal(CheckRequest{Configs: toJSONSources([]core.Source{src})})
+				resp, err := http.Post(base+"/v1/check", "application/json", bytes.NewReader(body))
+				if err != nil {
+					failed[c]++
+					continue
+				}
+				if _, err := readAll(resp); err != nil || resp.StatusCode != http.StatusOK {
+					failed[c]++
+				}
+				done[c]++
+			}
+		}(c)
+	}
+
+	const swaps = 50
+	for i := 1; i <= swaps; i++ {
+		if i%10 == 0 {
+			before, _ := srv.ActiveBundle()
+			resp, err := http.Post(base+"/v1/bundles", "application/json",
+				strings.NewReader(`{"name":"soak-bad","contracts":{"corrupt":`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data, _ := readAll(resp); resp.StatusCode == http.StatusOK {
+				t.Fatalf("broken push %d was accepted: %s", i, data)
+			}
+			if after, _ := srv.ActiveBundle(); after != before {
+				t.Fatalf("broken push %d moved the active bundle from %s to %s", i, before, after)
+			}
+		}
+		pushed := pushBundle(t, base, BundleRequest{Name: "soak", Revision: fmt.Sprintf("r%d", i), Contracts: setJSON})
+		if id, _ := srv.ActiveBundle(); id != pushed.ID {
+			t.Fatalf("push %d: active bundle = %s, want %s", i, id, pushed.ID)
+		}
+		if out := batchOutput(); !bytes.Equal(out, ref) {
+			t.Fatalf("batch output after swap %d diverges:\n got %s\nwant %s", i, out, ref)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for c := 0; c < clients; c++ {
+		if failed[c] != 0 {
+			t.Errorf("client %d: %d of %d requests failed during the soak", c, failed[c], done[c])
+		}
+		if done[c] == 0 {
+			t.Errorf("client %d completed no requests; the soak ran without load", c)
+		}
 	}
 }
 

@@ -42,8 +42,9 @@ var (
 // SchemaVersion is the wire schema; any change to the encodings below
 // must bump it so a version-skewed worker fails loudly at the frame
 // layer instead of decoding garbage. Version 2 added the learn task
-// kind: the Job learn fields and the CCSL learn-result frame.
-const SchemaVersion = 2
+// kind: the Job learn fields and the CCSL learn-result frame. Version 3
+// dropped the Job's two differential-baseline flags.
+const SchemaVersion = 3
 
 // Frame payload ceilings. Tasks carry raw config text and results can
 // carry a fleet shard's violations or serialized mining evidence, so
@@ -80,9 +81,7 @@ type TokenSpec struct {
 // immediately after spawn.
 type Job struct {
 	ContextEmbedding bool
-	LinearScan       bool
 	Strict           bool
-	LearnBaseline    bool
 	Incremental      bool
 	// LexCacheSize may be negative (cache disabled), hence the signed
 	// zig-zag encoding.
@@ -318,9 +317,7 @@ func (r *reader) done() error {
 func EncodeJob(j *Job) []byte {
 	w := &writer{}
 	w.bool(j.ContextEmbedding)
-	w.bool(j.LinearScan)
 	w.bool(j.Strict)
-	w.bool(j.LearnBaseline)
 	w.bool(j.Incremental)
 	w.varint(int64(j.LexCacheSize))
 	w.uvarint(uint64(j.MaxFileSize))
@@ -359,9 +356,7 @@ func DecodeJob(payload []byte) (*Job, error) {
 	r := &reader{b: payload}
 	j := &Job{}
 	j.ContextEmbedding = r.bool()
-	j.LinearScan = r.bool()
 	j.Strict = r.bool()
-	j.LearnBaseline = r.bool()
 	j.Incremental = r.bool()
 	j.LexCacheSize = int(r.varint())
 	j.MaxFileSize = int(r.uvarint())

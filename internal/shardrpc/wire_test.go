@@ -153,6 +153,12 @@ func TestReadFrameDefects(t *testing.T) {
 			t.Errorf("%s: defect reported as clean EOF", name)
 		}
 	}
+	// A Job framed under the previous schema (whose layout still
+	// carried the two differential-baseline flags) must be refused at
+	// the frame layer, never decoded field-shifted.
+	if _, err := ReadJob(bytes.NewReader(artifact.EncodeFrame(JobMagic, SchemaVersion-1, EncodeJob(testJob())))); err == nil {
+		t.Error("ReadJob accepted a Job frame carrying the previous schema version")
+	}
 	flipped := append([]byte(nil), frame...)
 	flipped[len(flipped)-1] ^= 0x40
 	var fe *artifact.FrameError
