@@ -389,7 +389,7 @@ func (ch *Checker) Check(cfg *lexer.Config) []Violation {
 	} else {
 		out = ch.checkCompiled(v)
 	}
-	sortViolations(out)
+	SortViolations(out)
 	ch.rec.Add("check.violations", int64(len(out)))
 	ch.flushCache(v)
 	return out
@@ -507,11 +507,13 @@ func (ch *Checker) CheckAll(cfgs []*lexer.Config) []Violation {
 		out = append(out, ch.Check(cfg)...)
 	}
 	out = append(out, ch.checkUniqueGlobal(cfgs)...)
-	sortViolations(out)
+	SortViolations(out)
 	return out
 }
 
-func sortViolations(vs []Violation) {
+// SortViolations orders violations by file, then line, then contract
+// ID: the one report order every check path emits.
+func SortViolations(vs []Violation) {
 	sort.Slice(vs, func(i, j int) bool {
 		if vs[i].File != vs[j].File {
 			return vs[i].File < vs[j].File
@@ -705,7 +707,7 @@ func (ch *Checker) checkUniqueExistence(v *view, c *Unique) []Violation {
 // per-configuration checks themselves and run the global pass once.
 func (ch *Checker) CheckUniqueAcross(cfgs []*lexer.Config) []Violation {
 	out := ch.checkUniqueGlobal(cfgs)
-	sortViolations(out)
+	SortViolations(out)
 	return out
 }
 
@@ -802,9 +804,9 @@ func (ch *Checker) uniqueContracts() []*Unique {
 
 // UniqueContributions extracts, for every unique contract of the set,
 // the ordered value sites of one configuration. The result is what an
-// incremental caller caches: replaying it through
-// CheckUniqueFromContributions yields exactly the violations a direct
-// checkUniqueGlobal scan over the same configuration would contribute.
+// incremental caller caches: replaying it through a UniqueAccumulator
+// yields exactly the violations a direct checkUniqueGlobal scan over the
+// same configuration would contribute.
 func (ch *Checker) UniqueContributions(cfg *lexer.Config) map[string][]UniqueSite {
 	uniques := ch.uniqueContracts()
 	out := make(map[string][]UniqueSite, len(uniques))
@@ -828,20 +830,6 @@ func (ch *Checker) UniqueContributions(cfg *lexer.Config) map[string][]UniqueSit
 		}
 	}
 	return out
-}
-
-// CheckUniqueFromContributions evaluates the cross-configuration
-// uniqueness component from per-configuration site contributions
-// (cached or freshly extracted), merged in configuration order.
-// names[i] labels contribs[i]'s configuration in violations. It is a
-// single-accumulator reduction over the UniqueCombiner, so the result
-// is identical to CheckUniqueAcross over the same corpus: the first
-// site of a value is the witness, every later site a violation.
-func (ch *Checker) CheckUniqueFromContributions(names []string, contribs []map[string][]UniqueSite) []Violation {
-	c := ch.UniqueCombiner()
-	return c.Reduce([]Accumulator{
-		&UniqueAccumulator{ch: ch, names: names, contribs: contribs},
-	})
 }
 
 // equalsFast reports whether an equals contract can use the hash-based

@@ -6,14 +6,14 @@
 // results. Unique contracts are the exception: their state (the set of
 // values seen so far, with the first site as witness) spans the whole
 // corpus. The combiner protocol splits that state the map-reduce way:
-// each shard folds its configurations, in corpus order, into an
-// Accumulator (the map side), and a single Reduce over the per-shard
-// accumulators, taken in shard order, emits exactly the violations a
-// sequential scan of the whole corpus would have produced. The
-// accumulator retains only ordered value sites — O(sites), not
-// O(configuration) — which is what lets a fleet-scale run stream
-// configurations instead of holding them all in memory, and what a
-// future worker-process backend would serialize across the shard
+// each shard folds its configurations, in corpus order, into a
+// UniqueAccumulator (the map side), and a single Reduce over the
+// per-shard accumulators, taken in shard order, emits exactly the
+// violations a sequential scan of the whole corpus would have
+// produced. The accumulator retains only ordered value sites —
+// O(sites), not O(configuration) — which is what lets a fleet-scale
+// run stream configurations instead of holding them all in memory, and
+// what the worker-process backend serializes across the shard
 // boundary.
 package contracts
 
@@ -24,29 +24,11 @@ import (
 	"concord/internal/lexer"
 )
 
-// Accumulator is the map side of a combiner: one shard's fold of
-// cross-configuration contract state. Configurations must be added in
-// corpus order; accumulators are not safe for concurrent use.
-type Accumulator interface {
-	// Add folds one configuration's contribution into the accumulator.
-	Add(cfg *lexer.Config)
-}
-
-// Combiner creates per-shard accumulators and reduces them, in shard
-// order, to the violations of the cross-configuration contracts. For
-// any partition of a corpus into contiguous shards, reducing the
-// per-shard accumulators is equivalent to folding the whole corpus
-// into a single accumulator and reducing that.
-type Combiner interface {
-	NewAccumulator() Accumulator
-	// Reduce merges accumulators created by this combiner. Passing an
-	// accumulator from a different combiner is a programming error.
-	Reduce(accs []Accumulator) []Violation
-}
-
-// UniqueAccumulator folds configurations into the ordered value-site
-// lists of every unique contract. Sites can also be fed directly via
-// AddSites when a caller replays cached contributions (the incremental
+// UniqueAccumulator is the map side of the combiner: one shard's fold
+// of the ordered value-site lists of every unique contract.
+// Configurations must be added in corpus order; accumulators are not
+// safe for concurrent use. Sites can also be fed directly via AddSites
+// when a caller replays cached contributions (the incremental
 // check-artifact path) instead of holding the lexed configuration.
 type UniqueAccumulator struct {
 	ch       *Checker
@@ -80,9 +62,11 @@ func (a *UniqueAccumulator) Entry(i int) (string, map[string][]UniqueSite) {
 	return a.names[i], a.contribs[i]
 }
 
-// UniqueCombiner is the Combiner for the set's unique contracts. Its
-// Reduce reproduces CheckUniqueAcross over the concatenated corpus,
-// including first-seen-wins witness ordering.
+// UniqueCombiner creates per-shard accumulators and reduces them, in
+// shard order, to the violations of the set's unique contracts. For any
+// partition of a corpus into contiguous shards, reducing the per-shard
+// accumulators reproduces CheckUniqueAcross over the concatenated
+// corpus, including first-seen-wins witness ordering.
 type UniqueCombiner struct {
 	ch *Checker
 }
@@ -94,7 +78,7 @@ func (ch *Checker) UniqueCombiner() *UniqueCombiner {
 }
 
 // NewAccumulator creates an empty per-shard accumulator.
-func (c *UniqueCombiner) NewAccumulator() Accumulator {
+func (c *UniqueCombiner) NewAccumulator() *UniqueAccumulator {
 	return &UniqueAccumulator{ch: c.ch}
 }
 
@@ -102,13 +86,13 @@ func (c *UniqueCombiner) NewAccumulator() Accumulator {
 // unique contract over the concatenated site lists: the first site of
 // a value is the witness, every later site a violation. Panics inside
 // a contract are contained exactly as in the direct scan (lenient
-// skips the contract with a diagnostic, strict re-raises).
-func (c *UniqueCombiner) Reduce(accs []Accumulator) []Violation {
+// skips the contract with a diagnostic, strict re-raises). Passing an
+// accumulator from a different combiner is a programming error.
+func (c *UniqueCombiner) Reduce(accs []*UniqueAccumulator) []Violation {
 	ch := c.ch
 	var names []string
 	var contribs []map[string][]UniqueSite
-	for _, acc := range accs {
-		a := acc.(*UniqueAccumulator)
+	for _, a := range accs {
 		names = append(names, a.names...)
 		contribs = append(contribs, a.contribs...)
 	}
@@ -134,6 +118,6 @@ func (c *UniqueCombiner) Reduce(accs []Accumulator) []Violation {
 			}
 		})
 	}
-	sortViolations(out)
+	SortViolations(out)
 	return out
 }

@@ -49,7 +49,7 @@ func TestUniqueCombinerMatchesAcross(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 3, 7, 20} {
 		c := ch.UniqueCombiner()
-		var accs []Accumulator
+		var accs []*UniqueAccumulator
 		per := (len(cfgs) + shards - 1) / shards
 		for lo := 0; lo < len(cfgs); lo += per {
 			hi := lo + per
@@ -78,7 +78,7 @@ func TestUniqueCombinerSitesReplay(t *testing.T) {
 	c := ch.UniqueCombiner()
 
 	direct := c.NewAccumulator()
-	replay := c.NewAccumulator().(*UniqueAccumulator)
+	replay := c.NewAccumulator()
 	for _, cfg := range cfgs {
 		direct.Add(cfg)
 		replay.AddSites(cfg.Name, ch.UniqueContributions(cfg))
@@ -86,8 +86,8 @@ func TestUniqueCombinerSitesReplay(t *testing.T) {
 	if replay.Len() != len(cfgs) {
 		t.Fatalf("replay.Len = %d, want %d", replay.Len(), len(cfgs))
 	}
-	got := c.Reduce([]Accumulator{replay})
-	want := c.Reduce([]Accumulator{direct})
+	got := c.Reduce([]*UniqueAccumulator{replay})
+	want := c.Reduce([]*UniqueAccumulator{direct})
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed reduce = %+v, want non-empty %+v", got, want)
 	}
@@ -108,7 +108,7 @@ func TestUniqueCombinerPanicContained(t *testing.T) {
 	acc := c.NewAccumulator()
 	acc.Add(cfgFromText(t, "r1.cfg", "hostname r9\nrouter-id 10.0.0.1\n"))
 	acc.Add(cfgFromText(t, "r2.cfg", "hostname r9\nrouter-id 10.0.0.1\n"))
-	vs := c.Reduce([]Accumulator{acc})
+	vs := c.Reduce([]*UniqueAccumulator{acc})
 	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "duplicates r1.cfg") {
 		t.Errorf("violations = %+v, want only the hostname duplicate", vs)
 	}

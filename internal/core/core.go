@@ -12,9 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"concord/internal/artifact"
 	"concord/internal/contracts"
@@ -128,7 +126,7 @@ type Options struct {
 	// per-configuration work — lexed configurations are released as the
 	// shard advances, so peak memory is bounded by in-flight shards
 	// rather than fleet size. A sharded check merges cross-config
-	// Unique contracts through the contracts.Combiner protocol; a
+	// Unique contracts through the contracts.UniqueCombiner; a
 	// sharded learn folds each configuration into a per-shard
 	// mining.StatsAccumulator and merges the accumulators in shard
 	// order. Results are byte-identical to the unsharded paths, warm
@@ -390,7 +388,6 @@ type sourceArt struct {
 // artState carries per-corpus artifact bookkeeping from processing to
 // checking. Nil when no cache is attached.
 type artState struct {
-	cache  *artifact.Cache
 	per    []sourceArt
 	metaFP artifact.Key
 }
@@ -414,14 +411,17 @@ func (e *Engine) processContext(ctx context.Context, dc *diag.Collector, sources
 		artSlots = make([]sourceArt, len(sources))
 	}
 	slots := make([]*lexer.Config, len(sources))
-	err = e.forEachCtx(ctx, dc, telemetry.StageProcess, len(sources),
+	prog := &progressCounter{e: e, stage: telemetry.StageProcess, total: len(sources)}
+	err = e.forEachCtx(ctx, dc, telemetry.StageProcess, e.opts.Parallelism, len(sources),
 		func(i int) string { return sources[i].Name },
-		func(i int) {
+		func(i int) error {
+			defer prog.tick()
 			cfg, sa := e.processOneSource(dc, cr, sources[i])
 			slots[i] = cfg
 			if artOn {
 				artSlots[i] = sa
 			}
+			return nil
 		})
 	if err != nil {
 		return nil, nil, ProcessStats{}, err
@@ -432,40 +432,29 @@ func (e *Engine) processContext(ctx context.Context, dc *diag.Collector, sources
 	// artifact state stays aligned with them).
 	var cfgs []*lexer.Config
 	var per []sourceArt
-	skipped := 0
+	var tally corpusTally
 	for i, c := range slots {
 		if c != nil {
 			cfgs = append(cfgs, c)
+			tally.add(c)
 			if artOn {
 				per = append(per, artSlots[i])
 			}
 		} else {
-			skipped++
+			tally.skipped++
 		}
 	}
 	var arts *artState
 	if artOn {
-		arts = &artState{cache: e.opts.Artifacts, per: per, metaFP: cr.metaFP}
+		arts = &artState{per: per, metaFP: cr.metaFP}
 	}
 	if e.opts.Strict {
 		if err := diag.Join(dc.All()); err != nil {
 			return nil, nil, ProcessStats{}, fmt.Errorf("core: strict mode: %w", err)
 		}
 	}
-	st := ProcessStats{Configs: len(cfgs), Skipped: skipped}
-	patterns := make(map[string]int)
-	for _, cfg := range cfgs {
-		st.Lines += cfg.SourceLines
-		addPatternStats(patterns, cfg)
-	}
-	st.Patterns = len(patterns)
-	for _, n := range patterns {
-		st.Parameters += n
-	}
-	e.opts.Telemetry.SetGauge("corpus.configs", float64(st.Configs))
-	e.opts.Telemetry.SetGauge("corpus.skipped", float64(st.Skipped))
-	e.opts.Telemetry.SetGauge("corpus.lines", float64(st.Lines))
-	e.opts.Telemetry.SetGauge("corpus.patterns", float64(st.Patterns))
+	st := tally.stats()
+	e.setCorpusGauges(st)
 	return cfgs, arts, st, nil
 }
 
@@ -585,18 +574,62 @@ func (e *Engine) processOneSource(dc *diag.Collector, cr *corpusRun, src Source)
 	return &cfg, sa
 }
 
-// addPatternStats folds one configuration into the corpus
-// pattern→max-parameter-count map behind ProcessStats.
-func addPatternStats(patterns map[string]int, cfg *lexer.Config) {
+// corpusTally accumulates a corpus's ProcessStats one surviving
+// configuration at a time. Tallies of disjoint slices of the corpus
+// (shards) merge, so every driver reports its stats through this one
+// type.
+type corpusTally struct {
+	configs, skipped, lines int
+	// patterns maps each distinct pattern to its largest parameter count.
+	patterns map[string]int
+}
+
+// add folds one surviving configuration into the tally.
+func (t *corpusTally) add(cfg *lexer.Config) {
+	t.configs++
+	t.lines += cfg.SourceLines
 	for i := range cfg.Lines {
 		line := &cfg.Lines[i]
-		if line.Meta {
-			continue
-		}
-		if n, ok := patterns[line.Pattern]; !ok || len(line.Params) > n {
-			patterns[line.Pattern] = len(line.Params)
+		if !line.Meta {
+			t.addPattern(line.Pattern, len(line.Params))
 		}
 	}
+}
+
+func (t *corpusTally) addPattern(p string, params int) {
+	if t.patterns == nil {
+		t.patterns = make(map[string]int)
+	}
+	if n, ok := t.patterns[p]; !ok || params > n {
+		t.patterns[p] = params
+	}
+}
+
+// merge folds another slice's tally into t.
+func (t *corpusTally) merge(o *corpusTally) {
+	t.configs += o.configs
+	t.skipped += o.skipped
+	t.lines += o.lines
+	for p, n := range o.patterns {
+		t.addPattern(p, n)
+	}
+}
+
+// stats returns the tally as ProcessStats.
+func (t *corpusTally) stats() ProcessStats {
+	st := ProcessStats{Configs: t.configs, Skipped: t.skipped, Lines: t.lines, Patterns: len(t.patterns)}
+	for _, n := range t.patterns {
+		st.Parameters += n
+	}
+	return st
+}
+
+// setCorpusGauges publishes a run's corpus statistics to telemetry.
+func (e *Engine) setCorpusGauges(st ProcessStats) {
+	e.opts.Telemetry.SetGauge("corpus.configs", float64(st.Configs))
+	e.opts.Telemetry.SetGauge("corpus.skipped", float64(st.Skipped))
+	e.opts.Telemetry.SetGauge("corpus.lines", float64(st.Lines))
+	e.opts.Telemetry.SetGauge("corpus.patterns", float64(st.Patterns))
 }
 
 // loadLexArtifact attempts to replay one source from the lex artifact
@@ -705,32 +738,32 @@ func (e *Engine) progress(stage telemetry.Stage, done, total int) {
 	e.progressMu.Unlock()
 }
 
-// forEachCtx runs fn(0..n-1) over the engine's worker pool, reporting
-// per-item progress for the stage and stopping within one item of ctx
-// being cancelled. Workers never start new items after cancellation;
-// the first non-nil ctx error is returned once all workers have
-// drained.
+// forEachCtx runs fn(0..n-1) on a pool of at most workers goroutines,
+// stopping within one item of ctx being cancelled. Workers never start
+// new items after cancellation; the first non-nil ctx error is returned
+// once all workers have drained. It is the engine's one worker pool:
+// the unsharded stages run it over configurations with Parallelism
+// workers, the sharded drivers over shards with shardWorkers. Progress
+// is the caller's: fn ticks its stage's progressCounter.
 //
 // Panics inside fn are contained per item: in lenient mode (the
 // default) a recovered panic becomes an error diagnostic in dc
 // attributed to name(i) — with stack captured — and the remaining items
 // continue. With Options.Strict the first panic aborts the stage (the
 // remaining items are never started) and is returned as an error, so
-// tests and CI keep fail-fast semantics.
-func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telemetry.Stage, n int, name func(int) string, fn func(i int)) error {
-	workers := e.opts.Parallelism
-	if workers > n {
-		workers = n
-	}
+// tests and CI keep fail-fast semantics. An error returned by fn aborts
+// the run the same way in either mode.
+func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telemetry.Stage, workers, n int, name func(int) string, fn func(i int) error) error {
+	workers = min(workers, n)
 	ictx, abort := context.WithCancel(ctx)
 	defer abort()
 	var failOnce sync.Once
 	var failErr error
-	var done atomic.Int64
-	tick := func() {
-		if e.opts.Progress != nil {
-			e.progress(stage, int(done.Add(1)), n)
-		}
+	fail := func(err error) {
+		failOnce.Do(func() {
+			failErr = err
+			abort()
+		})
 	}
 	call := func(i int) {
 		defer func() {
@@ -738,18 +771,17 @@ func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telem
 			if r == nil {
 				return
 			}
-			d := diag.FromPanic(string(stage), nameAt(name, i), r)
+			d := diag.FromPanic(string(stage), name(i), r)
 			if e.opts.Strict {
-				failOnce.Do(func() {
-					failErr = fmt.Errorf("core: %s stage aborted (strict): %w", stage, d.AsError())
-					abort()
-				})
+				fail(fmt.Errorf("core: %s stage aborted (strict): %w", stage, d.AsError()))
 				return
 			}
 			dc.Add(d)
 			e.opts.Telemetry.Add("diag.panics", 1)
 		}()
-		fn(i)
+		if err := fn(i); err != nil {
+			fail(err)
+		}
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
@@ -757,7 +789,6 @@ func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telem
 				break
 			}
 			call(i)
-			tick()
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -771,7 +802,6 @@ func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telem
 						continue // drain the channel without starting new work
 					}
 					call(i)
-					tick()
 				}
 			}()
 		}
@@ -794,12 +824,28 @@ func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telem
 	return ctx.Err()
 }
 
-// nameAt labels item i for diagnostics; a nil name func yields "".
-func nameAt(name func(int) string, i int) string {
-	if name == nil {
-		return ""
+// progressCounter reports monotonic (done, total) progress for one
+// stage. Every driver ticks one per unit of work — the unsharded pools
+// per configuration, the sharded drivers from every shard — so
+// Options.Progress observes one global count per stage.
+type progressCounter struct {
+	e     *Engine
+	stage telemetry.Stage
+	total int
+	done  int // guarded by e.progressMu
+}
+
+// tick counts one unit of work and reports the new count. Counting and
+// reporting share the engine's progress lock: counting outside it let
+// two workers report their counts out of order.
+func (p *progressCounter) tick() {
+	if p.e.opts.Progress == nil {
+		return
 	}
-	return name(i)
+	p.e.progressMu.Lock()
+	defer p.e.progressMu.Unlock()
+	p.done++
+	p.e.opts.Progress(p.stage, p.done, p.total)
 }
 
 // LearnResult is the output of Learn.
@@ -896,7 +942,8 @@ func (e *Engine) newLearnMiner(dc *diag.Collector, progress func(done, total int
 func (e *Engine) learnProcessedContext(ctx context.Context, dc *diag.Collector, cfgs []*lexer.Config, pstats ProcessStats) (*LearnResult, error) {
 	var mineProgress func(done, total int)
 	if e.opts.Progress != nil {
-		mineProgress = func(done, total int) { e.progress(telemetry.StageMine, done, total) }
+		prog := &progressCounter{e: e, stage: telemetry.StageMine, total: len(cfgs)}
+		mineProgress = func(int, int) { prog.tick() }
 	}
 	m := e.newLearnMiner(dc, mineProgress)
 	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageMine))
@@ -1117,10 +1164,9 @@ func checkKey(hash, checkFP artifact.Key, name string) artifact.Key {
 		Key(hash).Key(checkFP).Str(name).Sum()
 }
 
-// checkedConfig is one configuration's check outcome in the form both
-// drivers (unsharded and sharded) consume: violations, coverage
-// counts, the unique-contract contribution when requested, and whether
-// the result was replayed from a check artifact.
+// checkedConfig is one configuration's check outcome: violations,
+// coverage counts, the unique-contract contribution when requested, and
+// whether the result was replayed from a check artifact.
 type checkedConfig struct {
 	violations []contracts.Violation
 	cov        *covCount
@@ -1128,18 +1174,30 @@ type checkedConfig struct {
 	hit        bool
 }
 
-// checkOne evaluates one configuration: replayed from the check
-// artifact at key when cache is non-nil and the key is usable, else
-// checked fresh (and persisted when the result is certainly complete).
-// wantContrib additionally extracts the configuration's
+// checkRow is one surviving configuration's place in a check report, as
+// both check drivers hand it to finishCheck in corpus order: its name
+// and artifact state, plus its outcome (zero when the check panicked
+// and was contained).
+type checkRow struct {
+	name string
+	art  sourceArt
+	checkedConfig
+}
+
+// checkOne evaluates one configuration: replayed from its check
+// artifact on a warm run (warm, with a content hash in sa), else checked
+// fresh (and, on a warm run, persisted when the result is certainly
+// complete). wantContrib additionally extracts the configuration's
 // unique-contract value multiset so the caller can merge
 // cross-configuration uniqueness without retaining the config. Panics
 // propagate to the caller's containment.
-func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *lexer.Config, cache *artifact.Cache, clean bool, key artifact.Key, wantContrib bool) checkedConfig {
+func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *lexer.Config, sa sourceArt, warm bool, checkFP artifact.Key, wantContrib bool) checkedConfig {
 	faultinject.At("core.check.config", cfg.Name)
-	warmKey := cache != nil && !key.IsZero()
+	warmKey := warm && !sa.hash.IsZero()
+	var key artifact.Key
 	if warmKey {
-		payload, lerr := cache.Load(artifact.KindCheck, key)
+		key = checkKey(sa.hash, checkFP, cfg.Name)
+		payload, lerr := e.opts.Artifacts.Load(artifact.KindCheck, key)
 		switch {
 		case lerr == nil:
 			entry, derr := artifact.DecodeCheckEntry(payload)
@@ -1185,7 +1243,7 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 	// Persist only results that are certainly complete: the config
 	// processed cleanly, coverage succeeded, and checking it recorded no
 	// diagnostics.
-	if warmKey && clean && out.cov != nil && cdc.Len() == 0 {
+	if warmKey && sa.clean && out.cov != nil && cdc.Len() == 0 {
 		entry := &artifact.CheckEntry{
 			Violations:  out.violations,
 			SourceLines: out.cov.sourceLines,
@@ -1194,7 +1252,7 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 			Unique:      out.contrib,
 		}
 		payload := artifact.EncodeCheckEntry(entry)
-		if serr := cache.Store(artifact.KindCheck, key, payload); serr != nil {
+		if serr := e.opts.Artifacts.Store(artifact.KindCheck, key, payload); serr != nil {
 			e.opts.Telemetry.Add("artifact.store_errors", 1)
 		} else {
 			e.opts.Telemetry.Add("artifact.bytes_written", int64(len(payload)))
@@ -1209,85 +1267,81 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 // for this run.
 func (e *Engine) checkProcessedContext(ctx context.Context, dc *diag.Collector, set *contracts.Set, cfgs []*lexer.Config, pstats ProcessStats, arts *artState, checker *contracts.Checker) (*CheckResult, error) {
 	if checker == nil {
-		checker = e.newChecker(set, dc, sharedInterns(cfgs))
+		checker = e.newChecker(set, dc, lexer.CommonInterns(cfgs))
 	}
-	perCfgViolations := make([][]contracts.Violation, len(cfgs))
-	perCfgCov := make([]*covCount, len(cfgs))
 	warm := arts != nil && e.opts.Incremental
 	var checkFP artifact.Key
-	var contribs []map[string][]contracts.UniqueSite
-	var checkKeys []artifact.Key
-	var checkHits []bool
 	if warm {
 		checkFP, warm = e.checkFingerprint(set, arts.metaFP)
 	}
-	if warm {
-		contribs = make([]map[string][]contracts.UniqueSite, len(cfgs))
-		checkKeys = make([]artifact.Key, len(cfgs))
-		checkHits = make([]bool, len(cfgs))
-		for i := range cfgs {
-			if !arts.per[i].hash.IsZero() {
-				checkKeys[i] = checkKey(arts.per[i].hash, checkFP, cfgs[i].Name)
-			}
+	rows := make([]checkRow, len(cfgs))
+	for i, cfg := range cfgs {
+		rows[i].name = cfg.Name
+		if arts != nil {
+			rows[i].art = arts.per[i]
 		}
 	}
+	prog := &progressCounter{e: e, stage: telemetry.StageCheck, total: len(cfgs)}
 	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageCheck))
-	err := e.forEachCtx(ctx, dc, telemetry.StageCheck, len(cfgs),
+	err := e.forEachCtx(ctx, dc, telemetry.StageCheck, e.opts.Parallelism, len(cfgs),
 		func(i int) string { return cfgs[i].Name },
-		func(i int) {
-			var cache *artifact.Cache
-			var clean bool
-			var key artifact.Key
-			if warm {
-				cache, clean, key = arts.cache, arts.per[i].clean, checkKeys[i]
-			}
-			r := e.checkOne(dc, checker, cfgs[i], cache, clean, key, warm)
-			perCfgViolations[i] = r.violations
-			perCfgCov[i] = r.cov
-			if warm {
-				contribs[i] = r.contrib
-				checkHits[i] = r.hit
-			}
+		func(i int) error {
+			defer prog.tick()
+			rows[i].checkedConfig = e.checkOne(dc, checker, cfgs[i], rows[i].art, warm, checkFP, warm)
+			return nil
 		})
 	sp.EndCount(len(cfgs))
 	if err != nil {
 		return nil, err
 	}
-
-	res := &CheckResult{Stats: pstats}
-	for _, vs := range perCfgViolations {
-		res.Violations = append(res.Violations, vs...)
-	}
+	var unique []contracts.Violation
 	if warm {
 		// The incremental global-uniqueness pass: cached configs
 		// contribute their persisted value multisets, fresh ones the
-		// multisets extracted above, and the merge reproduces
+		// multisets extracted above, and the combiner reproduces
 		// CheckUniqueAcross exactly.
-		names := make([]string, len(cfgs))
-		for i := range cfgs {
-			names[i] = cfgs[i].Name
-			if contribs[i] == nil {
+		combiner := checker.UniqueCombiner()
+		acc := combiner.NewAccumulator()
+		for i := range rows {
+			contrib := rows[i].contrib
+			if contrib == nil {
 				// The worker panicked before extracting; recover the
 				// contribution so cross-config uniqueness matches the
 				// cold path, which always scans every surviving config.
-				contribs[i] = checker.UniqueContributions(cfgs[i])
+				contrib = checker.UniqueContributions(cfgs[i])
 			}
+			acc.AddSites(rows[i].name, contrib)
 		}
-		res.Violations = append(res.Violations, checker.CheckUniqueFromContributions(names, contribs)...)
+		unique = combiner.Reduce([]*contracts.UniqueAccumulator{acc})
 	} else {
-		res.Violations = append(res.Violations, checker.CheckUniqueAcross(cfgs)...)
+		unique = checker.CheckUniqueAcross(cfgs)
 	}
-	sortViolations(res.Violations)
+	return e.finishCheck(rows, unique, pstats, warm, checkFP), nil
+}
+
+// finishCheck is the check pipeline's shared tail for both drivers: it
+// concatenates the per-config violations (rows in corpus order) with
+// the cross-config unique violations, sorts them into report order,
+// builds the coverage summary, and on a warm run writes the artifact
+// manifest.
+func (e *Engine) finishCheck(rows []checkRow, unique []contracts.Violation, pstats ProcessStats, warm bool, checkFP artifact.Key) *CheckResult {
+	res := &CheckResult{Stats: pstats}
+	for i := range rows {
+		res.Violations = append(res.Violations, rows[i].violations...)
+	}
+	res.Violations = append(res.Violations, unique...)
+	contracts.SortViolations(res.Violations)
 
 	res.Coverage.ByCategory = make(map[contracts.Category]int)
-	for i, cc := range perCfgCov {
+	for i := range rows {
+		cc := rows[i].cov
 		if cc == nil {
 			// This configuration's check panicked and was contained;
-			// the diagnostic is already in dc.
+			// the diagnostic is already recorded.
 			continue
 		}
 		out := ConfigCoverage{
-			Name:        cfgs[i].Name,
+			Name:        rows[i].name,
 			SourceLines: cc.sourceLines,
 			Covered:     cc.covered,
 			ByCategory:  make(map[contracts.Category]int, len(cc.byCategory)),
@@ -1306,31 +1360,19 @@ func (e *Engine) checkProcessedContext(ctx context.Context, dc *diag.Collector, 
 			OptionsFP:  e.procFP.Hex(),
 			ContractFP: checkFP.Hex(),
 		}
-		for i := range cfgs {
+		for i := range rows {
 			m.Configs = append(m.Configs, artifact.ManifestEntry{
-				Name:        cfgs[i].Name,
-				ContentHash: arts.per[i].hash.Hex(),
-				LexHit:      arts.per[i].lexHit,
-				CheckHit:    checkHits[i],
+				Name:        rows[i].name,
+				ContentHash: rows[i].art.hash.Hex(),
+				LexHit:      rows[i].art.lexHit,
+				CheckHit:    rows[i].hit,
 			})
 		}
-		if merr := arts.cache.WriteManifest(m); merr != nil {
+		if merr := e.opts.Artifacts.WriteManifest(m); merr != nil {
 			e.opts.Telemetry.Add("artifact.store_errors", 1)
 		}
 	}
-	return res, nil
-}
-
-func sortViolations(vs []contracts.Violation) {
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].File != vs[j].File {
-			return vs[i].File < vs[j].File
-		}
-		if vs[i].Line != vs[j].Line {
-			return vs[i].Line < vs[j].Line
-		}
-		return vs[i].ContractID < vs[j].ContractID
-	})
+	return res
 }
 
 // newChecker builds the shared checker for a check or coverage run.
@@ -1346,23 +1388,6 @@ func (e *Engine) newChecker(set *contracts.Set, dc *diag.Collector, interns *int
 		contracts.WithDiagnostics(dc),
 		contracts.WithStrict(e.opts.Strict),
 		contracts.WithInterns(interns))
-}
-
-// sharedInterns returns the intern table common to every configuration,
-// or nil when the corpus carries none or mixes tables from different
-// runs; only a corpus-wide table can accelerate the checker's view
-// index.
-func sharedInterns(cfgs []*lexer.Config) *intern.Table {
-	if len(cfgs) == 0 || cfgs[0].Interns == nil {
-		return nil
-	}
-	tab := cfgs[0].Interns
-	for _, cfg := range cfgs[1:] {
-		if cfg.Interns != tab {
-			return nil
-		}
-	}
-	return tab
 }
 
 // Transforms exposes the default transformation registry for callers

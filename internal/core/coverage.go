@@ -43,7 +43,7 @@ func (e *Engine) CoverageLinesContext(ctx context.Context, set *contracts.Set, s
 	if err != nil {
 		return nil, err
 	}
-	return e.coverageLinesWith(ctx, dc, e.newChecker(set, dc, sharedInterns(cfgs)), cfgs)
+	return e.coverageLinesWith(ctx, dc, e.newChecker(set, dc, lexer.CommonInterns(cfgs)), cfgs)
 }
 
 // coverageLinesWith is the checker-parameterized implementation behind
@@ -52,9 +52,11 @@ func (e *Engine) CoverageLinesContext(ctx context.Context, set *contracts.Set, s
 func (e *Engine) coverageLinesWith(ctx context.Context, dc *diag.Collector, checker *contracts.Checker, cfgs []*lexer.Config) ([]LineCoverage, error) {
 	perCfg := make([][]LineCoverage, len(cfgs))
 	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageCoverage))
-	err := e.forEachCtx(ctx, dc, telemetry.StageCoverage, len(cfgs),
+	prog := &progressCounter{e: e, stage: telemetry.StageCoverage, total: len(cfgs)}
+	err := e.forEachCtx(ctx, dc, telemetry.StageCoverage, e.opts.Parallelism, len(cfgs),
 		func(i int) string { return cfgs[i].Name },
-		func(i int) {
+		func(i int) error {
+			defer prog.tick()
 			cov := checker.Coverage(cfgs[i])
 			var out []LineCoverage
 			for li := range cfgs[i].Lines {
@@ -77,6 +79,7 @@ func (e *Engine) coverageLinesWith(ctx context.Context, dc *diag.Collector, chec
 			}
 			sort.Slice(out, func(a, b int) bool { return out[a].Line < out[b].Line })
 			perCfg[i] = out
+			return nil
 		})
 	sp.EndCount(len(cfgs))
 	if err != nil {

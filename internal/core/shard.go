@@ -8,7 +8,7 @@
 // the shard's cross-config accumulator, and then released — so peak
 // memory is bounded by the configurations in flight, not by fleet
 // size. Cross-configuration Unique contracts are merged afterwards
-// through the contracts.Combiner protocol, which reproduces a
+// through the contracts.UniqueCombiner, which reproduces a
 // sequential whole-corpus scan exactly.
 //
 // The shard boundary is deliberately narrow — a shard receives
@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"concord/internal/artifact"
 	"concord/internal/contracts"
@@ -61,44 +60,23 @@ func makeShards(sources []Source, n int) []shard {
 }
 
 // shardResult is what crosses the shard boundary back to the merge:
-// per-configuration results in shard (= corpus) order plus the shard's
-// combiner accumulator. Everything here is O(results); nothing
-// references the shard's lexed configurations, which is what bounds a
-// fleet-scale run's memory.
+// per-configuration rows in shard (= corpus) order, the shard's corpus
+// tally, and its combiner accumulator. Everything here is O(results);
+// nothing references the shard's lexed configurations, which is what
+// bounds a fleet-scale run's memory.
 type shardResult struct {
-	names      []string
-	violations [][]contracts.Violation
-	cov        []*covCount
-	hits       []bool
-	arts       []sourceArt
-	acc        *contracts.UniqueAccumulator
-	skipped    int
-	lines      int
-	patterns   map[string]int
+	rows  []checkRow
+	tally corpusTally
+	acc   *contracts.UniqueAccumulator
 }
 
-// progressCounter reports monotonic global (done, total) progress for
-// one stage across concurrently running shards: every shard ticks the
-// shared counter, so Options.Progress observes the fleet-wide count
-// rather than restarting per shard.
-type progressCounter struct {
-	e     *Engine
-	stage telemetry.Stage
-	total int
-	done  int // guarded by e.progressMu
-}
-
-// tick counts one unit of work and reports the new count. Counting and
-// reporting share the engine's progress lock: counting outside it let
-// two shards report their counts out of order.
-func (p *progressCounter) tick() {
-	if p.e.opts.Progress == nil {
-		return
+// shardWorkers is the sharded drivers' pool width: ShardWorkers, or
+// Parallelism when unset.
+func (e *Engine) shardWorkers() int {
+	if e.opts.ShardWorkers > 0 {
+		return e.opts.ShardWorkers
 	}
-	p.e.progressMu.Lock()
-	defer p.e.progressMu.Unlock()
-	p.done++
-	p.e.opts.Progress(p.stage, p.done, p.total)
+	return e.opts.Parallelism
 }
 
 // checkShardedContext is the fleet-scale implementation behind
@@ -140,9 +118,16 @@ func (e *Engine) checkShardedContext(ctx context.Context, dc *diag.Collector, se
 	if e.opts.ShardBackend == ShardBackendProcess {
 		err = e.runShardsProcess(ctx, dc, set, meta, cr, combiner, warm, checkFP, shards, results, procProg, checkProg)
 	} else {
-		err = runShardPool(e, ctx, dc, telemetry.StageCheck, shards, results, func(sh shard) (*shardResult, error) {
-			return e.runShard(ctx, dc, cr, checker, combiner, warm, checkFP, sh, procProg, checkProg)
-		})
+		err = e.forEachCtx(ctx, dc, telemetry.StageCheck, e.shardWorkers(), len(shards),
+			func(i int) string { return shardLabel(shards[i]) },
+			func(i int) error {
+				sr, err := e.runShard(ctx, dc, cr, checker, combiner, warm, checkFP, shards[i], procProg, checkProg)
+				if err != nil {
+					return err
+				}
+				results[i] = sr
+				return nil
+			})
 	}
 	cr.emitCacheStats(e)
 	spProc.EndCount(len(sources))
@@ -156,92 +141,6 @@ func (e *Engine) checkShardedContext(ctx context.Context, dc *diag.Collector, se
 		}
 	}
 	return e.mergeShards(combiner, warm, checkFP, shards, results), nil
-}
-
-// runShardPool executes run over the shards on a pool of ShardWorkers
-// goroutines (Parallelism when unset), with per-shard panic
-// containment mirroring forEachCtx: lenient drops the shard with a
-// diagnostic and continues, strict aborts the run on the first fault.
-// It is generic over the shard result type so the check driver
-// (*shardResult) and the learn driver (*learnShardResult) share one
-// scheduler; stage labels containment diagnostics.
-func runShardPool[R any](e *Engine, ctx context.Context, dc *diag.Collector, stage telemetry.Stage, shards []shard, results []*R, run func(shard) (*R, error)) error {
-	workers := e.opts.ShardWorkers
-	if workers <= 0 {
-		workers = e.opts.Parallelism
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	ictx, abort := context.WithCancel(ctx)
-	defer abort()
-	var failOnce sync.Once
-	var failErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			failErr = err
-			abort()
-		})
-	}
-	call := func(i int) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			d := diag.FromPanic(string(stage), shardLabel(shards[i]), r)
-			if e.opts.Strict {
-				fail(fmt.Errorf("core: %s stage aborted (strict): %w", stage, d.AsError()))
-				return
-			}
-			dc.Add(d)
-			e.opts.Telemetry.Add("diag.panics", 1)
-			results[i] = nil
-		}()
-		res, err := run(shards[i])
-		if err != nil {
-			fail(err)
-			return
-		}
-		results[i] = res
-	}
-	if workers <= 1 {
-		for i := range shards {
-			if ictx.Err() != nil {
-				break
-			}
-			call(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ictx.Err() != nil {
-						continue // drain without starting new shards
-					}
-					call(i)
-				}
-			}()
-		}
-	feed:
-		for i := range shards {
-			select {
-			case next <- i:
-			case <-ictx.Done():
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
-	}
-	if failErr != nil {
-		return failErr
-	}
-	return ctx.Err()
 }
 
 // shardLabel names a shard in diagnostics: its index and the corpus
@@ -258,10 +157,7 @@ func shardLabel(sh shard) string {
 // backend exists.
 func (e *Engine) runShard(ctx context.Context, dc *diag.Collector, cr *corpusRun, checker *contracts.Checker, combiner *contracts.UniqueCombiner, warm bool, checkFP artifact.Key, sh shard, procProg, checkProg *progressCounter) (*shardResult, error) {
 	faultinject.At("core.shard", strconv.Itoa(sh.index))
-	res := &shardResult{
-		acc:      combiner.NewAccumulator().(*contracts.UniqueAccumulator),
-		patterns: make(map[string]int),
-	}
+	res := &shardResult{acc: combiner.NewAccumulator()}
 	for _, src := range sh.sources {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -284,7 +180,7 @@ func (e *Engine) shardStep(dc *diag.Collector, cr *corpusRun, checker *contracts
 		return err
 	}
 	if cfg == nil {
-		res.skipped++
+		res.tally.skipped++
 		checkProg.tick() // never reaches checking; keep the global total exact
 		return nil
 	}
@@ -317,14 +213,9 @@ func (e *Engine) shardProcess(dc *diag.Collector, cr *corpusRun, src Source) (cf
 // released right after this call — the accumulator is the only state
 // that survives to the cross-config merge.
 func (e *Engine) shardCheck(dc *diag.Collector, checker *contracts.Checker, warm bool, checkFP artifact.Key, cfg *lexer.Config, sa sourceArt, res *shardResult) (err error) {
-	j := len(res.names)
-	res.names = append(res.names, cfg.Name)
-	res.violations = append(res.violations, nil)
-	res.cov = append(res.cov, nil)
-	res.hits = append(res.hits, false)
-	res.arts = append(res.arts, sa)
-	res.lines += cfg.SourceLines
-	addPatternStats(res.patterns, cfg)
+	j := len(res.rows)
+	res.rows = append(res.rows, checkRow{name: cfg.Name, art: sa})
+	res.tally.add(cfg)
 	defer func() {
 		if r := recover(); r != nil {
 			d := diag.FromPanic(string(telemetry.StageCheck), cfg.Name, r)
@@ -341,103 +232,30 @@ func (e *Engine) shardCheck(dc *diag.Collector, checker *contracts.Checker, warm
 			res.acc.AddSites(cfg.Name, checker.UniqueContributions(cfg))
 		}
 	}()
-	var cache *artifact.Cache
-	var key artifact.Key
-	if warm && !sa.hash.IsZero() {
-		cache = e.opts.Artifacts
-		key = checkKey(sa.hash, checkFP, cfg.Name)
-	}
-	r := e.checkOne(dc, checker, cfg, cache, sa.clean, key, true)
-	res.violations[j] = r.violations
-	res.cov[j] = r.cov
-	res.hits[j] = r.hit
+	r := e.checkOne(dc, checker, cfg, sa, warm, checkFP, true)
+	res.rows[j].checkedConfig = r
 	res.acc.AddSites(cfg.Name, r.contrib)
 	return nil
 }
 
-// mergeShards concatenates per-shard results in shard order (= corpus
-// order) and reduces the accumulators into the cross-config unique
-// violations. A shard lost to lenient containment contributes only its
-// skip count.
+// mergeShards concatenates per-shard rows and tallies in shard order
+// (= corpus order) and reduces the accumulators into the cross-config
+// unique violations. A shard lost to lenient containment contributes
+// only its skip count.
 func (e *Engine) mergeShards(combiner *contracts.UniqueCombiner, warm bool, checkFP artifact.Key, shards []shard, results []*shardResult) *CheckResult {
-	res := &CheckResult{}
-	patterns := make(map[string]int)
-	accs := make([]contracts.Accumulator, 0, len(results))
+	var tally corpusTally
+	var rows []checkRow
+	accs := make([]*contracts.UniqueAccumulator, 0, len(results))
 	for i, sr := range results {
 		if sr == nil {
-			res.Stats.Skipped += len(shards[i].sources)
+			tally.skipped += len(shards[i].sources)
 			continue
 		}
-		res.Stats.Configs += len(sr.names)
-		res.Stats.Skipped += sr.skipped
-		res.Stats.Lines += sr.lines
-		for p, n := range sr.patterns {
-			if v, ok := patterns[p]; !ok || n > v {
-				patterns[p] = n
-			}
-		}
-		for j := range sr.names {
-			res.Violations = append(res.Violations, sr.violations[j]...)
-		}
+		tally.merge(&sr.tally)
+		rows = append(rows, sr.rows...)
 		accs = append(accs, sr.acc)
 	}
-	res.Stats.Patterns = len(patterns)
-	for _, n := range patterns {
-		res.Stats.Parameters += n
-	}
-	res.Violations = append(res.Violations, combiner.Reduce(accs)...)
-	sortViolations(res.Violations)
-
-	res.Coverage.ByCategory = make(map[contracts.Category]int)
-	for _, sr := range results {
-		if sr == nil {
-			continue
-		}
-		for j, cc := range sr.cov {
-			if cc == nil {
-				continue // this config's check panicked and was contained
-			}
-			out := ConfigCoverage{
-				Name:        sr.names[j],
-				SourceLines: cc.sourceLines,
-				Covered:     cc.covered,
-				ByCategory:  make(map[contracts.Category]int, len(cc.byCategory)),
-			}
-			for cat, n := range cc.byCategory {
-				out.ByCategory[cat] = n
-				res.Coverage.ByCategory[cat] += n
-			}
-			res.Coverage.TotalLines += cc.sourceLines
-			res.Coverage.CoveredLines += cc.covered
-			res.Coverage.PerConfig = append(res.Coverage.PerConfig, out)
-		}
-	}
-	e.opts.Telemetry.SetGauge("corpus.configs", float64(res.Stats.Configs))
-	e.opts.Telemetry.SetGauge("corpus.skipped", float64(res.Stats.Skipped))
-	e.opts.Telemetry.SetGauge("corpus.lines", float64(res.Stats.Lines))
-	e.opts.Telemetry.SetGauge("corpus.patterns", float64(res.Stats.Patterns))
-	if warm {
-		m := &artifact.Manifest{
-			Schema:     artifact.SchemaVersion,
-			OptionsFP:  e.procFP.Hex(),
-			ContractFP: checkFP.Hex(),
-		}
-		for _, sr := range results {
-			if sr == nil {
-				continue
-			}
-			for j := range sr.names {
-				m.Configs = append(m.Configs, artifact.ManifestEntry{
-					Name:        sr.names[j],
-					ContentHash: sr.arts[j].hash.Hex(),
-					LexHit:      sr.arts[j].lexHit,
-					CheckHit:    sr.hits[j],
-				})
-			}
-		}
-		if merr := e.opts.Artifacts.WriteManifest(m); merr != nil {
-			e.opts.Telemetry.Add("artifact.store_errors", 1)
-		}
-	}
-	return res
+	pstats := tally.stats()
+	e.setCorpusGauges(pstats)
+	return e.finishCheck(rows, combiner.Reduce(accs), pstats, warm, checkFP)
 }

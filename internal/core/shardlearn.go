@@ -33,14 +33,11 @@ import (
 )
 
 // learnShardResult is what crosses the learn shard boundary back to
-// the merge: the shard's mining accumulator plus the plain corpus
-// statistics ProcessStats needs. Nothing references the shard's lexed
-// configurations.
+// the merge: the shard's mining accumulator plus its corpus tally.
+// Nothing references the shard's lexed configurations.
 type learnShardResult struct {
-	acc      *mining.StatsAccumulator
-	skipped  int
-	lines    int
-	patterns map[string]int
+	acc   *mining.StatsAccumulator
+	tally corpusTally
 }
 
 // learnShardedContext is the fleet-scale implementation behind
@@ -74,9 +71,16 @@ func (e *Engine) learnShardedContext(ctx context.Context, dc *diag.Collector, so
 	if e.opts.ShardBackend == ShardBackendProcess {
 		err = e.runLearnShardsProcess(ctx, dc, meta, cr, m, shards, results, procProg, mineProg)
 	} else {
-		err = runShardPool(e, ctx, dc, telemetry.StageMine, shards, results, func(sh shard) (*learnShardResult, error) {
-			return e.runLearnShard(ctx, dc, cr, m, sh, procProg, mineProg)
-		})
+		err = e.forEachCtx(ctx, dc, telemetry.StageMine, e.shardWorkers(), len(shards),
+			func(i int) string { return shardLabel(shards[i]) },
+			func(i int) error {
+				sr, err := e.runLearnShard(ctx, dc, cr, m, shards[i], procProg, mineProg)
+				if err != nil {
+					return err
+				}
+				results[i] = sr
+				return nil
+			})
 	}
 	cr.emitCacheStats(e)
 	spProc.EndCount(len(sources))
@@ -106,10 +110,7 @@ func (e *Engine) learnShardedContext(ctx context.Context, dc *diag.Collector, so
 func (e *Engine) runLearnShard(ctx context.Context, dc *diag.Collector, cr *corpusRun, m *mining.Miner, sh shard, procProg, mineProg *progressCounter) (*learnShardResult, error) {
 	faultinject.At("core.shard", strconv.Itoa(sh.index))
 	sp := e.opts.Telemetry.StartSpan(fmt.Sprintf("dist.learn[%d]", sh.index))
-	res := &learnShardResult{
-		acc:      m.NewStatsAccumulator(cr.interns),
-		patterns: make(map[string]int),
-	}
+	res := &learnShardResult{acc: m.NewStatsAccumulator(cr.interns)}
 	for _, src := range sh.sources {
 		if err := ctx.Err(); err != nil {
 			sp.EndCount(0)
@@ -128,8 +129,8 @@ func (e *Engine) runLearnShard(ctx context.Context, dc *diag.Collector, cr *corp
 // phases contain faults at per-config granularity, matching the
 // unsharded pipeline: processing panics are contained here, the fold's
 // statistics and relational scans contain their own (see
-// Miner.statsOneConfig and StatsAccumulator.Fold); strict surfaces any
-// fault as an error that aborts the run.
+// StatsAccumulator.Fold); strict surfaces any fault as an error that
+// aborts the run.
 func (e *Engine) learnShardStep(dc *diag.Collector, cr *corpusRun, src Source, res *learnShardResult, procProg, mineProg *progressCounter) error {
 	cfg, _, err := e.shardProcess(dc, cr, src)
 	procProg.tick()
@@ -137,50 +138,34 @@ func (e *Engine) learnShardStep(dc *diag.Collector, cr *corpusRun, src Source, r
 		return err
 	}
 	if cfg == nil {
-		res.skipped++
+		res.tally.skipped++
 		mineProg.tick() // never reaches the fold; keep the global total exact
 		return nil
 	}
-	res.lines += cfg.SourceLines
-	addPatternStats(res.patterns, cfg)
+	res.tally.add(cfg)
 	err = res.acc.Fold(cfg)
 	mineProg.tick()
 	return err
 }
 
-// mergeLearnShards reduces per-shard accumulators in shard order and
-// aggregates the corpus statistics, emitting the same corpus gauges the
-// unsharded processContext sets. A shard lost to lenient containment
-// contributes only its skip count. Merge wall time is recorded as
-// mine.merge_ns.
+// mergeLearnShards reduces per-shard accumulators and tallies in shard
+// order, emitting the same corpus gauges the unsharded processContext
+// sets. A shard lost to lenient containment contributes only its skip
+// count. Merge wall time is recorded as mine.merge_ns.
 func (e *Engine) mergeLearnShards(m *mining.Miner, cr *corpusRun, shards []shard, results []*learnShardResult) (*mining.StatsAccumulator, ProcessStats) {
 	start := time.Now()
 	acc := m.NewStatsAccumulator(cr.interns)
-	pstats := ProcessStats{}
-	patterns := make(map[string]int)
+	var tally corpusTally
 	for i, sr := range results {
 		if sr == nil {
-			pstats.Skipped += len(shards[i].sources)
+			tally.skipped += len(shards[i].sources)
 			continue
 		}
-		pstats.Configs += sr.acc.NConfigs()
-		pstats.Skipped += sr.skipped
-		pstats.Lines += sr.lines
-		for p, n := range sr.patterns {
-			if v, ok := patterns[p]; !ok || n > v {
-				patterns[p] = n
-			}
-		}
+		tally.merge(&sr.tally)
 		acc.Merge(sr.acc)
 	}
-	pstats.Patterns = len(patterns)
-	for _, n := range patterns {
-		pstats.Parameters += n
-	}
 	e.opts.Telemetry.Add("mine.merge_ns", time.Since(start).Nanoseconds())
-	e.opts.Telemetry.SetGauge("corpus.configs", float64(pstats.Configs))
-	e.opts.Telemetry.SetGauge("corpus.skipped", float64(pstats.Skipped))
-	e.opts.Telemetry.SetGauge("corpus.lines", float64(pstats.Lines))
-	e.opts.Telemetry.SetGauge("corpus.patterns", float64(pstats.Patterns))
+	pstats := tally.stats()
+	e.setCorpusGauges(pstats)
 	return acc, pstats
 }

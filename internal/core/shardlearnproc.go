@@ -47,13 +47,9 @@ func (e *Engine) runLearnShardsProcess(ctx context.Context, dc *diag.Collector, 
 		}
 		tasks[i] = t
 	}
-	workers := e.opts.ShardWorkers
-	if workers <= 0 {
-		workers = e.opts.Parallelism
-	}
 	popts := shardrpc.PoolOptions{
 		Command:    command,
-		Workers:    workers,
+		Workers:    e.shardWorkers(),
 		MaxRetries: -1,
 		FailFast:   e.opts.Strict,
 		Telemetry:  e.opts.Telemetry,
@@ -118,7 +114,7 @@ func (e *Engine) runLearnShardsProcess(ctx context.Context, dc *diag.Collector, 
 		// Progress is exact and global: the worker processed (folded or
 		// skipped) every source in its slice, so tick both stage counters
 		// once per source.
-		for j := 0; j < sr.acc.NConfigs()+sr.skipped; j++ {
+		for j := 0; j < sr.tally.configs+sr.tally.skipped; j++ {
 			procProg.tick()
 			mineProg.tick()
 		}
@@ -157,16 +153,12 @@ func (e *Engine) wireLearnShardResult(wr *shardrpc.LearnResult, m *mining.Miner,
 	if err != nil {
 		return nil, err
 	}
-	sr := &learnShardResult{
-		acc:      acc,
+	return &learnShardResult{acc: acc, tally: corpusTally{
+		configs:  acc.NConfigs(),
 		skipped:  wr.Skipped,
 		lines:    wr.Lines,
-		patterns: make(map[string]int, len(wr.Patterns)),
-	}
-	for p, n := range wr.Patterns {
-		sr.patterns[p] = n
-	}
-	return sr, nil
+		patterns: wr.Patterns,
+	}}, nil
 }
 
 // --- worker side ---
@@ -204,10 +196,10 @@ func (wk *shardWorker) runLearn(t *shardrpc.Task) (res *shardrpc.LearnResult) {
 		return res
 	}
 	res.State = sr.acc.Export()
-	res.Skipped = sr.skipped
-	res.Lines = sr.lines
-	if len(sr.patterns) > 0 {
-		res.Patterns = sr.patterns
+	res.Skipped = sr.tally.skipped
+	res.Lines = sr.tally.lines
+	if len(sr.tally.patterns) > 0 {
+		res.Patterns = sr.tally.patterns
 	}
 	return res
 }

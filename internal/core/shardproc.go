@@ -20,7 +20,7 @@
 //     parent's and warm artifact replay addresses the same cache
 //     entries.
 //   - The parent replays each worker's accumulator entries through
-//     AddSites in shard order, so Combiner.Reduce sees exactly the
+//     AddSites in shard order, so UniqueCombiner.Reduce sees exactly the
 //     state an in-process fold would have produced.
 //
 // Failure policy mirrors shard.go: transport failures (crashed worker,
@@ -80,13 +80,9 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 		}
 		tasks[i] = t
 	}
-	workers := e.opts.ShardWorkers
-	if workers <= 0 {
-		workers = e.opts.Parallelism
-	}
 	popts := shardrpc.PoolOptions{
 		Command:    command,
-		Workers:    workers,
+		Workers:    e.shardWorkers(),
 		MaxRetries: -1,
 		FailFast:   e.opts.Strict,
 		Telemetry:  e.opts.Telemetry,
@@ -152,11 +148,7 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 			continue
 		}
 		results[i] = sr
-		for range sr.names {
-			procProg.tick()
-			checkProg.tick()
-		}
-		for j := 0; j < sr.skipped; j++ {
+		for j := 0; j < sr.tally.configs+sr.tally.skipped; j++ {
 			procProg.tick()
 			checkProg.tick()
 		}
@@ -240,36 +232,34 @@ func (e *Engine) shardWorkerCommand() ([]string, error) {
 // the exact fold shardCheck performs locally.
 func (e *Engine) wireShardResult(wr *shardrpc.Result, combiner *contracts.UniqueCombiner) (*shardResult, error) {
 	sr := &shardResult{
-		acc:      combiner.NewAccumulator().(*contracts.UniqueAccumulator),
-		skipped:  wr.Skipped,
-		lines:    wr.Lines,
-		patterns: make(map[string]int, len(wr.Patterns)),
-	}
-	for p, n := range wr.Patterns {
-		sr.patterns[p] = n
+		acc: combiner.NewAccumulator(),
+		tally: corpusTally{
+			configs:  len(wr.Configs),
+			skipped:  wr.Skipped,
+			lines:    wr.Lines,
+			patterns: wr.Patterns,
+		},
 	}
 	for i := range wr.Configs {
 		c := &wr.Configs[i]
-		sr.names = append(sr.names, c.Name)
-		sr.violations = append(sr.violations, c.Violations)
-		var cc *covCount
+		row := checkRow{
+			name:          c.Name,
+			art:           sourceArt{lexHit: c.LexHit},
+			checkedConfig: checkedConfig{violations: c.Violations, hit: c.CheckHit},
+		}
 		if c.Cov != nil {
-			cc = &covCount{
+			row.cov = &covCount{
 				sourceLines: c.Cov.SourceLines,
 				covered:     c.Cov.Covered,
 				byCategory:  c.Cov.ByCategory,
 			}
 		}
-		sr.cov = append(sr.cov, cc)
-		sr.hits = append(sr.hits, c.CheckHit)
-		var sa sourceArt
 		if c.HashHex != "" {
-			if err := sa.hash.ParseHex(c.HashHex); err != nil {
+			if err := row.art.hash.ParseHex(c.HashHex); err != nil {
 				return nil, fmt.Errorf("core: bad content hash for %q: %w", c.Name, err)
 			}
 		}
-		sa.lexHit = c.LexHit
-		sr.arts = append(sr.arts, sa)
+		sr.rows = append(sr.rows, row)
 		sr.acc.AddSites(c.Name, c.Contrib)
 	}
 	return sr, nil
@@ -454,25 +444,26 @@ func (wk *shardWorker) takeDiags() []diag.Diagnostic {
 
 // fillResult flattens a shardResult onto the wire Result, entry by
 // entry; the accumulator's fold order (== shard order) is preserved by
-// construction because shardCheck appends names and accumulator
-// entries in lockstep.
+// construction because shardCheck appends rows and accumulator entries
+// in lockstep.
 func (wk *shardWorker) fillResult(res *shardrpc.Result, sr *shardResult) {
-	res.Skipped = sr.skipped
-	res.Lines = sr.lines
-	if len(sr.patterns) > 0 {
-		res.Patterns = sr.patterns
+	res.Skipped = sr.tally.skipped
+	res.Lines = sr.tally.lines
+	if len(sr.tally.patterns) > 0 {
+		res.Patterns = sr.tally.patterns
 	}
-	for j := range sr.names {
+	for j := range sr.rows {
+		row := &sr.rows[j]
 		c := shardrpc.ConfigResult{
-			Name:       sr.names[j],
-			Violations: sr.violations[j],
-			CheckHit:   sr.hits[j],
-			LexHit:     sr.arts[j].lexHit,
+			Name:       row.name,
+			Violations: row.violations,
+			CheckHit:   row.hit,
+			LexHit:     row.art.lexHit,
 		}
-		if !sr.arts[j].hash.IsZero() {
-			c.HashHex = sr.arts[j].hash.Hex()
+		if !row.art.hash.IsZero() {
+			c.HashHex = row.art.hash.Hex()
 		}
-		if cc := sr.cov[j]; cc != nil {
+		if cc := row.cov; cc != nil {
 			c.Cov = &shardrpc.Coverage{
 				SourceLines: cc.sourceLines,
 				Covered:     cc.covered,
@@ -480,10 +471,10 @@ func (wk *shardWorker) fillResult(res *shardrpc.Result, sr *shardResult) {
 			}
 		}
 		name, sites := sr.acc.Entry(j)
-		if name != sr.names[j] {
+		if name != row.name {
 			// Impossible by construction; fail loudly rather than ship a
 			// misaligned accumulator.
-			panic(fmt.Sprintf("shard worker: accumulator entry %d is %q, want %q", j, name, sr.names[j]))
+			panic(fmt.Sprintf("shard worker: accumulator entry %d is %q, want %q", j, name, row.name))
 		}
 		c.Contrib = sites
 		res.Configs = append(res.Configs, c)

@@ -72,3 +72,21 @@ func (l *Line) ParamIndex(name string) int {
 	}
 	return -1
 }
+
+// CommonInterns returns the intern table shared by every configuration,
+// or nil when the corpus carries none (hand-constructed configs) or
+// mixes tables from different runs. Only a corpus-wide table lets the
+// miner key its hot maps by dense IDs and the checker accelerate its
+// view index.
+func CommonInterns(cfgs []*Config) *intern.Table {
+	if len(cfgs) == 0 || cfgs[0].Interns == nil {
+		return nil
+	}
+	tab := cfgs[0].Interns
+	for _, cfg := range cfgs[1:] {
+		if cfg.Interns != tab {
+			return nil
+		}
+	}
+	return tab
+}

@@ -1,12 +1,13 @@
 package mining
 
-// Sharded map-reduce learning: a StatsAccumulator is the "map" side of
-// the learn pipeline — one shard streams its configurations through
-// Fold, which runs exactly the per-config statistics and relational
-// scans MineContext runs, but into shard-local state that releases each
-// lexed configuration immediately afterwards. Accumulators then Merge
-// in shard order and MineAccumulated runs the category miners and
-// relational acceptance over the merged evidence.
+// Map-reduce learning: a StatsAccumulator is the "map" side of the
+// learn pipeline. Fold runs the per-config statistics and relational
+// scans into accumulator-local state, so the lexed configuration can be
+// released immediately afterwards. Accumulators then Merge and
+// MineAccumulated runs the category miners and relational acceptance
+// over the merged evidence. Both learn drivers take this path: a shard
+// of the sharded learn folds into one accumulator per shard, and the
+// unsharded MineContext folds into one per worker (relationalPass).
 //
 // Merge laws. Every aggregate is either additive (counts: configCount,
 // lineCount, holdConfigs, firstOccs, type/sequence/unique tallies) or
@@ -66,11 +67,11 @@ func (a *StatsAccumulator) NConfigs() int { return a.sti.nConfigs }
 func (a *StatsAccumulator) Candidates() int { return len(a.candI) }
 
 // Fold streams one configuration into the accumulator: the statistics
-// fold followed by the relational scan, under the same per-config
-// containment and fault-injection sites as the unsharded passes. The
-// configuration is not retained — callers may release it immediately,
-// which is the whole point: sharded learn's peak heap holds one config
-// per in-flight shard, not the corpus.
+// fold followed by the relational scan, each under per-config
+// containment and its fault-injection site. The configuration is not
+// retained — callers may release it immediately, which is the whole
+// point: sharded learn's peak heap holds one config per in-flight
+// shard, not the corpus.
 func (a *StatsAccumulator) Fold(cfg *lexer.Config) error {
 	m := a.m
 	a.sti.nConfigs++
@@ -196,10 +197,10 @@ func mergeCands(dst, src map[candKeyI]*candState) {
 }
 
 // MineAccumulated produces the learned set from a (merged) accumulator:
-// the category miners and relational acceptance filters MineContext
-// runs, over evidence collected by Fold instead of a corpus slice. The
-// output is byte-identical to MineContext over the concatenation of
-// every folded configuration.
+// the category miners and relational acceptance filters over evidence
+// collected by Fold. The output is byte-identical to MineContext over
+// the concatenation of every folded configuration, and to the
+// string-keyed reference over the same corpus uninterned.
 func (m *Miner) MineAccumulated(ctx context.Context, acc *StatsAccumulator) (*contracts.Set, error) {
 	st := acc.sti.finalize()
 	set, err := m.mineFromStats(ctx, st, func() ([]contracts.Contract, error) {

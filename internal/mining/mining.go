@@ -54,7 +54,7 @@ type Options struct {
 	// line text for lines carrying data values (§4), which captures
 	// "magic constant" policies.
 	ConstantLearning bool
-	// Parallelism is the number of workers for relational mining
+	// Parallelism is the number of workers folding configurations
 	// (<= 1 means sequential).
 	Parallelism int
 	// Telemetry, when non-nil, receives per-category miner spans
@@ -70,9 +70,9 @@ type Options struct {
 	// Strict converts the first contained panic into an error aborting
 	// MineContext, instead of a diagnostic.
 	Strict bool
-	// Progress, when non-nil, is called after each configuration of the
-	// relational mining pass (the dominant cost); it must be safe for
-	// concurrent calls when Parallelism > 1.
+	// Progress, when non-nil, is called after each configuration is
+	// folded (statistics and relational scan, the dominant cost); it
+	// must be safe for concurrent calls when Parallelism > 1.
 	Progress func(done, total int)
 }
 
@@ -134,9 +134,16 @@ func (m *Miner) Mine(cfgs []*lexer.Config) *contracts.Set {
 }
 
 // MineContext is Mine with cooperative cancellation: it checks ctx
-// between configurations during the statistics and relational passes and
-// between category miners, returning ctx.Err() when cancelled. Per-
-// category timings and counters go to Options.Telemetry when set.
+// between configurations during the fold and between category miners,
+// returning ctx.Err() when cancelled. Per-category timings and counters
+// go to Options.Telemetry when set.
+//
+// On a corpus sharing one intern table (every engine-processed corpus)
+// it is the sharded learn's Fold → Merge → MineAccumulated path run on
+// one machine: relationalPass folds the configurations into per-worker
+// StatsAccumulators, merges them, and MineAccumulated mines the merged
+// evidence. Any other corpus takes the string-keyed reference path
+// (mineStringKeyed), which tests compare the accumulator fold against.
 //
 // With Options.Diagnostics attached, panics are contained per unit: a
 // panicking category miner contributes no contracts of that category,
@@ -144,30 +151,54 @@ func (m *Miner) Mine(cfgs []*lexer.Config) *contracts.Set {
 // configuration's evidence, each recorded as a diagnostic.
 // Options.Strict instead aborts on the first panic with an error.
 func (m *Miner) MineContext(ctx context.Context, cfgs []*lexer.Config) (*contracts.Set, error) {
-	rec := m.opts.Telemetry
-	sp := rec.StartSpan("mine/stats")
+	tab := lexer.CommonInterns(cfgs)
+	if tab == nil {
+		return m.mineStringKeyed(ctx, cfgs)
+	}
+	sp := m.opts.Telemetry.StartSpan("mine/stats")
+	acc, err := m.relationalPass(ctx, cfgs, tab)
+	sp.EndCount(len(cfgs))
+	if err != nil {
+		return nil, err
+	}
+	return m.MineAccumulated(ctx, acc)
+}
+
+// mineStringKeyed is the string-keyed reference learner: the statistics
+// pass, then the relational scan, both in a plain sequential loop over
+// string-keyed tables.
+func (m *Miner) mineStringKeyed(ctx context.Context, cfgs []*lexer.Config) (*contracts.Set, error) {
+	sp := m.opts.Telemetry.StartSpan("mine/stats")
 	st, err := m.collectStats(ctx, cfgs)
 	sp.EndCount(len(cfgs))
 	if err != nil {
 		return nil, err
 	}
-	set, err := m.mineFromStats(ctx, st, func() ([]contracts.Contract, error) {
-		return m.mineRelational(ctx, cfgs, st)
+	return m.mineFromStats(ctx, st, func() ([]contracts.Contract, error) {
+		global := make(map[candKey]*candState)
+		for i, cfg := range cfgs {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if err := m.contain(cfg.Name, func() {
+				faultinject.At("mining.relational.config", cfg.Name)
+				m.mineRelationalConfigBaseline(cfg, global)
+			}); err != nil {
+				return nil, err
+			}
+			if m.opts.Progress != nil {
+				m.opts.Progress(i+1, len(cfgs))
+			}
+		}
+		return m.acceptRelationalBaseline(global, st), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if tab := commonInterns(cfgs); tab != nil {
-		rec.Add("mine.interned_strings", int64(tab.Len()))
-	}
-	return set, nil
 }
 
 // mineFromStats runs the category miners and the relational acceptance
-// over a completed statistics view. It is the shared tail of
-// MineContext (stats collected in one pass over the corpus) and
-// MineAccumulated (stats merged from per-shard accumulators); the
-// relational closure supplies that path's candidate evidence.
+// over a completed statistics view. It is the shared tail of the
+// string-keyed reference learner and MineAccumulated (stats merged from
+// accumulators); the relational closure supplies that path's candidate
+// evidence.
 func (m *Miner) mineFromStats(ctx context.Context, st *stats, relational func() ([]contracts.Contract, error)) (*contracts.Set, error) {
 	rec := m.opts.Telemetry
 	set := &contracts.Set{}
@@ -359,19 +390,9 @@ func (m *Miner) contain(unit string, fn func()) (err error) {
 	return nil
 }
 
+// collectStats is the string-keyed statistics pass over the whole
+// corpus, shared by the reference learner and the brute-force baseline.
 func (m *Miner) collectStats(ctx context.Context, cfgs []*lexer.Config) (*stats, error) {
-	if tab := commonInterns(cfgs); tab != nil {
-		sti := newStatsI(len(cfgs), tab)
-		for _, cfg := range cfgs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := m.statsOneConfigFast(cfg, sti); err != nil {
-				return nil, err
-			}
-		}
-		return sti.finalize(), nil
-	}
 	st := &stats{
 		nConfigs:  len(cfgs),
 		patterns:  make(map[string]*patternStats),

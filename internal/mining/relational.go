@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"concord/internal/contracts"
-	"concord/internal/faultinject"
 	"concord/internal/intern"
 	"concord/internal/lexer"
 	"concord/internal/netdata"
@@ -18,7 +17,8 @@ import (
 )
 
 // candKey identifies a candidate relational contract globally by its
-// pattern strings. It is the baseline key form; the fast path uses the
+// pattern strings. It is the string-keyed reference's key form (and the
+// wire form of exported candidates); the accumulator fold uses the
 // interned candKeyI instead and only materializes strings for accepted
 // contracts.
 type candKey struct {
@@ -49,31 +49,6 @@ type candState struct {
 	display1, display2 string
 	holdConfigs        int
 	agg                *score.Aggregator
-}
-
-// mineRelational learns relational contracts with relation-aware search
-// structures (§3.5). For each configuration it makes two passes: pass A
-// indexes every (transformed) parameter value as a potential witness;
-// pass B queries the indexes for every value, generating candidates only
-// where an actual relationship exists. Candidates are then filtered by
-// support, confidence, and the diversity-weighted score threshold.
-//
-// Cancellation is checked between configurations: a cancelled context
-// aborts within one per-config iteration and returns ctx.Err().
-func (m *Miner) mineRelational(ctx context.Context, cfgs []*lexer.Config, st *stats) ([]contracts.Contract, error) {
-	if tab := commonInterns(cfgs); tab != nil {
-		return m.mineRelationalInterned(ctx, cfgs, st, tab)
-	}
-	global, err := relationalPass(m, ctx, cfgs, func(cfg *lexer.Config, t map[candKey]*candState) error {
-		return m.contain(cfg.Name, func() {
-			faultinject.At("mining.relational.config", cfg.Name)
-			m.mineRelationalConfigBaseline(cfg, t)
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m.acceptRelationalBaseline(global, st), nil
 }
 
 // acceptRelationalBaseline filters a complete string-keyed candidate
@@ -128,33 +103,6 @@ func (m *Miner) acceptRelationalBaseline(global map[candKey]*candState, st *stat
 	}
 	sortByID(out)
 	return out
-}
-
-// mineRelationalInterned is mineRelational's fast path: the global
-// candidate table is keyed by candKeyI, and pattern strings are only
-// materialized for candidates that clear the acceptance filters. Scan
-// scratch (slabs, index maps, and the per-worker value/transform
-// memos) is pooled across configurations within this one pass; the
-// pool is local to the call so memoized transform results can never
-// leak into a run with a different transform registry or intern table.
-func (m *Miner) mineRelationalInterned(ctx context.Context, cfgs []*lexer.Config, st *stats, tab *intern.Table) ([]contracts.Contract, error) {
-	var scratchPool sync.Pool
-	global, err := relationalPass(m, ctx, cfgs, func(cfg *lexer.Config, t map[candKeyI]*candState) error {
-		return m.contain(cfg.Name, func() {
-			faultinject.At("mining.relational.config", cfg.Name)
-			ss, _ := scratchPool.Get().(*scanScratch)
-			if ss == nil {
-				ss = newScanScratch(len(m.transforms))
-			}
-			m.scanRelationalConfig(cfg, tab, ss)
-			m.foldScanInterned(ss, t)
-			scratchPool.Put(ss)
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m.acceptRelationalInterned(global, st, tab), nil
 }
 
 // acceptRelationalInterned is acceptRelationalBaseline on the interned
@@ -215,45 +163,48 @@ func (m *Miner) acceptRelationalInterned(global map[candKeyI]*candState, st *sta
 	return out
 }
 
-// relationalPass runs mineOne over every configuration, sequentially or
-// with worker-private tables merged afterwards; merging is commutative,
-// so the result matches the sequential run. Generic over the candidate
-// key form so the baseline and interned paths share the scaffolding.
-func relationalPass[K comparable](m *Miner, ctx context.Context, cfgs []*lexer.Config, mineOne func(*lexer.Config, map[K]*candState) error) (map[K]*candState, error) {
-	global := make(map[K]*candState)
+// relationalPass is the unsharded fold driver: it folds every
+// configuration (statistics and relational scan, see
+// StatsAccumulator.Fold) into per-worker accumulators, scheduling
+// configurations dynamically, and merges the accumulators in worker
+// order. The merge laws make the result independent of which worker
+// folded which configuration, so it equals a sequential fold. A strict
+// fault or cancellation stops workers from starting new configurations.
+// cfgs must be non-empty (an interned corpus always is).
+func (m *Miner) relationalPass(ctx context.Context, cfgs []*lexer.Config, tab *intern.Table) (*StatsAccumulator, error) {
+	workers := min(max(m.opts.Parallelism, 1), len(cfgs))
+	accs := make([]*StatsAccumulator, workers)
+	for w := range accs {
+		accs[w] = m.NewStatsAccumulator(tab)
+	}
 	var done atomic.Int64
-	progress := func() {
+	fold := func(acc *StatsAccumulator, cfg *lexer.Config) error {
+		if err := acc.Fold(cfg); err != nil {
+			return err
+		}
 		if m.opts.Progress != nil {
 			m.opts.Progress(int(done.Add(1)), len(cfgs))
 		}
+		return nil
 	}
-
-	workers := m.opts.Parallelism
-	if workers <= 1 || len(cfgs) < 2 {
+	if workers <= 1 {
 		for _, cfg := range cfgs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if err := mineOne(cfg, global); err != nil {
+			if err := fold(accs[0], cfg); err != nil {
 				return nil, err
 			}
-			progress()
 		}
-		return global, nil
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
+		return accs[0], nil
 	}
 	ictx, abort := context.WithCancel(ctx)
 	defer abort()
 	var failOnce sync.Once
 	var failErr error
-	tables := make([]map[K]*candState, workers)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
-		w := w
-		tables[w] = make(map[K]*candState)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -261,14 +212,12 @@ func relationalPass[K comparable](m *Miner, ctx context.Context, cfgs []*lexer.C
 				if ictx.Err() != nil {
 					continue // drain without working
 				}
-				if err := mineOne(cfgs[ci], tables[w]); err != nil {
+				if err := fold(accs[w], cfgs[ci]); err != nil {
 					failOnce.Do(func() {
 						failErr = err
 						abort()
 					})
-					continue
 				}
-				progress()
 			}
 		}()
 	}
@@ -288,18 +237,10 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, tab := range tables {
-		for k, cs := range tab {
-			g := global[k]
-			if g == nil {
-				global[k] = cs
-				continue
-			}
-			g.holdConfigs += cs.holdConfigs
-			g.agg.Merge(cs.agg)
-		}
+	for _, acc := range accs[1:] {
+		accs[0].Merge(acc)
 	}
-	return global, nil
+	return accs[0], nil
 }
 
 // srcInfo is an interned (pattern, param, transform) triple within one
@@ -500,7 +441,11 @@ func (m *Miner) foldScanInterned(ss *scanScratch, global map[candKeyI]*candState
 
 // scanRelationalConfig processes one configuration into a satisfied-
 // candidate scan for the fast path, accumulated in the worker's
-// scratch. Beyond the baseline algorithm it memoizes transform
+// scratch. The relational miner (§3.5) uses relation-aware search
+// structures: pass A indexes every (transformed) parameter value as a
+// potential witness; pass B queries the indexes for every value,
+// generating candidates only where an actual relationship exists.
+// Beyond the baseline algorithm it memoizes transform
 // applications and value scores per worker (values repeat heavily
 // across lines and configurations), interns value keys so pass B
 // replaces string-map lookups with array indexing, resolves patterns
@@ -762,9 +707,10 @@ func (m *Miner) scanRelationalConfig(cfg *lexer.Config, gtab *intern.Table, ss *
 }
 
 // mineRelationalConfigBaseline is the pre-interning per-configuration
-// pass, the string-keyed path MineContext takes when the corpus shares
-// no intern table: it folds straight into the string-keyed candidate
-// table. The learn golden test compares the interned path against it.
+// pass, the string-keyed reference MineContext takes when the corpus
+// shares no intern table: it folds straight into the string-keyed
+// candidate table. The learn golden test compares the accumulator fold
+// against it.
 func (m *Miner) mineRelationalConfigBaseline(cfg *lexer.Config, global map[candKey]*candState) {
 	// Intern patterns and (pattern, param, transform) sources.
 	patternID := make(map[string]int32)

@@ -9,23 +9,6 @@ import (
 	"concord/internal/netdata"
 )
 
-// commonInterns returns the intern table shared by every configuration,
-// or nil when the corpus carries none (hand-constructed configs) or
-// mixes tables from different runs. Only a corpus-wide table lets the
-// miners key their hot maps by dense IDs.
-func commonInterns(cfgs []*lexer.Config) *intern.Table {
-	if len(cfgs) == 0 || cfgs[0].Interns == nil {
-		return nil
-	}
-	tab := cfgs[0].Interns
-	for _, cfg := range cfgs[1:] {
-		if cfg.Interns != tab {
-			return nil
-		}
-	}
-	return tab
-}
-
 // statsI is the interned mirror of stats: the same aggregates keyed by
 // dense pattern IDs instead of pattern strings, so the per-line fold in
 // statsOneConfigFast hashes small integers instead of full

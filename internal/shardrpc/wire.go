@@ -132,7 +132,7 @@ type Coverage struct {
 // ConfigResult is one configuration's check outcome, in shard order.
 // Contrib is the configuration's unique-contract value sites — the
 // serialized UniqueAccumulator entry the parent replays through
-// AddSites so Combiner.Reduce works across the process boundary.
+// AddSites so UniqueCombiner.Reduce works across the process boundary.
 type ConfigResult struct {
 	Name       string
 	Violations []contracts.Violation
