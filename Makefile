@@ -70,23 +70,25 @@ fleet-smoke:
 # at {1,3,16} shards × {1,4} workers), warm-cache replay across the
 # process boundary, worker-crash chaos (SIGKILL mid-shard, retry then
 # containment; corrupt result frames rejected by checksum and retried),
-# straggler speculation, no-orphan/no-leak drain, the wire-frame fuzz
-# corpus, and the server/CLI process-backend paths.
+# straggler speculation, no-orphan/no-leak drain, non-default options
+# across the process boundary, the wire-frame fuzz corpus, and the
+# server/CLI process-backend paths (shard-selection validation on both
+# endpoints included).
 dist-smoke:
-	$(GO) test -race -timeout 10m -count=1 -run 'TestDist|TestChaosDist|TestProcessBackend|TestWire|TestReadFrame|TestFrame|FuzzShardFrame|TestMakeShardsProperty|TestServeProcessBackendBatch|TestCheckShardBackendProcess' ./internal/core ./internal/shardrpc ./internal/artifact ./internal/server ./cmd/concord
+	$(GO) test -race -timeout 10m -count=1 -run 'TestDist|TestChaosDist|TestProcessBackend|TestWire|TestReadFrame|TestFrame|FuzzShardFrame|TestMakeShardsProperty|TestServeProcessBackendBatch|TestServeLearnShardValidation|TestCheckShardBackendProcess' ./internal/core ./internal/shardrpc ./internal/artifact ./internal/server ./cmd/concord
 
 # learn-dist-smoke is the fleet-scale sharded learning gate under the
 # race detector: the in-process shard-count differential ({1,2,3,16}
 # shards mining byte-identical learned sets), the process-backend learn
 # grid ({1,3,16} shards x {1,4} workers), the accumulator merge-law
 # property tests (associativity and shard-order insensitivity under
-# randomized splits), the CCSL learn-frame wire round-trip and fuzz
-# seeds, learn chaos (lost shards in lenient and strict modes, corrupt
+# randomized splits), the learn-result wire round-trip and the
+# frame fuzz seeds, learn chaos (lost shards in lenient and strict modes, corrupt
 # result frames, crash-retry, straggler speculation, per-config panic
 # containment), global learn progress monotonicity, and the server's
 # sharded learn-job validation and equivalence paths.
 learn-dist-smoke:
-	$(GO) test -race -timeout 10m -count=1 -run 'TestShardedLearn|TestChaosShardedLearn|TestDistLearn|TestChaosDistLearn|TestAccumulator|TestImportAccumulator|TestLearnWire|TestLearnResult|FuzzLearnFrame|TestServeLearnShardValidation|TestServeShardedLearn' ./internal/core ./internal/mining ./internal/shardrpc ./internal/server
+	$(GO) test -race -timeout 10m -count=1 -run 'TestShardedLearn|TestChaosShardedLearn|TestDistLearn|TestChaosDistLearn|TestAccumulator|TestImportAccumulator|TestLearnWire|TestLearnResult|FuzzLearnFrame|FuzzShardFrame|TestServeLearnShardValidation|TestServeShardedLearn' ./internal/core ./internal/mining ./internal/shardrpc ./internal/server
 
 # vuln scans dependencies with govulncheck when it is installed; the
 # scan is best-effort and never fails the build (the tool may be

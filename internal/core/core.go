@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -173,10 +174,10 @@ func (o Options) shardingActive() bool {
 }
 
 // Validate rejects unusable option values: Support below 1, Confidence
-// outside (0, 1], negative ScoreThreshold or MaxFanout, and
-// non-positive guard limits. New calls it after filling defaulted
-// (zero) Support, Confidence, and Limits, so only explicitly
-// nonsensical values are rejected.
+// outside (0, 1], negative ScoreThreshold or MaxFanout, non-positive
+// guard limits, and an invalid shard selection (see ValidateSharding).
+// New calls it after filling defaulted (zero) Support, Confidence, and
+// Limits, so only explicitly nonsensical values are rejected.
 func (o Options) Validate() error {
 	if o.Support < 1 {
 		return fmt.Errorf("core: Support must be at least 1 (got %d)", o.Support)
@@ -196,6 +197,17 @@ func (o Options) Validate() error {
 	if o.Incremental && o.Artifacts == nil {
 		return fmt.Errorf("core: Incremental requires an Artifacts cache")
 	}
+	return o.ValidateSharding()
+}
+
+// ValidateSharding rejects an unusable shard selection: negative Shards
+// or ShardWorkers, an unknown ShardBackend, and the process backend
+// together with options that cannot cross a process boundary
+// (ExtraTransforms, ExtraRelations, and user tokens with a custom Parse
+// func). Validate calls it; a service that takes the shard selection
+// per request calls it on its engine options with the request's shard
+// fields set, before any work starts.
+func (o Options) ValidateSharding() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("core: Shards must be non-negative (got %d)", o.Shards)
 	}
@@ -214,9 +226,114 @@ func (o Options) Validate() error {
 			}
 		}
 	default:
-		return fmt.Errorf("core: unknown ShardBackend %q (want %q or %q)", o.ShardBackend, ShardBackendInProcess, ShardBackendProcess)
+		return fmt.Errorf("core: unknown shard backend %q (want %q or %q)", o.ShardBackend, ShardBackendInProcess, ShardBackendProcess)
 	}
 	return nil
+}
+
+// resolvedOptions is the plain-data part of a resolved Options: every
+// option that determines what a run computes, and nothing
+// process-local (no funcs, recorders, caches, or sinks). Its JSON
+// encoding is canonical — fixed field order, no maps — so the process
+// backend's Job carries it as bytes, a worker rebuilds its Options from
+// it (options), and procFingerprint hashes its processing part.
+type resolvedOptions struct {
+	Proc             procOptions
+	Strict           bool
+	Incremental      bool
+	LexCacheSize     int
+	Support          int
+	Confidence       exactFloat
+	ScoreThreshold   exactFloat
+	MaxFanout        int
+	ConstantLearning bool
+	Categories       []contracts.Category
+}
+
+// exactFloat is a float64 encoded as its IEEE 754 bits, so every value
+// Validate accepts — an infinite ScoreThreshold included, which JSON
+// numbers cannot carry — round-trips exactly.
+type exactFloat float64
+
+func (f exactFloat) MarshalJSON() ([]byte, error) {
+	return json.Marshal(math.Float64bits(float64(f)))
+}
+
+func (f *exactFloat) UnmarshalJSON(b []byte) error {
+	var bits uint64
+	err := json.Unmarshal(b, &bits)
+	*f = exactFloat(math.Float64frombits(bits))
+	return err
+}
+
+// procOptions is the processing part of resolvedOptions: every option
+// that changes what processing produces for a given source.
+type procOptions struct {
+	ContextEmbedding bool
+	Limits           format.Limits
+	UserTokens       []tokenSpec
+}
+
+// tokenSpec is a lexer.TokenSpec as plain data. A custom Parse func
+// cannot be encoded, so Parse records only its presence; the process
+// backend refuses such tokens (ValidateSharding), so it is never true
+// on the wire.
+type tokenSpec struct {
+	Name          string
+	Pattern       string
+	Parse         bool
+	NoDigitBefore bool
+	WordBoundary  bool
+}
+
+// resolved describes o as plain data; limits resolve to their defaults.
+func (o Options) resolved() resolvedOptions {
+	ro := resolvedOptions{
+		Proc:             procOptions{ContextEmbedding: o.ContextEmbedding, Limits: o.Limits.WithDefaults()},
+		Strict:           o.Strict,
+		Incremental:      o.Incremental,
+		LexCacheSize:     o.LexCacheSize,
+		Support:          o.Support,
+		Confidence:       exactFloat(o.Confidence),
+		ScoreThreshold:   exactFloat(o.ScoreThreshold),
+		MaxFanout:        o.MaxFanout,
+		ConstantLearning: o.ConstantLearning,
+		Categories:       o.Categories,
+	}
+	for _, t := range o.UserTokens {
+		ro.Proc.UserTokens = append(ro.Proc.UserTokens, tokenSpec{
+			Name: t.Name, Pattern: t.Pattern, Parse: t.Parse != nil,
+			NoDigitBefore: t.NoDigitBefore, WordBoundary: t.WordBoundary,
+		})
+	}
+	return ro
+}
+
+// options rebuilds the Options a shard worker runs under. Parallelism
+// is 1: a worker runs one shard at a time, sequentially. The caller
+// attaches the artifact cache.
+func (ro *resolvedOptions) options() Options {
+	opts := Options{
+		Parallelism:      1,
+		ContextEmbedding: ro.Proc.ContextEmbedding,
+		Limits:           ro.Proc.Limits,
+		Strict:           ro.Strict,
+		Incremental:      ro.Incremental,
+		LexCacheSize:     ro.LexCacheSize,
+		Support:          ro.Support,
+		Confidence:       float64(ro.Confidence),
+		ScoreThreshold:   float64(ro.ScoreThreshold),
+		MaxFanout:        ro.MaxFanout,
+		ConstantLearning: ro.ConstantLearning,
+		Categories:       ro.Categories,
+	}
+	for _, t := range ro.Proc.UserTokens {
+		opts.UserTokens = append(opts.UserTokens, lexer.TokenSpec{
+			Name: t.Name, Pattern: t.Pattern,
+			NoDigitBefore: t.NoDigitBefore, WordBoundary: t.WordBoundary,
+		})
+	}
+	return opts
 }
 
 // DefaultOptions returns the paper's defaults: S=5, C=96%, context
@@ -301,26 +418,19 @@ func New(opts Options) (*Engine, error) {
 		}
 	}
 	e := &Engine{opts: opts, lx: lx, transforms: transforms}
-	e.procFP = e.procFingerprint()
+	e.procFP = procFingerprint(opts.resolved().Proc)
 	return e, nil
 }
 
-// procFingerprint hashes every option that changes what processing
-// produces for a given source. Custom Parse funcs cannot be hashed;
+// procFingerprint hashes the processing part of the resolved options:
+// every option that changes what processing produces for a given
+// source, and no other, so a mining or checking option change still
+// replays warm lex artifacts. Custom Parse funcs cannot be hashed;
 // their specs contribute name, pattern, and flags (documented on
 // Options.Artifacts).
-func (e *Engine) procFingerprint() artifact.Key {
-	lim := e.opts.Limits.WithDefaults()
-	h := artifact.NewHasher("concord/proc/v1")
-	h.Int(artifact.SchemaVersion)
-	h.Bool(e.opts.ContextEmbedding)
-	h.Int(lim.MaxFileSize).Int(lim.MaxLineLen).Int(lim.MaxDepth).Int(lim.MaxLines)
-	h.Int(len(e.opts.UserTokens))
-	for _, t := range e.opts.UserTokens {
-		h.Str(t.Name).Str(t.Pattern)
-		h.Bool(t.Parse != nil).Bool(t.NoDigitBefore).Bool(t.WordBoundary)
-	}
-	return h.Sum()
+func procFingerprint(p procOptions) artifact.Key {
+	enc, _ := json.Marshal(p) // bools, ints, and strings: cannot fail
+	return artifact.NewHasher("concord/proc/v2").Int(artifact.SchemaVersion).Bytes(enc).Sum()
 }
 
 // MustNew is New for known-good options; it panics on error.
@@ -896,7 +1006,7 @@ func (e *Engine) LearnContext(ctx context.Context, sources, meta []Source) (*Lea
 	if err != nil {
 		return nil, err
 	}
-	res.Diagnostics = dc.All()
+	res.Diagnostics = dc.Sorted()
 	return res, nil
 }
 
@@ -914,7 +1024,7 @@ func (e *Engine) LearnProcessedContext(ctx context.Context, cfgs []*lexer.Config
 	if err != nil {
 		return nil, err
 	}
-	res.Diagnostics = dc.All()
+	res.Diagnostics = dc.Sorted()
 	return res, nil
 }
 
@@ -1079,7 +1189,7 @@ func (e *Engine) CheckContext(ctx context.Context, set *contracts.Set, sources, 
 		if err != nil {
 			return nil, err
 		}
-		res.Diagnostics = dc.All()
+		res.Diagnostics = dc.Sorted()
 		return res, nil
 	}
 	cfgs, arts, pstats, err := e.processContext(ctx, dc, sources, meta)
@@ -1090,7 +1200,7 @@ func (e *Engine) CheckContext(ctx context.Context, set *contracts.Set, sources, 
 	if err != nil {
 		return nil, err
 	}
-	res.Diagnostics = dc.All()
+	res.Diagnostics = dc.Sorted()
 	return res, nil
 }
 
@@ -1108,7 +1218,7 @@ func (e *Engine) CheckProcessedContext(ctx context.Context, set *contracts.Set, 
 	if err != nil {
 		return nil, err
 	}
-	res.Diagnostics = dc.All()
+	res.Diagnostics = dc.Sorted()
 	return res, nil
 }
 

@@ -167,3 +167,65 @@ func TestMetamorphicInvariance(t *testing.T) {
 		})
 	}
 }
+
+// TestDiagnosticsDeterministicOrder: a run reports its diagnostics in
+// one canonical order, whichever worker, shard, or process recorded
+// them first — so check and learn results, diagnostics included, are
+// byte-identical across repeated parallel runs, shard counts, and both
+// shard backends. Every configuration of the corpus has lines past the
+// 18-byte limit, so each one contributes a truncation diagnostic.
+func TestDiagnosticsDeterministicOrder(t *testing.T) {
+	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := shardCorpus(24)
+	truncate := func(o *Options) {
+		o.Limits.MaxLineLen = 18
+		o.Parallelism = 8
+	}
+	opts := DefaultOptions()
+	truncate(&opts)
+	sharded := opts
+	sharded.Shards, sharded.ShardWorkers = 3, 3
+	rows := []struct {
+		name string
+		eng  func() *Engine
+	}{
+		{"unsharded", func() *Engine { return MustNew(opts) }},
+		{"unsharded again", func() *Engine { return MustNew(opts) }},
+		{"3 in-process shards", func() *Engine { return MustNew(sharded) }},
+		{"3 process shards", func() *Engine { return distEngine(t, 3, 2, truncate) }},
+	}
+	var wantCheck, wantLearn string
+	for i, row := range rows {
+		eng := row.eng()
+		cr, err := eng.Check(lr.Set, corpus, nil)
+		if err != nil {
+			t.Fatalf("%s: check: %v", row.name, err)
+		}
+		learned, err := eng.Learn(corpus, nil)
+		if err != nil {
+			t.Fatalf("%s: learn: %v", row.name, err)
+		}
+		learnOut, err := json.MarshalIndent(learned, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCheck, gotLearn := checkJSON(t, cr), string(learnOut)
+		if i == 0 {
+			if len(cr.Diagnostics) < len(corpus) || len(learned.Diagnostics) < len(corpus) {
+				t.Fatalf("%d check and %d learn diagnostics, want at least %d each: the corpus does not exercise the ordering",
+					len(cr.Diagnostics), len(learned.Diagnostics), len(corpus))
+			}
+			wantCheck, wantLearn = gotCheck, gotLearn
+			continue
+		}
+		if gotCheck != wantCheck {
+			t.Errorf("%s: check result diverges from %s:\n got %s\nwant %s", row.name, rows[0].name, gotCheck, wantCheck)
+		}
+		if gotLearn != wantLearn {
+			t.Errorf("%s: learn result diverges from %s:\n got %s\nwant %s", row.name, rows[0].name, gotLearn, wantLearn)
+		}
+	}
+}

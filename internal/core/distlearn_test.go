@@ -137,7 +137,7 @@ func TestChaosDistLearnCrashExhausted(t *testing.T) {
 }
 
 // TestChaosDistLearnCorruptFrame makes learn shard 1's worker emit a
-// bit-flipped CCSL frame on the first attempt: the checksum must
+// bit-flipped result frame on the first attempt: the checksum must
 // reject it, the shard must be retried, and no partially-decoded
 // accumulator may reach the merge.
 func TestChaosDistLearnCorruptFrame(t *testing.T) {

@@ -393,7 +393,7 @@ func (en *RegistryEntry) CheckContext(ctx context.Context, sources, meta []Sourc
 	if err != nil {
 		return nil, err
 	}
-	res.Diagnostics = dc.All()
+	res.Diagnostics = dc.Sorted()
 	return res, nil
 }
 
@@ -416,13 +416,16 @@ func (en *RegistryEntry) CheckShardedContext(ctx context.Context, sources, meta 
 	}
 	e := en.eng.forRequest(rec)
 	e.opts.Shards, e.opts.ShardWorkers, e.opts.ShardBackend = shards, shardWorkers, backend
+	if err := e.opts.ValidateSharding(); err != nil {
+		return nil, err
+	}
 	dc := diag.New()
 	defer en.eng.opts.Diagnostics.Merge(dc)
 	res, err := e.checkShardedContext(ctx, dc, en.set, sources, meta, en.checker.ForRequest(rec, dc))
 	if err != nil {
 		return nil, err
 	}
-	res.Diagnostics = dc.All()
+	res.Diagnostics = dc.Sorted()
 	return res, nil
 }
 

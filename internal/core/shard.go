@@ -28,6 +28,7 @@ import (
 	"concord/internal/diag"
 	"concord/internal/faultinject"
 	"concord/internal/lexer"
+	"concord/internal/shardrpc"
 	"concord/internal/telemetry"
 )
 
@@ -116,7 +117,15 @@ func (e *Engine) checkShardedContext(ctx context.Context, dc *diag.Collector, se
 	shards := makeShards(sources, e.opts.Shards)
 	results := make([]*shardResult, len(shards))
 	if e.opts.ShardBackend == ShardBackendProcess {
-		err = e.runShardsProcess(ctx, dc, set, meta, cr, combiner, warm, checkFP, shards, results, procProg, checkProg)
+		err = e.runShardsProcess(ctx, dc, set, meta, cr, telemetry.StageCheck, shards, procProg, checkProg,
+			func(i int, wr *shardrpc.Result) (*corpusTally, error) {
+				sr, err := e.wireShardResult(wr, combiner)
+				if err != nil {
+					return nil, err
+				}
+				results[i] = sr
+				return &sr.tally, nil
+			})
 	} else {
 		err = e.forEachCtx(ctx, dc, telemetry.StageCheck, e.shardWorkers(), len(shards),
 			func(i int) string { return shardLabel(shards[i]) },

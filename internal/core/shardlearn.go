@@ -16,8 +16,8 @@
 // The shard boundary is (sources, shared corpus state) in and a
 // learnShardResult out, mirroring the check driver's boundary, so the
 // worker-process backend slots in behind runLearnShard by serializing
-// an exported AccumulatorState (see shardlearnproc.go) without
-// touching the merge.
+// an exported AccumulatorState (see shardproc.go) without touching the
+// merge.
 package core
 
 import (
@@ -29,6 +29,7 @@ import (
 	"concord/internal/diag"
 	"concord/internal/faultinject"
 	"concord/internal/mining"
+	"concord/internal/shardrpc"
 	"concord/internal/telemetry"
 )
 
@@ -69,7 +70,15 @@ func (e *Engine) learnShardedContext(ctx context.Context, dc *diag.Collector, so
 	e.opts.Telemetry.Add("mine.shard_dispatches", int64(len(shards)))
 	results := make([]*learnShardResult, len(shards))
 	if e.opts.ShardBackend == ShardBackendProcess {
-		err = e.runLearnShardsProcess(ctx, dc, meta, cr, m, shards, results, procProg, mineProg)
+		err = e.runShardsProcess(ctx, dc, nil, meta, cr, telemetry.StageMine, shards, procProg, mineProg,
+			func(i int, wr *shardrpc.Result) (*corpusTally, error) {
+				sr, err := e.wireLearnShardResult(wr, m, cr)
+				if err != nil {
+					return nil, err
+				}
+				results[i] = sr
+				return &sr.tally, nil
+			})
 	} else {
 		err = e.forEachCtx(ctx, dc, telemetry.StageMine, e.shardWorkers(), len(shards),
 			func(i int) string { return shardLabel(shards[i]) },

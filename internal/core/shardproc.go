@@ -1,32 +1,39 @@
-// Process-per-shard execution backend (Options.ShardBackendProcess).
+// Process-per-shard execution backend (Options.ShardBackendProcess),
+// for the check and the learn pipeline alike.
 //
 // The wire boundary is exactly the in-process shard boundary: a worker
-// process runs runShard over its corpus slice and ships back the plain
-// values a shardResult holds — per-config violations, coverage counts,
-// artifact bookkeeping, the serialized UniqueAccumulator entries, and
-// any diagnostics. The parent rebuilds shardResults from those frames
-// and hands them to the unchanged mergeShards, which is the whole
+// process runs runShard (check) or runLearnShard (learn) over its
+// corpus slice and ships back the plain values the in-process shard
+// result holds — per-config violations, coverage counts, artifact
+// bookkeeping, and the serialized UniqueAccumulator entries for a
+// check; the exported mining.AccumulatorState for a learn; the shard's
+// corpus tally and any diagnostics for both. The parent rebuilds the
+// in-process shard results from those frames and hands them to the
+// unchanged mergeShards or mergeLearnShards, which is the whole
 // byte-identity argument:
 //
 //   - Shard partitioning is a pure function of (corpus length, N), so
 //     parent and worker agree on slice boundaries by construction.
 //   - Nothing process-local crosses the wire — no intern IDs, no
-//     compiled patterns — only strings and counts, which compare equal
-//     regardless of which process produced them.
-//   - The worker rebuilds its engine from the Job's serialized options
-//     and the canonical contract-set JSON; the process backend rejects
-//     the options that cannot round-trip (func-valued extensions), so
-//     the worker's processing and check fingerprints equal the
-//     parent's and warm artifact replay addresses the same cache
-//     entries.
+//     compiled patterns — only strings and counts (a learn state's
+//     strings travel in a dictionary the parent re-interns), which
+//     compare equal regardless of which process produced them.
+//   - The worker rebuilds its engine from the Job's options descriptor
+//     (resolvedOptions) and the canonical contract-set JSON; the
+//     process backend rejects the options that cannot round-trip
+//     (func-valued extensions), so the worker's processing and check
+//     fingerprints equal the parent's and warm artifact replay
+//     addresses the same cache entries.
 //   - The parent replays each worker's accumulator entries through
-//     AddSites in shard order, so UniqueCombiner.Reduce sees exactly the
-//     state an in-process fold would have produced.
+//     AddSites (check) or imports its state (learn) in shard order, so
+//     the merge sees exactly the state an in-process fold would have
+//     produced.
 //
-// Failure policy mirrors shard.go: transport failures (crashed worker,
-// torn frame) are retried by the pool and then fall into the PR 8
-// shard-containment path; deterministic in-band failures (a contained
-// panic inside the worker, a strict abort) are never retried.
+// Failure policy mirrors the in-process pools: transport failures
+// (crashed worker, torn frame) are retried by the pool and then fall
+// into the PR 8 shard-containment path; deterministic in-band failures
+// (a contained panic inside the worker, a strict abort) are never
+// retried.
 package core
 
 import (
@@ -43,7 +50,6 @@ import (
 	"concord/internal/artifact"
 	"concord/internal/contracts"
 	"concord/internal/diag"
-	"concord/internal/lexer"
 	"concord/internal/mining"
 	"concord/internal/shardrpc"
 	"concord/internal/telemetry"
@@ -59,12 +65,16 @@ type distPolicy struct {
 
 // --- parent side ---
 
-// runShardsProcess is the process-backend twin of runShards: it builds
-// one Job for the run, one Task per shard, and executes them on a
-// shardrpc worker pool, converting each Result back into the
-// *shardResult the unchanged mergeShards consumes.
-func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *contracts.Set, meta []Source, cr *corpusRun, combiner *contracts.UniqueCombiner, warm bool, checkFP artifact.Key, shards []shard, results []*shardResult, procProg, checkProg *progressCounter) error {
-	job, err := e.buildShardJob(set, meta, cr)
+// runShardsProcess is the process-backend twin of the in-process shard
+// pools, for check and learn alike: it builds one Job for the run (a
+// check job for a non-nil set, else a learn job), one Task per shard,
+// and executes them on a shardrpc worker pool. stage labels failures.
+// convert rebuilds the in-process shard result of shard i from its
+// worker Result, stores it in the caller's results, and returns the
+// shard's corpus tally; procProg and stageProg then tick once per
+// source the shard accounted for.
+func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *contracts.Set, meta []Source, cr *corpusRun, stage telemetry.Stage, shards []shard, procProg, stageProg *progressCounter, convert func(i int, wr *shardrpc.Result) (*corpusTally, error)) error {
+	job, err := e.newShardJob(set, meta, cr)
 	if err != nil {
 		return err
 	}
@@ -96,22 +106,28 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 	if err != nil {
 		return err
 	}
-	// Transport failures with the retry budget exhausted: the shard is
-	// lost whole — strict aborts, lenient takes the PR 8 containment
-	// path (diagnostic, nil result, sources counted skipped in merge).
-	for _, f := range failures {
-		label := shardLabel(shards[f.Task])
+	// lose drops shard i whole: strict aborts, lenient takes the PR 8
+	// containment path (diagnostic, nil result, sources counted skipped
+	// in the merge).
+	lose := func(i int, msg string, cause error) error {
+		label := shardLabel(shards[i])
 		if e.opts.Strict {
-			return fmt.Errorf("core: %s stage aborted (strict): %s: worker failed after %d attempts: %w",
-				telemetry.StageCheck, label, f.Attempts, f.Err)
+			return fmt.Errorf("core: %s stage aborted (strict): %s: %s: %w", stage, label, msg, cause)
 		}
 		dc.Add(diag.Diagnostic{
 			Severity: diag.SevError,
-			Stage:    string(telemetry.StageCheck),
+			Stage:    string(stage),
 			Source:   label,
-			Message:  fmt.Sprintf("shard lost: worker failed after %d attempts", f.Attempts),
-			Cause:    f.Err,
+			Message:  "shard lost: " + msg,
+			Cause:    cause,
 		})
+		return nil
+	}
+	// Transport failures with the retry budget exhausted.
+	for _, f := range failures {
+		if err := lose(f.Task, fmt.Sprintf("worker failed after %d attempts", f.Attempts), f.Err); err != nil {
+			return err
+		}
 	}
 	for i, wr := range wres {
 		if wr == nil {
@@ -128,83 +144,48 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 		}
 		if wr.Lost {
 			// Worker-contained whole-shard panic (lenient): diagnostics
-			// are already merged; drop the shard as runShards would.
+			// are already merged; drop the shard as the in-process pool
+			// would.
 			e.opts.Telemetry.Add("diag.panics", 1)
 			continue
 		}
-		sr, err := e.wireShardResult(wr, combiner)
+		tally, err := convert(i, wr)
 		if err != nil {
-			label := shardLabel(shards[i])
-			if e.opts.Strict {
-				return fmt.Errorf("core: %s stage aborted (strict): %s: %w", telemetry.StageCheck, label, err)
+			if err := lose(i, "malformed worker result", err); err != nil {
+				return err
 			}
-			dc.Add(diag.Diagnostic{
-				Severity: diag.SevError,
-				Stage:    string(telemetry.StageCheck),
-				Source:   label,
-				Message:  "shard lost: malformed worker result",
-				Cause:    err,
-			})
 			continue
 		}
-		results[i] = sr
-		for j := 0; j < sr.tally.configs+sr.tally.skipped; j++ {
+		// Progress is exact and global: the worker processed every
+		// source in its slice, so tick both stage counters once per
+		// source.
+		for j := 0; j < tally.configs+tally.skipped; j++ {
 			procProg.tick()
-			checkProg.tick()
+			stageProg.tick()
 		}
 	}
 	return nil
 }
 
-// buildShardJob serializes the run's check configuration for worker
-// processes.
-func (e *Engine) buildShardJob(set *contracts.Set, meta []Source, cr *corpusRun) (*shardrpc.Job, error) {
-	job, err := e.newShardJobBase(meta, cr)
+// newShardJob serializes the run for worker processes: the options
+// descriptor, the metadata corpus, the artifact cache directory, and,
+// for a check job, the contract set. A nil set makes a learn job.
+func (e *Engine) newShardJob(set *contracts.Set, meta []Source, cr *corpusRun) (*shardrpc.Job, error) {
+	opts, err := json.Marshal(e.opts.resolved())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: encode options for shard workers: %w", err)
 	}
-	job.SetJSON, err = json.Marshal(set)
-	if err != nil {
-		return nil, fmt.Errorf("core: serialize contract set: %w", err)
-	}
-	return job, nil
-}
-
-// newShardJobBase builds the processing-pipeline half of a Job, shared
-// by the check and learn backends. Options that cannot cross a process
-// boundary are rejected here as well as in Options.Validate, because
-// service requests can select the backend after engine construction.
-func (e *Engine) newShardJobBase(meta []Source, cr *corpusRun) (*shardrpc.Job, error) {
-	if len(e.opts.ExtraTransforms) > 0 || len(e.opts.ExtraRelations) > 0 {
-		return nil, fmt.Errorf("core: shard backend %q cannot serialize ExtraTransforms or ExtraRelations across the process boundary", ShardBackendProcess)
-	}
-	for _, t := range e.opts.UserTokens {
-		if t.Parse != nil {
-			return nil, fmt.Errorf("core: shard backend %q cannot serialize the custom Parse func of user token %q", ShardBackendProcess, t.Name)
+	job := &shardrpc.Job{Learn: set == nil, Options: opts}
+	if set != nil {
+		if job.SetJSON, err = json.Marshal(set); err != nil {
+			return nil, fmt.Errorf("core: serialize contract set: %w", err)
 		}
-	}
-	lim := e.opts.Limits.WithDefaults()
-	job := &shardrpc.Job{
-		ContextEmbedding: e.opts.ContextEmbedding,
-		Strict:           e.opts.Strict,
-		LexCacheSize:     e.opts.LexCacheSize,
-		MaxFileSize:      lim.MaxFileSize,
-		MaxLineLen:       lim.MaxLineLen,
-		MaxDepth:         lim.MaxDepth,
-		MaxLines:         lim.MaxLines,
 	}
 	if cr.artOn {
 		job.CacheDir = e.opts.Artifacts.BaseDir()
-		job.Incremental = e.opts.Incremental
 	}
 	for _, m := range meta {
 		job.Meta = append(job.Meta, shardrpc.NamedBlob{Name: m.Name, Text: m.Text})
-	}
-	for _, t := range e.opts.UserTokens {
-		job.UserTokens = append(job.UserTokens, shardrpc.TokenSpec{
-			Name: t.Name, Pattern: t.Pattern,
-			NoDigitBefore: t.NoDigitBefore, WordBoundary: t.WordBoundary,
-		})
 	}
 	return job, nil
 }
@@ -265,15 +246,35 @@ func (e *Engine) wireShardResult(wr *shardrpc.Result, combiner *contracts.Unique
 	return sr, nil
 }
 
+// wireLearnShardResult rebuilds the in-process learnShardResult from a
+// worker's Result by importing its exported accumulator state against
+// the parent's intern table and miner.
+func (e *Engine) wireLearnShardResult(wr *shardrpc.Result, m *mining.Miner, cr *corpusRun) (*learnShardResult, error) {
+	if wr.State == nil {
+		return nil, errors.New("core: worker learn result carries no accumulator state")
+	}
+	acc, err := m.ImportAccumulator(wr.State, cr.interns)
+	if err != nil {
+		return nil, err
+	}
+	return &learnShardResult{acc: acc, tally: corpusTally{
+		configs:  acc.NConfigs(),
+		skipped:  wr.Skipped,
+		lines:    wr.Lines,
+		patterns: wr.Patterns,
+	}}, nil
+}
+
 // --- worker side ---
 
 // RunShardWorker is the hidden `concord shard-worker` mode: it reads
-// one Job frame from r, rebuilds the check pipeline, then serves one
-// shard per Task frame until r reaches EOF (the parent closed the
-// pipe). Results stream to w. Worker processes share the parent's
-// artifact cache directory (atomic temp+rename stores are multi-process
-// safe), so warm replay works unchanged; metadata diagnostics are
-// dropped here because the parent already reported them once.
+// one Job frame from r, rebuilds the check or learn pipeline, then
+// serves one shard per Task frame until r reaches EOF (the parent
+// closed the pipe). Results stream to w. Worker processes share the
+// parent's artifact cache directory (atomic temp+rename stores are
+// multi-process safe), so warm replay works unchanged; metadata
+// diagnostics are dropped here because the parent already reported
+// them once.
 func RunShardWorker(r io.Reader, w io.Writer) error {
 	job, err := shardrpc.ReadJob(r)
 	if err != nil {
@@ -294,27 +295,24 @@ func RunShardWorker(r io.Reader, w io.Writer) error {
 		}
 		chaos.maybeCrash(t)
 		chaos.maybeStall(t)
-		if job.Learn {
-			res := wk.runLearn(t)
-			if err := chaos.writeLearnResult(w, t, res); err != nil {
-				return fmt.Errorf("shard worker: write learn result: %w", err)
-			}
-			continue
-		}
-		res := wk.run(t)
-		if err := chaos.writeResult(w, t, res); err != nil {
+		if err := chaos.writeResult(w, t, wk.run(t)); err != nil {
 			return fmt.Errorf("shard worker: write result: %w", err)
 		}
 	}
 }
 
 // shardWorker is one worker process's resident pipeline state: engine,
-// compiled checker (check jobs) or miner (learn jobs), and corpus run,
-// built once per Job and reused for every Task.
+// corpus run, and either the compiled checker (check jobs) or the
+// miner (learn jobs), built once per Job and reused for every Task.
 type shardWorker struct {
-	eng      *Engine
-	dc       *diag.Collector
-	cr       *corpusRun
+	eng *Engine
+	dc  *diag.Collector
+	cr  *corpusRun
+	// stage labels contained faults; body runs one shard of the job's
+	// kind (checkShard or learnShard), filling the Result's payload and
+	// returning the shard's corpus tally.
+	stage    telemetry.Stage
+	body     func(sh shard, res *shardrpc.Result) (*corpusTally, error)
 	checker  *contracts.Checker
 	combiner *contracts.UniqueCombiner
 	miner    *mining.Miner
@@ -327,42 +325,17 @@ type shardWorker struct {
 }
 
 func newShardWorker(job *shardrpc.Job) (*shardWorker, error) {
-	opts := Options{
-		Parallelism:      1, // a worker runs one shard at a time, sequentially
-		ContextEmbedding: job.ContextEmbedding,
-		Strict:           job.Strict,
-		LexCacheSize:     job.LexCacheSize,
+	var ro resolvedOptions
+	if err := json.Unmarshal(job.Options, &ro); err != nil {
+		return nil, fmt.Errorf("decode options: %w", err)
 	}
-	opts.Limits.MaxFileSize = job.MaxFileSize
-	opts.Limits.MaxLineLen = job.MaxLineLen
-	opts.Limits.MaxDepth = job.MaxDepth
-	opts.Limits.MaxLines = job.MaxLines
-	if job.Learn {
-		// Learn parameters arrive resolved (the parent's New already
-		// applied defaults), so the worker's miner is configured exactly
-		// like the parent's.
-		opts.Support = job.Support
-		opts.Confidence = job.Confidence
-		opts.ScoreThreshold = job.ScoreThreshold
-		opts.MaxFanout = job.MaxFanout
-		opts.ConstantLearning = job.ConstantLearning
-		for _, c := range job.Categories {
-			opts.Categories = append(opts.Categories, contracts.Category(c))
-		}
-	}
-	for _, t := range job.UserTokens {
-		opts.UserTokens = append(opts.UserTokens, lexer.TokenSpec{
-			Name: t.Name, Pattern: t.Pattern,
-			NoDigitBefore: t.NoDigitBefore, WordBoundary: t.WordBoundary,
-		})
-	}
+	opts := ro.options()
 	if job.CacheDir != "" {
 		cache, err := artifact.Open(job.CacheDir)
 		if err != nil {
 			return nil, fmt.Errorf("open artifact cache: %w", err)
 		}
 		opts.Artifacts = cache
-		opts.Incremental = job.Incremental
 	}
 	eng, err := New(opts)
 	if err != nil {
@@ -378,8 +351,10 @@ func newShardWorker(job *shardrpc.Job) (*shardWorker, error) {
 		return nil, err
 	}
 	if job.Learn {
+		wk.stage, wk.body = telemetry.StageMine, wk.learnShard
 		wk.miner = eng.newLearnMiner(wk.dc, nil)
 	} else {
+		wk.stage, wk.body = telemetry.StageCheck, wk.checkShard
 		set := &contracts.Set{}
 		if err := json.Unmarshal(job.SetJSON, set); err != nil {
 			return nil, fmt.Errorf("decode contract set: %w", err)
@@ -396,25 +371,22 @@ func newShardWorker(job *shardrpc.Job) (*shardWorker, error) {
 }
 
 // run executes one shard Task to a Result, containing faults the way
-// runShards does: strict faults become in-band Err (never retried by
-// the parent), a lenient whole-shard panic becomes Lost plus the same
-// containment diagnostic the in-process driver would record.
+// the in-process shard pools do: strict faults become in-band Err
+// (never retried by the parent), a lenient whole-shard panic becomes
+// Lost plus the same containment diagnostic the in-process pool would
+// record.
 func (wk *shardWorker) run(t *shardrpc.Task) (res *shardrpc.Result) {
 	sh := shard{index: t.Shard}
 	for _, s := range t.Sources {
 		sh.sources = append(sh.sources, Source{Name: s.Name, Text: s.Text})
 	}
 	res = &shardrpc.Result{Shard: t.Shard}
-	// Progress is parent-side; these counters only satisfy runShard's
-	// signature (Progress is nil in a worker, so tick is a no-op).
-	procProg := &progressCounter{e: wk.eng, stage: telemetry.StageProcess, total: len(sh.sources)}
-	checkProg := &progressCounter{e: wk.eng, stage: telemetry.StageCheck, total: len(sh.sources)}
 	defer func() {
 		if r := recover(); r != nil {
-			d := diag.FromPanic(string(telemetry.StageCheck), shardLabel(sh), r)
+			d := diag.FromPanic(string(wk.stage), shardLabel(sh), r)
 			if wk.eng.opts.Strict {
 				*res = shardrpc.Result{Shard: t.Shard,
-					Err:   fmt.Sprintf("core: %s stage aborted (strict): %v", telemetry.StageCheck, d.AsError()),
+					Err:   fmt.Sprintf("core: %s stage aborted (strict): %v", wk.stage, d.AsError()),
 					Stack: d.Stack}
 				return
 			}
@@ -422,35 +394,28 @@ func (wk *shardWorker) run(t *shardrpc.Task) (res *shardrpc.Result) {
 		}
 		res.Diags = append(wk.takeDiags(), res.Diags...)
 	}()
-	sr, err := wk.eng.runShard(context.Background(), wk.dc, wk.cr, wk.checker, wk.combiner, wk.warm, wk.checkFP, sh, procProg, checkProg)
+	tally, err := wk.body(sh, res)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	wk.fillResult(res, sr)
+	res.Skipped = tally.skipped
+	res.Lines = tally.lines
+	if len(tally.patterns) > 0 {
+		res.Patterns = tally.patterns
+	}
 	return res
 }
 
-// takeDiags drains the diagnostics recorded since the previous shard.
-func (wk *shardWorker) takeDiags() []diag.Diagnostic {
-	all := wk.dc.All()
-	out := all[wk.base:]
-	wk.base = len(all)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// fillResult flattens a shardResult onto the wire Result, entry by
-// entry; the accumulator's fold order (== shard order) is preserved by
-// construction because shardCheck appends rows and accumulator entries
-// in lockstep.
-func (wk *shardWorker) fillResult(res *shardrpc.Result, sr *shardResult) {
-	res.Skipped = sr.tally.skipped
-	res.Lines = sr.tally.lines
-	if len(sr.tally.patterns) > 0 {
-		res.Patterns = sr.tally.patterns
+// checkShard is a check job's shard body: runShard, flattened onto the
+// wire Result entry by entry. The accumulator's fold order (== shard
+// order) is preserved by construction because shardCheck appends rows
+// and accumulator entries in lockstep.
+func (wk *shardWorker) checkShard(sh shard, res *shardrpc.Result) (*corpusTally, error) {
+	prog := &progressCounter{e: wk.eng} // Progress is parent-side: ticks are no-ops here
+	sr, err := wk.eng.runShard(context.Background(), wk.dc, wk.cr, wk.checker, wk.combiner, wk.warm, wk.checkFP, sh, prog, prog)
+	if err != nil {
+		return nil, err
 	}
 	for j := range sr.rows {
 		row := &sr.rows[j]
@@ -479,6 +444,30 @@ func (wk *shardWorker) fillResult(res *shardrpc.Result, sr *shardResult) {
 		c.Contrib = sites
 		res.Configs = append(res.Configs, c)
 	}
+	return &sr.tally, nil
+}
+
+// learnShard is a learn job's shard body: runLearnShard, shipping the
+// shard's exported accumulator as the Result's State.
+func (wk *shardWorker) learnShard(sh shard, res *shardrpc.Result) (*corpusTally, error) {
+	prog := &progressCounter{e: wk.eng} // Progress is parent-side: ticks are no-ops here
+	sr, err := wk.eng.runLearnShard(context.Background(), wk.dc, wk.cr, wk.miner, sh, prog, prog)
+	if err != nil {
+		return nil, err
+	}
+	res.State = sr.acc.Export()
+	return &sr.tally, nil
+}
+
+// takeDiags drains the diagnostics recorded since the previous shard.
+func (wk *shardWorker) takeDiags() []diag.Diagnostic {
+	all := wk.dc.All()
+	out := all[wk.base:]
+	wk.base = len(all)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // --- chaos hooks ---
@@ -549,7 +538,8 @@ func (c workerChaos) maybeStall(t *shardrpc.Task) {
 
 // writeResult ships a Result, corrupting the frame's last payload byte
 // on the configured shard's first attempt — a torn write the parent's
-// checksum must catch and retry, never half-apply.
+// checksum must catch and retry, never half-apply (or half-import, for
+// a learn job's accumulator state).
 func (c workerChaos) writeResult(w io.Writer, t *shardrpc.Task, res *shardrpc.Result) error {
 	if t.Shard != c.corruptShard || t.Attempt != 0 {
 		return shardrpc.WriteResult(w, res)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"concord/internal/contracts"
 	"concord/internal/lexer"
 	"concord/internal/netdata"
 	"concord/internal/telemetry"
@@ -153,6 +155,85 @@ func TestDistProcessWarmReplay(t *testing.T) {
 	assertSameCheck(t, "in-process warm after distributed cold", rep, base)
 	if hits := rec.Counter("artifact.cache_hits"); hits == 0 {
 		t.Error("in-process warm run hit no artifacts; workers did not populate the shared cache")
+	}
+}
+
+// TestDistNonDefaultOptions carries a non-default value of every
+// option in the process backend's options descriptor across the
+// process boundary: learn and check on 3 process shards must equal the
+// in-process run as full JSON, diagnostics included, and a
+// distributed cold run must populate the shared cache for an
+// in-process warm run under the same options — which only hits if the
+// worker's processing fingerprint equals the parent's.
+func TestDistNonDefaultOptions(t *testing.T) {
+	custom := func(o *Options) {
+		o.ContextEmbedding = false
+		o.ConstantLearning = true
+		o.Support = 3
+		o.Confidence = 0.9
+		o.ScoreThreshold = 4
+		o.MaxFanout = 16
+		o.LexCacheSize = -1
+		o.Categories = []contracts.Category{contracts.CatPresent, contracts.CatRelation, contracts.CatUnique, contracts.CatSequence}
+		o.Limits.MaxLineLen = 18
+		o.UserTokens = []lexer.TokenSpec{{Name: "vlanid", Pattern: `vlan [0-9]+`, WordBoundary: true}}
+	}
+	opts := DefaultOptions()
+	custom(&opts)
+	train, test := chaosSources(24), shardCorpus(24)
+	// Every line of these stays under the 18-byte limit, so they process
+	// cleanly and are the configurations the cache stores.
+	for i := 0; i < 4; i++ {
+		test = append(test, Source{Name: fmt.Sprintf("s%d.cfg", i), Text: []byte(fmt.Sprintf("hostname s%d\nvlan %d\n", i, 10+i))})
+	}
+	fullJSON := func(v any) string {
+		b, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	base, err := MustNew(opts).Learn(train, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Set.Len() == 0 || len(base.Diagnostics) == 0 {
+		t.Fatalf("baseline learned %d contracts with %d diagnostics; the corpus does not exercise the options",
+			base.Set.Len(), len(base.Diagnostics))
+	}
+	rec := telemetry.NewRecorder()
+	dist, err := distEngine(t, 3, 2, func(o *Options) { custom(o); o.Telemetry = rec }).Learn(train, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fullJSON(dist), fullJSON(base); got != want {
+		t.Errorf("process-backend learn diverges:\n got %s\nwant %s", got, want)
+	}
+	if n := rec.Counter("mine.shard_dispatches"); n != 3 {
+		t.Errorf("mine.shard_dispatches = %d, want 3", n)
+	}
+
+	want, err := MustNew(opts).Check(base.Set, test, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := openTestCache(t)
+	cold, err := distEngine(t, 3, 2, func(o *Options) { custom(o); o.Artifacts = cache; o.Incremental = true }).Check(base.Set, test, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := checkJSON(t, cold); got != checkJSON(t, want) {
+		t.Errorf("process-backend check diverges:\n got %s\nwant %s", got, checkJSON(t, want))
+	}
+	warmOpts := opts
+	warmRec := telemetry.NewRecorder()
+	warmOpts.Artifacts, warmOpts.Telemetry = cache, warmRec
+	if _, err := MustNew(warmOpts).Check(base.Set, test, nil); err != nil {
+		t.Fatal(err)
+	}
+	if hits := warmRec.Counter("artifact.cache_hits"); hits == 0 {
+		t.Error("in-process warm run hit no artifacts the workers wrote; the processing fingerprints differ across the process boundary")
 	}
 }
 

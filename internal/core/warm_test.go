@@ -147,6 +147,33 @@ func TestWarmRunLexArtifactsOnly(t *testing.T) {
 	}
 }
 
+// TestWarmLexKeyCoversProcessingOnly: the lex-artifact key hashes the
+// processing part of the options and nothing else. A mining option
+// change (Support) still replays every lex artifact; a processing
+// option change (ContextEmbedding) misses them all.
+func TestWarmLexKeyCoversProcessingOnly(t *testing.T) {
+	test := chaosSources(6)
+	cache := openTestCache(t)
+	learnHits := func(mutate func(*Options)) int64 {
+		t.Helper()
+		opts := DefaultOptions()
+		rec := telemetry.NewRecorder()
+		opts.Artifacts, opts.Telemetry = cache, rec
+		mutate(&opts)
+		if _, err := MustNew(opts).Learn(test, nil); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Counter("artifact.cache_hits")
+	}
+	learnHits(func(*Options) {})
+	if hits, want := learnHits(func(o *Options) { o.Support = 3 }), int64(len(test)); hits != want {
+		t.Errorf("Support change: %d lex artifact hits, want %d", hits, want)
+	}
+	if hits := learnHits(func(o *Options) { o.ContextEmbedding = false }); hits != 0 {
+		t.Errorf("ContextEmbedding change: %d lex artifact hits, want 0", hits)
+	}
+}
+
 // TestWarmRunUniqueCrossConfigExact changes one config between runs so
 // that its new value duplicates a value held by a cached, unchanged
 // config. The incremental unique merge (cached multisets + fresh

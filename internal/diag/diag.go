@@ -16,11 +16,13 @@
 package diag
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
+	"slices"
 	"sync"
 )
 
@@ -77,14 +79,10 @@ type jsonDiagnostic struct {
 // MarshalJSON serializes the diagnostic with Cause rendered as text
 // under the "error" key.
 func (d Diagnostic) MarshalJSON() ([]byte, error) {
-	jd := jsonDiagnostic{
+	return json.Marshal(jsonDiagnostic{
 		Severity: d.Severity, Stage: d.Stage, Source: d.Source,
-		Line: d.Line, Message: d.Message, Stack: d.Stack,
-	}
-	if d.Cause != nil {
-		jd.Cause = d.Cause.Error()
-	}
-	return json.Marshal(jd)
+		Line: d.Line, Message: d.Message, Cause: causeText(d.Cause), Stack: d.Stack,
+	})
 }
 
 // UnmarshalJSON restores a serialized diagnostic; a non-empty "error"
@@ -231,6 +229,33 @@ func (c *Collector) All() []Diagnostic {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Diagnostic(nil), c.ds...)
+}
+
+// Sorted returns a copy of the collected diagnostics in canonical
+// order: stage, source, line, message, severity, then cause text. A
+// run's report uses it so the order does not depend on which worker,
+// shard, or process recorded a diagnostic first. All keeps insertion
+// order, which callers that drain a collector by position rely on.
+func (c *Collector) Sorted() []Diagnostic {
+	ds := c.All()
+	slices.SortStableFunc(ds, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.Stage, b.Stage),
+			cmp.Compare(a.Source, b.Source),
+			cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Message, b.Message),
+			cmp.Compare(a.Severity, b.Severity),
+			cmp.Compare(causeText(a.Cause), causeText(b.Cause)),
+		)
+	})
+	return ds
+}
+
+func causeText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // Merge appends every diagnostic of other into c. The engine uses it to

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"os"
 	"strings"
@@ -13,50 +14,68 @@ import (
 	"concord/internal/netdata"
 )
 
-// TestServeLearnShardValidation: POST /v1/learn rejects malformed shard
-// selections with a 400 at submit time — never by accepting a job that
-// is doomed to fail asynchronously.
+// TestServeLearnShardValidation: POST /v1/learn and POST /v1/check
+// reject malformed shard selections with a 400 before any work starts
+// — never by accepting a learn job doomed to fail asynchronously, and
+// never by failing a check with a 500 halfway through. Both endpoints
+// apply the engine's one rule (core.Options.ValidateSharding), so
+// every row runs against both.
 func TestServeLearnShardValidation(t *testing.T) {
 	train := toJSONSources(fixtureSources(4))
-	_, base := startServer(t, core.DefaultOptions(), Options{})
-
-	for _, tc := range []struct {
-		name string
-		req  LearnRequest
-		want string
-	}{
-		{"negative shards", LearnRequest{Configs: train, Shards: -1}, "non-negative"},
-		{"negative workers", LearnRequest{Configs: train, ShardWorkers: -2}, "non-negative"},
-		{"unknown backend", LearnRequest{Configs: train, ShardBackend: "threads"}, "unknown shard_backend"},
-	} {
-		status, body := postJSON(t, base+"/v1/learn", tc.req)
-		if status != http.StatusBadRequest {
-			t.Errorf("%s = %d (%s), want 400", tc.name, status, body)
-		} else if !strings.Contains(string(body), tc.want) {
-			t.Errorf("%s error %s does not mention %q", tc.name, body, tc.want)
-		}
-	}
-
+	set := learnSet(t)
 	// A server whose engine options carry a func-valued user token can
-	// serve in-process learns, but a process-backend learn request must
-	// be refused: the Parse func cannot cross the process boundary.
+	// serve in-process work, but the process backend must be refused:
+	// the Parse func cannot cross the process boundary.
 	funcOpts := core.DefaultOptions()
 	funcOpts.UserTokens = []lexer.TokenSpec{{
 		Name:    "odd",
 		Pattern: `odd[0-9]+`,
 		Parse:   func(s string) (netdata.Value, error) { return nil, nil },
 	}}
-	_, fbase := startServer(t, funcOpts, Options{})
-	status, body := postJSON(t, fbase+"/v1/learn", LearnRequest{
-		Configs: train, ShardBackend: core.ShardBackendProcess,
-	})
-	if status != http.StatusBadRequest {
-		t.Errorf("process backend over func token = %d (%s), want 400", status, body)
-	} else if !strings.Contains(string(body), "cannot serialize") {
-		t.Errorf("process-backend error %s does not explain the serialization limit", body)
+	type row struct {
+		name string
+		req  map[string]any
+		want string
 	}
-	// The same request without the backend override still learns fine.
-	status, body = postJSON(t, fbase+"/v1/learn", LearnRequest{Configs: train})
+	var fbase string
+	for _, server := range []struct {
+		opts core.Options
+		rows []row
+	}{
+		{core.DefaultOptions(), []row{
+			{"negative shards", map[string]any{"shards": -1}, "non-negative"},
+			{"negative workers", map[string]any{"shard_workers": -2}, "non-negative"},
+			{"unknown backend", map[string]any{"shard_backend": "threads"}, "unknown shard backend"},
+		}},
+		{funcOpts, []row{
+			{"process backend over func token", map[string]any{"shard_backend": core.ShardBackendProcess}, "cannot serialize"},
+			{"sharded process backend over func token", map[string]any{"shards": 2, "shard_backend": core.ShardBackendProcess}, "cannot serialize"},
+		}},
+	} {
+		// Servers start one after the other so each one's goroutine
+		// baseline already counts the previous one's client connections.
+		_, base := startServer(t, server.opts, Options{})
+		fbase = base
+		for _, endpoint := range []string{"/v1/learn", "/v1/check"} {
+			for _, tc := range server.rows {
+				req := map[string]any{"configs": train}
+				if endpoint == "/v1/check" {
+					req["contracts"] = set
+				}
+				maps.Copy(req, tc.req)
+				status, body := postJSON(t, base+endpoint, req)
+				if status != http.StatusBadRequest {
+					t.Errorf("%s %s = %d (%s), want 400", endpoint, tc.name, status, body)
+				} else if !strings.Contains(string(body), tc.want) {
+					t.Errorf("%s %s error %s does not mention %q", endpoint, tc.name, body, tc.want)
+				}
+			}
+		}
+	}
+
+	// The same learn request without the backend override still learns
+	// fine.
+	status, body := postJSON(t, fbase+"/v1/learn", LearnRequest{Configs: train})
 	if status != http.StatusAccepted {
 		t.Fatalf("in-process learn on func-token server = %d: %s", status, body)
 	}

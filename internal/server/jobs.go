@@ -276,36 +276,11 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: learn request carries no configs", core.ErrNoSources))
 		return
 	}
-	if req.Shards < 0 || req.ShardWorkers < 0 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("shards and shard_workers must be non-negative (got %d, %d)", req.Shards, req.ShardWorkers))
+	// A selection the engine would refuse (including the process
+	// backend over func-valued options) is refused at submit time with
+	// a 400, rather than accepted as a job doomed to fail.
+	if !s.validShardSelection(w, req.Shards, req.ShardWorkers, req.ShardBackend) {
 		return
-	}
-	switch req.ShardBackend {
-	case "", core.ShardBackendInProcess, core.ShardBackendProcess:
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown shard_backend %q (want %q or %q)",
-				req.ShardBackend, core.ShardBackendInProcess, core.ShardBackendProcess))
-		return
-	}
-	// The process backend cannot serialize func-valued engine options
-	// across the process boundary (the same rule Options.Validate
-	// enforces); reject the combination at submit time with a 400
-	// rather than accepting a job doomed to fail.
-	if req.ShardBackend == core.ShardBackendProcess {
-		if len(s.engineOpts.ExtraTransforms) > 0 || len(s.engineOpts.ExtraRelations) > 0 {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("shard_backend %q cannot serialize this server's ExtraTransforms or ExtraRelations across the process boundary", req.ShardBackend))
-			return
-		}
-		for _, t := range s.engineOpts.UserTokens {
-			if t.Parse != nil {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("shard_backend %q cannot serialize the custom Parse func of user token %q", req.ShardBackend, t.Name))
-				return
-			}
-		}
 	}
 	j := s.jobs.create()
 	s.rec.Add("server.learn_jobs", 1)

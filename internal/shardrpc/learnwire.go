@@ -1,153 +1,16 @@
-// Learn-result frames (CCSL): the wire form of one shard's mining
-// evidence. A learn worker folds its corpus slice into a
-// mining.StatsAccumulator and ships the exported AccumulatorState —
-// every string lives in a dictionary and is referenced by 1-based ID,
-// so worker-process intern IDs never cross the wire; the parent
-// rebinds every reference onto its own intern table through an
+// Learn-side payload codecs: a learn worker folds its corpus slice into
+// a mining.StatsAccumulator and ships the exported AccumulatorState as
+// Result.State. Every string lives in a dictionary and is referenced by
+// 1-based ID, so worker-process intern IDs never cross the wire; the
+// parent rebinds every reference onto its own intern table through an
 // intern.Translator at import. Export order is canonical, so equal
-// accumulators always encode to equal bytes, and the whole frame rides
-// the same checksummed envelope as check results: a torn or corrupt
+// accumulators always encode to equal bytes, and the state rides the
+// same checksummed Result frame as check outcomes: a torn or corrupt
 // frame errors at the frame layer and is retried by the pool, never
 // half-applied.
 package shardrpc
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-
-	"concord/internal/artifact"
-	"concord/internal/diag"
-	"concord/internal/mining"
-)
-
-// LearnResult is one shard's complete learn outcome. Err, Stack, Lost,
-// and Diags carry the same failure taxonomy as the check Result: a
-// non-empty Err is a deterministic in-band failure the parent never
-// retries; Lost is a worker-contained whole-shard panic in lenient
-// mode. State is nil exactly when the shard produced no evidence (Err
-// or Lost).
-type LearnResult struct {
-	Shard int
-	Err   string
-	Stack string
-	Lost  bool
-	// State is the shard's exported mining evidence.
-	State *mining.AccumulatorState
-	// Skipped, Lines, and Patterns are the shard's corpus statistics
-	// (ProcessStats inputs), mirroring the check Result fields.
-	Skipped  int
-	Lines    int
-	Patterns map[string]int
-	Diags    []diag.Diagnostic
-}
-
-// ShardIndex identifies the shard this result answers for (the pool's
-// echo check).
-func (res *LearnResult) ShardIndex() int { return res.Shard }
-
-// ErrText returns the in-band failure text, empty on success.
-func (res *LearnResult) ErrText() string { return res.Err }
-
-// ShardIndex identifies the shard this result answers for.
-func (res *Result) ShardIndex() int { return res.Shard }
-
-// ErrText returns the in-band failure text, empty on success.
-func (res *Result) ErrText() string { return res.Err }
-
-// EncodeLearnResult serializes a LearnResult payload (frame not
-// included). Map keys are encoded in sorted order so the same result
-// always encodes to the same bytes.
-func EncodeLearnResult(res *LearnResult) []byte {
-	w := &writer{}
-	w.uvarint(uint64(res.Shard))
-	w.str(res.Err)
-	w.str(res.Stack)
-	w.bool(res.Lost)
-	w.bool(res.State != nil)
-	if res.State != nil {
-		encodeAccState(w, res.State)
-	}
-	w.uvarint(uint64(res.Skipped))
-	w.uvarint(uint64(res.Lines))
-	encodePatternCounts(w, res.Patterns)
-	diags, _ := json.Marshal(res.Diags)
-	w.bytes(diags)
-	return w.b
-}
-
-// DecodeLearnResult parses a LearnResult payload, returning an error on
-// any defect — a malformed field never yields a partial result.
-func DecodeLearnResult(payload []byte) (*LearnResult, error) {
-	r := &reader{b: payload}
-	res := &LearnResult{}
-	res.Shard = int(r.uvarint())
-	res.Err = r.str()
-	res.Stack = r.str()
-	res.Lost = r.bool()
-	if r.bool() {
-		res.State = decodeAccState(r)
-	}
-	res.Skipped = int(r.uvarint())
-	res.Lines = int(r.uvarint())
-	res.Patterns = decodePatternCounts(r)
-	diags := r.bytes()
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	if len(diags) > 0 {
-		if err := json.Unmarshal(diags, &res.Diags); err != nil {
-			return nil, fmt.Errorf("shardrpc: bad diagnostics JSON: %w", err)
-		}
-	}
-	return res, nil
-}
-
-// WriteLearnResult frames and writes a LearnResult to w.
-func WriteLearnResult(w io.Writer, res *LearnResult) error {
-	return artifact.WriteFrame(w, LearnResultMagic, SchemaVersion, EncodeLearnResult(res))
-}
-
-// ReadLearnResult reads and decodes one framed LearnResult from r.
-func ReadLearnResult(r io.Reader) (*LearnResult, error) {
-	payload, err := artifact.ReadFrame(r, LearnResultMagic, SchemaVersion, MaxLearnResultBytes)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeLearnResult(payload)
-}
-
-func encodePatternCounts(w *writer, patterns map[string]int) {
-	pats := sortedMapKeys(patterns)
-	w.uvarint(uint64(len(pats)))
-	for _, p := range pats {
-		w.str(p)
-		w.uvarint(uint64(patterns[p]))
-	}
-}
-
-func decodePatternCounts(r *reader) map[string]int {
-	n := r.count()
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make(map[string]int, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		p := r.str()
-		out[p] = int(r.uvarint())
-	}
-	return out
-}
-
-func sortedMapKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+import "concord/internal/mining"
 
 // --- AccumulatorState codec ---
 //

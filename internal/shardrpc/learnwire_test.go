@@ -16,17 +16,12 @@ func testLearnJob() *Job {
 	job := testJob()
 	job.Learn = true
 	job.SetJSON = nil
-	job.Support = 5
-	job.Confidence = 0.96
-	job.ScoreThreshold = 8
-	job.MaxFanout = 64
-	job.ConstantLearning = true
-	job.Categories = []string{"present", "unique"}
 	return job
 }
 
-func testLearnResult() *LearnResult {
-	return &LearnResult{
+// testLearnResult is a learn job's Result: State instead of Configs.
+func testLearnResult() *Result {
+	return &Result{
 		Shard: 2,
 		State: &mining.AccumulatorState{
 			NConfigs: 3,
@@ -60,9 +55,9 @@ func testLearnResult() *LearnResult {
 	}
 }
 
-// TestLearnWireRoundTrip pushes a learn Job and a CCSL learn result
-// through Write and Read and requires the decoded values to match
-// field for field — the exported accumulator state included.
+// TestLearnWireRoundTrip pushes a learn Job and a learn Result through
+// Write and Read and requires the decoded values to match field for
+// field — the exported accumulator state included.
 func TestLearnWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	job := testLearnJob()
@@ -70,7 +65,7 @@ func TestLearnWireRoundTrip(t *testing.T) {
 	if err := WriteJob(&buf, job); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteLearnResult(&buf, res); err != nil {
+	if err := WriteResult(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	gotJob, err := ReadJob(&buf)
@@ -84,7 +79,7 @@ func TestLearnWireRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotJob, job) {
 		t.Errorf("learn job round-trip diverged:\n got %+v\nwant %+v", gotJob, job)
 	}
-	gotRes, err := ReadLearnResult(&buf)
+	gotRes, err := ReadResult(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +90,7 @@ func TestLearnWireRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotRes, res) {
 		t.Errorf("learn result round-trip diverged:\n got %+v\nwant %+v", gotRes, res)
 	}
-	if _, err := ReadLearnResult(&buf); err != io.EOF {
+	if _, err := ReadResult(&buf); err != io.EOF {
 		t.Errorf("drained stream = %v, want io.EOF", err)
 	}
 }
@@ -105,15 +100,15 @@ func TestLearnWireRoundTrip(t *testing.T) {
 // must decode as nil (which the parent treats as shard loss), never as
 // a zero-valued accumulator.
 func TestLearnResultLostRoundTrip(t *testing.T) {
-	for _, res := range []*LearnResult{
+	for _, res := range []*Result{
 		{Shard: 1, Lost: true, Diags: []diag.Diagnostic{{Severity: diag.SevError, Stage: "mine", Source: "shard 1", Message: "recovered panic"}}},
 		{Shard: 4, Err: "core: mine stage aborted (strict): boom", Stack: "stack..."},
 	} {
 		var buf bytes.Buffer
-		if err := WriteLearnResult(&buf, res); err != nil {
+		if err := WriteResult(&buf, res); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadLearnResult(&buf)
+		got, err := ReadResult(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,49 +121,33 @@ func TestLearnResultLostRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLearnWireDeterministicEncoding requires EncodeLearnResult to be
-// a pure function of the value, map iteration order notwithstanding.
+// TestLearnWireDeterministicEncoding requires EncodeResult to be a
+// pure function of a learn Result too, map iteration order
+// notwithstanding.
 func TestLearnWireDeterministicEncoding(t *testing.T) {
-	a := EncodeLearnResult(testLearnResult())
+	a := EncodeResult(testLearnResult())
 	for i := 0; i < 16; i++ {
-		if b := EncodeLearnResult(testLearnResult()); !bytes.Equal(a, b) {
-			t.Fatal("EncodeLearnResult is not deterministic across runs")
+		if b := EncodeResult(testLearnResult()); !bytes.Equal(a, b) {
+			t.Fatal("EncodeResult is not deterministic across runs")
 		}
 	}
 }
 
-// FuzzLearnFrame feeds arbitrary bytes to the framed CCSL reader and
-// the raw decoder: truncated, bit-flipped, or version-skewed learn
-// frames must decode to an error — never a panic, and never a
-// silently partial accumulator state.
+// FuzzLearnFrame is FuzzShardFrame's decoder contract over learn-shaped
+// Result frames — the ones carrying an exported accumulator state —
+// and is the fuzz gate of the sharded learning suite.
 func FuzzLearnFrame(f *testing.F) {
-	payload := EncodeLearnResult(testLearnResult())
-	valid := artifact.EncodeFrame(LearnResultMagic, SchemaVersion, payload)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:10])
-	f.Add(artifact.EncodeFrame(LearnResultMagic, SchemaVersion+7, payload))
-	f.Add(artifact.EncodeFrame(ResultMagic, SchemaVersion, payload))
-	flip := append([]byte(nil), valid...)
-	flip[len(flip)/2] ^= 0x40
-	f.Add(flip)
-	head := append([]byte(nil), valid...)
-	head[5] ^= 0x01
-	f.Add(head)
+	payload := EncodeResult(testLearnResult())
+	for _, seed := range frameSeeds(ResultMagic, payload)[:3] {
+		f.Add(seed)
+	}
+	f.Add(artifact.EncodeFrame(ResultMagic, SchemaVersion+7, payload))
+	f.Add(artifact.EncodeFrame(TaskMagic, SchemaVersion, payload))
+	for _, seed := range frameSeeds(ResultMagic, payload)[4:] {
+		f.Add(seed)
+	}
 	f.Add(payload) // bare payload without a frame header
 	f.Add([]byte{})
-	f.Add([]byte("CCSL garbage that is not a frame"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if res, err := ReadLearnResult(bytes.NewReader(data)); err == nil {
-			if res == nil {
-				t.Fatal("ReadLearnResult: nil result without error")
-			}
-		} else if err == io.EOF && len(data) > 0 {
-			t.Fatal("ReadLearnResult: io.EOF on a non-empty defective stream")
-		}
-		if res, err := DecodeLearnResult(data); err == nil && res == nil {
-			t.Fatal("DecodeLearnResult: nil result without error")
-		}
-	})
+	f.Add([]byte("CCSR garbage that is not a frame"))
+	f.Fuzz(fuzzFrameDecoders)
 }

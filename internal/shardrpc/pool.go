@@ -71,12 +71,10 @@ type PoolOptions struct {
 	FailFast bool
 	// Telemetry receives the scheduler counters (shard.dispatches,
 	// shard.retries, shard.speculative_wins, worker.spawns,
-	// worker.crashes) and per-shard wall-time spans. Nil is free.
+	// worker.crashes) and per-shard wall-time spans, named
+	// dist.shard[N] for check jobs and dist.learn[N] for learn jobs.
+	// Nil is free.
 	Telemetry *telemetry.Recorder
-	// SpanPrefix names the per-shard telemetry spans: "<prefix>[N]".
-	// Empty selects "dist.shard"; the learn driver passes "dist.learn"
-	// so a mixed workload's spans stay distinguishable.
-	SpanPrefix string
 }
 
 const (
@@ -99,31 +97,11 @@ type ShardFailure struct {
 	Attempts int
 }
 
-// poolResult is what the generic scheduler needs from a wire result
-// type: the shard echo (round-trip integrity) and the in-band failure
-// text (FailFast). *Result and *LearnResult implement it.
-type poolResult interface {
-	ShardIndex() int
-	ErrText() string
-}
-
-// Run executes every check task and returns results indexed like
-// tasks. results[i] is nil exactly when tasks[i] appears in failures.
-// The returned error is non-nil only for run-level aborts: context
-// cancellation, or the first failure under FailFast.
+// Run executes every task of a check or learn job and returns results
+// indexed like tasks. results[i] is nil exactly when tasks[i] appears
+// in failures. The returned error is non-nil only for run-level aborts:
+// context cancellation, or the first failure under FailFast.
 func Run(ctx context.Context, job *Job, tasks []Task, opts PoolOptions) ([]*Result, []ShardFailure, error) {
-	return runPool(ctx, job, tasks, opts, ReadResult)
-}
-
-// RunLearn is Run for learn jobs: workers answer CCSL learn-result
-// frames, with the same scheduler, retry, and speculation policy.
-func RunLearn(ctx context.Context, job *Job, tasks []Task, opts PoolOptions) ([]*LearnResult, []ShardFailure, error) {
-	return runPool(ctx, job, tasks, opts, ReadLearnResult)
-}
-
-// runPool is the shared scheduler entry, generic over the result frame
-// type; read decodes one framed result from a worker's stdout.
-func runPool[R poolResult](ctx context.Context, job *Job, tasks []Task, opts PoolOptions, read func(io.Reader) (R, error)) ([]R, []ShardFailure, error) {
 	if len(tasks) == 0 {
 		return nil, nil, nil
 	}
@@ -145,28 +123,28 @@ func runPool[R poolResult](ctx context.Context, job *Job, tasks []Task, opts Poo
 	if opts.SpeculativeFloor <= 0 {
 		opts.SpeculativeFloor = defaultSpecFloor
 	}
-	if opts.SpanPrefix == "" {
-		opts.SpanPrefix = "dist.shard"
+	s := &scheduler{
+		opts:       opts,
+		job:        job,
+		spanPrefix: "dist.shard",
+		tasks:      tasks,
+		results:    make([]*Result, len(tasks)),
+		state:      make([]taskState, len(tasks)),
+		events:     make(chan event, opts.Workers),
 	}
-	s := &scheduler[R]{
-		opts:    opts,
-		job:     job,
-		tasks:   tasks,
-		read:    read,
-		results: make([]R, len(tasks)),
-		state:   make([]taskState, len(tasks)),
-		events:  make(chan event[R], opts.Workers),
+	if job.Learn {
+		s.spanPrefix = "dist.learn"
 	}
 	return s.run(ctx)
 }
 
 // event is one slot's report back to the scheduler: a result, or a
 // transport error.
-type event[R poolResult] struct {
+type event struct {
 	slot    int
 	task    int
 	spec    bool
-	res     R
+	res     *Result
 	err     error
 	elapsed time.Duration
 }
@@ -190,35 +168,35 @@ type taskState struct {
 	slots    []int // slots currently running this task
 }
 
-type scheduler[R poolResult] struct {
-	opts    PoolOptions
-	job     *Job
-	tasks   []Task
-	read    func(io.Reader) (R, error)
-	results []R
-	state   []taskState
+type scheduler struct {
+	opts PoolOptions
+	job  *Job
+	// spanPrefix names the per-shard spans: dist.shard or dist.learn.
+	spanPrefix string
+	tasks      []Task
+	results    []*Result
+	state      []taskState
 
-	events chan event[R]
-	slots  []*slot[R]
+	events chan event
+	slots  []*slot
 
 	completed []time.Duration
 	pending   []int
 	idle      []int
 }
 
-func (s *scheduler[R]) run(ctx context.Context) ([]R, []ShardFailure, error) {
+func (s *scheduler) run(ctx context.Context) ([]*Result, []ShardFailure, error) {
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	jobFrame := artifact.EncodeFrame(JobMagic, SchemaVersion, EncodeJob(s.job))
 	var wg sync.WaitGroup
-	s.slots = make([]*slot[R], s.opts.Workers)
+	s.slots = make([]*slot, s.opts.Workers)
 	for i := range s.slots {
-		sl := &slot[R]{
+		sl := &slot{
 			id:       i,
 			opts:     &s.opts,
 			tasks:    s.tasks,
-			read:     s.read,
 			jobFrame: jobFrame,
 			reqs:     make(chan attempt),
 			events:   s.events,
@@ -306,7 +284,7 @@ func (s *scheduler[R]) run(ctx context.Context) ([]R, []ShardFailure, error) {
 			for _, other := range append([]int(nil), st.slots...) {
 				s.slots[other].killCurrent()
 			}
-			if s.opts.FailFast && ev.res.ErrText() != "" {
+			if s.opts.FailFast && ev.res.Err != "" {
 				return s.results, failures, nil
 			}
 		}
@@ -315,7 +293,7 @@ func (s *scheduler[R]) run(ctx context.Context) ([]R, []ShardFailure, error) {
 }
 
 // feed assigns pending tasks to idle slots.
-func (s *scheduler[R]) feed() {
+func (s *scheduler) feed() {
 	for len(s.pending) > 0 && len(s.idle) > 0 {
 		task := s.pending[0]
 		s.pending = s.pending[1:]
@@ -325,10 +303,10 @@ func (s *scheduler[R]) feed() {
 	}
 }
 
-func (s *scheduler[R]) dispatch(task, slotID int, spec bool) {
+func (s *scheduler) dispatch(task, slotID int, spec bool) {
 	st := &s.state[task]
 	if st.dispatch == 0 {
-		st.span = s.opts.Telemetry.StartSpan(fmt.Sprintf("%s[%d]", s.opts.SpanPrefix, s.tasks[task].Shard))
+		st.span = s.opts.Telemetry.StartSpan(fmt.Sprintf("%s[%d]", s.spanPrefix, s.tasks[task].Shard))
 		st.started = time.Now()
 	}
 	a := attempt{task: task, attempt: st.dispatch, spec: spec}
@@ -346,7 +324,7 @@ func (s *scheduler[R]) dispatch(task, slotID int, spec bool) {
 // a task with exactly one attempt in flight, older than
 // max(floor, multiple × median completed duration), gets a duplicate
 // dispatch; whichever attempt returns first wins.
-func (s *scheduler[R]) speculate() {
+func (s *scheduler) speculate() {
 	if s.opts.SpeculativeMultiple < 0 || len(s.idle) == 0 || len(s.pending) > 0 {
 		return
 	}
@@ -388,14 +366,13 @@ func removeSlot(slots []int, id int) []int {
 
 // --- worker slot: owns at most one child process at a time ---
 
-type slot[R poolResult] struct {
+type slot struct {
 	id       int
 	opts     *PoolOptions
 	tasks    []Task
-	read     func(io.Reader) (R, error)
 	jobFrame []byte
 	reqs     chan attempt
-	events   chan<- event[R]
+	events   chan<- event
 
 	mu   sync.Mutex
 	proc *workerProc
@@ -409,39 +386,38 @@ type workerProc struct {
 	stderr *tailBuffer
 }
 
-func (sl *slot[R]) loop(ctx context.Context) {
+func (sl *slot) loop(ctx context.Context) {
 	defer sl.reapCurrent()
 	for a := range sl.reqs {
 		start := time.Now()
 		res, err := sl.roundTrip(ctx, a)
-		sl.events <- event[R]{
+		sl.events <- event{
 			slot: sl.id, task: a.task, spec: a.spec,
 			res: res, err: err, elapsed: time.Since(start),
 		}
 	}
 }
 
-func (sl *slot[R]) roundTrip(ctx context.Context, a attempt) (R, error) {
-	var zero R
+func (sl *slot) roundTrip(ctx context.Context, a attempt) (*Result, error) {
 	proc, err := sl.ensureProc(ctx)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	t := sl.taskFor(a)
 	if err := WriteTask(proc.stdin, &t); err != nil {
-		return zero, sl.crash(proc, fmt.Errorf("shardrpc: write task: %w", err))
+		return nil, sl.crash(proc, fmt.Errorf("shardrpc: write task: %w", err))
 	}
-	res, err := sl.read(proc.stdout)
+	res, err := ReadResult(proc.stdout)
 	if err != nil {
-		return zero, sl.crash(proc, fmt.Errorf("shardrpc: read result: %w", err))
+		return nil, sl.crash(proc, fmt.Errorf("shardrpc: read result: %w", err))
 	}
-	if res.ShardIndex() != t.Shard {
-		return zero, sl.crash(proc, fmt.Errorf("shardrpc: worker answered shard %d for task shard %d", res.ShardIndex(), t.Shard))
+	if res.Shard != t.Shard {
+		return nil, sl.crash(proc, fmt.Errorf("shardrpc: worker answered shard %d for task shard %d", res.Shard, t.Shard))
 	}
 	return res, nil
 }
 
-func (sl *slot[R]) taskFor(a attempt) Task {
+func (sl *slot) taskFor(a attempt) Task {
 	t := sl.tasks[a.task]
 	t.Attempt = a.attempt
 	return t
@@ -449,7 +425,7 @@ func (sl *slot[R]) taskFor(a attempt) Task {
 
 // ensureProc returns the slot's live process, spawning one (and
 // writing the Job frame) if needed.
-func (sl *slot[R]) ensureProc(ctx context.Context) (*workerProc, error) {
+func (sl *slot) ensureProc(ctx context.Context) (*workerProc, error) {
 	sl.mu.Lock()
 	if sl.proc != nil {
 		p := sl.proc
@@ -492,7 +468,7 @@ func (sl *slot[R]) ensureProc(ctx context.Context) (*workerProc, error) {
 // crash records a dead worker: the process is killed and reaped, the
 // slot left empty for a lazy respawn, and the error annotated with the
 // worker's final stderr.
-func (sl *slot[R]) crash(proc *workerProc, err error) error {
+func (sl *slot) crash(proc *workerProc, err error) error {
 	sl.opts.Telemetry.Add("worker.crashes", 1)
 	sl.reap(proc)
 	if tail := proc.stderr.String(); tail != "" {
@@ -504,7 +480,7 @@ func (sl *slot[R]) crash(proc *workerProc, err error) error {
 // killCurrent kills the slot's live process, if any. The slot's
 // goroutine, if blocked mid-round-trip on that process, errors out of
 // the read and reports a transport failure.
-func (sl *slot[R]) killCurrent() {
+func (sl *slot) killCurrent() {
 	sl.mu.Lock()
 	proc := sl.proc
 	sl.mu.Unlock()
@@ -515,7 +491,7 @@ func (sl *slot[R]) killCurrent() {
 
 // reapCurrent kills and waits out the slot's live process, if any —
 // the slot goroutine's exit path, so no zombie survives the drain.
-func (sl *slot[R]) reapCurrent() {
+func (sl *slot) reapCurrent() {
 	sl.mu.Lock()
 	proc := sl.proc
 	sl.mu.Unlock()
@@ -525,7 +501,7 @@ func (sl *slot[R]) reapCurrent() {
 }
 
 // reap kills and waits out a process, releasing its pipes.
-func (sl *slot[R]) reap(proc *workerProc) {
+func (sl *slot) reap(proc *workerProc) {
 	sl.mu.Lock()
 	if sl.proc == proc {
 		sl.proc = nil

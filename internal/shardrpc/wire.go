@@ -1,5 +1,5 @@
-// Package shardrpc is the wire protocol between a sharded check run
-// and its worker processes. The parent serializes the run's check
+// Package shardrpc is the wire protocol between a sharded check or
+// learn run and its worker processes. The parent serializes the run's
 // configuration once as a Job, then streams one Task per shard over
 // the worker's stdin and reads one Result per Task from its stdout.
 // Every message travels inside an artifact frame (magic, schema,
@@ -11,11 +11,13 @@
 // bounded by the remaining input, length-prefixed strings, a sticky
 // decode error, and an exact trailing-bytes check. Everything that
 // crosses the wire is plain values — names, violation fields, site
-// lists, coverage counts — never process-local state like intern IDs
-// or compiled patterns, which is what keeps a distributed run
-// byte-identical to the in-process driver: the parent merges worker
-// Results through exactly the code path that merges in-process shard
-// results.
+// lists, coverage counts, dictionary-encoded mining evidence — never
+// process-local state like intern IDs or compiled patterns, which is
+// what keeps a distributed run byte-identical to the in-process
+// driver: the parent merges worker Results through exactly the code
+// path that merges in-process shard results. The engine options ride
+// the Job as one opaque descriptor the engine encodes and decodes, so
+// this package names none of them.
 package shardrpc
 
 import (
@@ -29,32 +31,33 @@ import (
 	"concord/internal/artifact"
 	"concord/internal/contracts"
 	"concord/internal/diag"
+	"concord/internal/mining"
 )
 
-// Frame magics for the four message kinds. CCS = Concord Shard.
+// Frame magics for the three message kinds. CCS = Concord Shard.
 var (
-	JobMagic         = [4]byte{'C', 'C', 'S', 'J'}
-	TaskMagic        = [4]byte{'C', 'C', 'S', 'T'}
-	ResultMagic      = [4]byte{'C', 'C', 'S', 'R'}
-	LearnResultMagic = [4]byte{'C', 'C', 'S', 'L'}
+	JobMagic    = [4]byte{'C', 'C', 'S', 'J'}
+	TaskMagic   = [4]byte{'C', 'C', 'S', 'T'}
+	ResultMagic = [4]byte{'C', 'C', 'S', 'R'}
 )
 
 // SchemaVersion is the wire schema; any change to the encodings below
 // must bump it so a version-skewed worker fails loudly at the frame
 // layer instead of decoding garbage. Version 2 added the learn task
-// kind: the Job learn fields and the CCSL learn-result frame. Version 3
-// dropped the Job's two differential-baseline flags.
-const SchemaVersion = 3
+// kind; version 3 dropped the Job's two differential-baseline flags.
+// Version 4 folded the learn-result frame into Result (an optional
+// State beside Configs) and replaced the Job's option fields with the
+// engine's options descriptor.
+const SchemaVersion = 4
 
 // Frame payload ceilings. Tasks carry raw config text and results can
 // carry a fleet shard's violations or serialized mining evidence, so
 // all are generous; the limits exist to bound what a corrupt length
 // field can make ReadFrame allocate.
 const (
-	MaxJobBytes         uint64 = 1 << 30
-	MaxTaskBytes        uint64 = 1 << 30
-	MaxResultBytes      uint64 = 1 << 30
-	MaxLearnResultBytes uint64 = 1 << 30
+	MaxJobBytes    uint64 = 1 << 30
+	MaxTaskBytes   uint64 = 1 << 30
+	MaxResultBytes uint64 = 1 << 30
 )
 
 // NamedBlob is one named input file (a configuration or metadata
@@ -64,58 +67,31 @@ type NamedBlob struct {
 	Text []byte
 }
 
-// TokenSpec is the serializable subset of lexer.TokenSpec. Custom
-// Parse funcs cannot cross a process boundary; the engine rejects the
-// process backend when any are present.
-type TokenSpec struct {
-	Name          string
-	Pattern       string
-	NoDigitBefore bool
-	WordBoundary  bool
-}
-
 // Job carries everything a worker needs to reconstruct the parent's
-// check pipeline: the options that affect processing and checking, the
-// contract set (canonical JSON), the metadata corpus, and the shared
-// artifact cache directory. One Job is written per worker process,
-// immediately after spawn.
+// pipeline: the job kind, the engine options, the contract set, the
+// metadata corpus, and the shared artifact cache directory. One Job is
+// written per worker process, immediately after spawn.
 type Job struct {
-	ContextEmbedding bool
-	Strict           bool
-	Incremental      bool
-	// LexCacheSize may be negative (cache disabled), hence the signed
-	// zig-zag encoding.
-	LexCacheSize int
-	MaxFileSize  int
-	MaxLineLen   int
-	MaxDepth     int
-	MaxLines     int
+	// Learn selects the learn job kind: the worker folds each Task's
+	// sources into a mining accumulator and answers with Results that
+	// carry State instead of Configs (SetJSON is empty).
+	Learn bool
+	// Options is the engine's canonical options descriptor, opaque to
+	// the wire protocol: the parent's engine encodes it and the
+	// worker's engine decodes it.
+	Options []byte
 	// CacheDir is the parent's artifact cache directory, shared with
 	// workers (the cache's atomic temp+rename stores are multi-process
 	// safe); empty means no cache.
-	CacheDir   string
-	SetJSON    []byte
-	Meta       []NamedBlob
-	UserTokens []TokenSpec
-	// Learn selects the learn task kind: the worker folds each Task's
-	// sources into a mining accumulator and answers with a CCSL
-	// learn-result frame instead of running the check pipeline (SetJSON
-	// is empty; the fields below configure the worker's miner).
-	Learn            bool
-	Support          int
-	Confidence       float64
-	ScoreThreshold   float64
-	MaxFanout        int
-	ConstantLearning bool
-	// Categories restricts learning, by category name; empty learns
-	// all.
-	Categories []string
+	CacheDir string
+	SetJSON  []byte
+	Meta     []NamedBlob
 }
 
-// Task is one shard dispatch: the contiguous corpus slice to check.
-// Attempt counts prior dispatches of the same shard (retries and
-// speculative re-runs), so test fault hooks can fire on the first
-// attempt only.
+// Task is one shard dispatch: the contiguous corpus slice to check or
+// learn from. Attempt counts prior dispatches of the same shard
+// (retries and speculative re-runs), so test fault hooks can fire on
+// the first attempt only.
 type Task struct {
 	Shard   int
 	Attempt int
@@ -147,11 +123,11 @@ type ConfigResult struct {
 	Contrib map[string][]contracts.UniqueSite
 }
 
-// Result is one shard's complete outcome. A non-empty Err reports a
-// deterministic in-band failure (a contained whole-shard panic or a
-// strict-mode abort inside the worker); the parent maps it onto the
-// shard-containment path and never retries it — retrying a
-// deterministic fault would just repeat it.
+// Result is one shard's complete outcome, for either job kind. A
+// non-empty Err reports a deterministic in-band failure (a contained
+// whole-shard panic or a strict-mode abort inside the worker); the
+// parent maps it onto the shard-containment path and never retries it
+// — retrying a deterministic fault would just repeat it.
 type Result struct {
 	Shard int
 	Err   string
@@ -159,8 +135,15 @@ type Result struct {
 	// Lost reports the worker contained a whole-shard panic in lenient
 	// mode: Diags carries the containment diagnostic and the parent
 	// drops the shard exactly as the in-process driver would.
-	Lost     bool
-	Configs  []ConfigResult
+	Lost bool
+	// Configs answers a check job, in shard order.
+	Configs []ConfigResult
+	// State answers a learn job: the shard's exported mining evidence.
+	// It is nil when the shard produced none (Err or Lost), and decodes
+	// as nil, never as an empty accumulator.
+	State *mining.AccumulatorState
+	// Skipped, Lines, and Patterns are the shard's corpus statistics
+	// (ProcessStats inputs).
 	Skipped  int
 	Lines    int
 	Patterns map[string]int
@@ -174,8 +157,6 @@ type writer struct {
 }
 
 func (w *writer) uvarint(u uint64) { w.b = binary.AppendUvarint(w.b, u) }
-
-func (w *writer) varint(i int64) { w.b = binary.AppendVarint(w.b, i) }
 
 func (w *writer) bool(v bool) {
 	if v {
@@ -224,19 +205,6 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.off += n
 	return u
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	i, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("shardrpc: bad varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return i
 }
 
 func (r *reader) bool() bool {
@@ -316,37 +284,14 @@ func (r *reader) done() error {
 // EncodeJob serializes a Job payload (frame not included).
 func EncodeJob(j *Job) []byte {
 	w := &writer{}
-	w.bool(j.ContextEmbedding)
-	w.bool(j.Strict)
-	w.bool(j.Incremental)
-	w.varint(int64(j.LexCacheSize))
-	w.uvarint(uint64(j.MaxFileSize))
-	w.uvarint(uint64(j.MaxLineLen))
-	w.uvarint(uint64(j.MaxDepth))
-	w.uvarint(uint64(j.MaxLines))
+	w.bool(j.Learn)
+	w.bytes(j.Options)
 	w.str(j.CacheDir)
 	w.bytes(j.SetJSON)
 	w.uvarint(uint64(len(j.Meta)))
 	for _, m := range j.Meta {
 		w.str(m.Name)
 		w.bytes(m.Text)
-	}
-	w.uvarint(uint64(len(j.UserTokens)))
-	for _, t := range j.UserTokens {
-		w.str(t.Name)
-		w.str(t.Pattern)
-		w.bool(t.NoDigitBefore)
-		w.bool(t.WordBoundary)
-	}
-	w.bool(j.Learn)
-	w.uvarint(uint64(j.Support))
-	w.f64(j.Confidence)
-	w.f64(j.ScoreThreshold)
-	w.uvarint(uint64(j.MaxFanout))
-	w.bool(j.ConstantLearning)
-	w.uvarint(uint64(len(j.Categories)))
-	for _, c := range j.Categories {
-		w.str(c)
 	}
 	return w.b
 }
@@ -355,33 +300,12 @@ func EncodeJob(j *Job) []byte {
 func DecodeJob(payload []byte) (*Job, error) {
 	r := &reader{b: payload}
 	j := &Job{}
-	j.ContextEmbedding = r.bool()
-	j.Strict = r.bool()
-	j.Incremental = r.bool()
-	j.LexCacheSize = int(r.varint())
-	j.MaxFileSize = int(r.uvarint())
-	j.MaxLineLen = int(r.uvarint())
-	j.MaxDepth = int(r.uvarint())
-	j.MaxLines = int(r.uvarint())
+	j.Learn = r.bool()
+	j.Options = r.bytes()
 	j.CacheDir = r.str()
 	j.SetJSON = r.bytes()
 	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		j.Meta = append(j.Meta, NamedBlob{Name: r.str(), Text: r.bytes()})
-	}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		t := TokenSpec{Name: r.str(), Pattern: r.str()}
-		t.NoDigitBefore = r.bool()
-		t.WordBoundary = r.bool()
-		j.UserTokens = append(j.UserTokens, t)
-	}
-	j.Learn = r.bool()
-	j.Support = int(r.uvarint())
-	j.Confidence = r.f64()
-	j.ScoreThreshold = r.f64()
-	j.MaxFanout = int(r.uvarint())
-	j.ConstantLearning = r.bool()
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		j.Categories = append(j.Categories, r.str())
 	}
 	if err := r.done(); err != nil {
 		return nil, err
@@ -465,23 +389,51 @@ func EncodeResult(res *Result) []byte {
 	for i := range res.Configs {
 		encodeConfigResult(w, &res.Configs[i])
 	}
+	w.bool(res.State != nil)
+	if res.State != nil {
+		encodeAccState(w, res.State)
+	}
 	w.uvarint(uint64(res.Skipped))
 	w.uvarint(uint64(res.Lines))
-	pats := make([]string, 0, len(res.Patterns))
-	for p := range res.Patterns {
-		pats = append(pats, p)
-	}
-	sort.Strings(pats)
-	w.uvarint(uint64(len(pats)))
-	for _, p := range pats {
-		w.str(p)
-		w.uvarint(uint64(res.Patterns[p]))
-	}
+	encodePatternCounts(w, res.Patterns)
 	// Diagnostics ride as their canonical JSON: diag.Diagnostic already
 	// defines a lossless JSON round-trip (Cause flattens to text).
 	diags, _ := json.Marshal(res.Diags)
 	w.bytes(diags)
 	return w.b
+}
+
+// encodePatternCounts writes a shard's pattern → parameter-count map
+// in sorted key order.
+func encodePatternCounts(w *writer, patterns map[string]int) {
+	pats := sortedMapKeys(patterns)
+	w.uvarint(uint64(len(pats)))
+	for _, p := range pats {
+		w.str(p)
+		w.uvarint(uint64(patterns[p]))
+	}
+}
+
+func decodePatternCounts(r *reader) map[string]int {
+	n := r.count()
+	if n == 0 || r.err != nil {
+		return nil
+	}
+	out := make(map[string]int, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		p := r.str()
+		out[p] = int(r.uvarint())
+	}
+	return out
+}
+
+func sortedMapKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func encodeConfigResult(w *writer, c *ConfigResult) {
@@ -543,15 +495,12 @@ func DecodeResult(payload []byte) (*Result, error) {
 	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		res.Configs = append(res.Configs, decodeConfigResult(r))
 	}
+	if r.bool() {
+		res.State = decodeAccState(r)
+	}
 	res.Skipped = int(r.uvarint())
 	res.Lines = int(r.uvarint())
-	if n := r.count(); n > 0 && r.err == nil {
-		res.Patterns = make(map[string]int, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			p := r.str()
-			res.Patterns[p] = int(r.uvarint())
-		}
-	}
+	res.Patterns = decodePatternCounts(r)
 	diags := r.bytes()
 	if err := r.done(); err != nil {
 		return nil, err

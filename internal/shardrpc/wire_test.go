@@ -14,20 +14,10 @@ import (
 
 func testJob() *Job {
 	return &Job{
-		ContextEmbedding: true,
-		Strict:           true,
-		Incremental:      true,
-		LexCacheSize:     -1, // negative exercises the zig-zag path
-		MaxFileSize:      1 << 20,
-		MaxLineLen:       4096,
-		MaxDepth:         32,
-		MaxLines:         100000,
-		CacheDir:         "/tmp/concord-cache",
-		SetJSON:          []byte(`{"contracts":[]}`),
-		Meta:             []NamedBlob{{Name: "meta/site.yaml", Text: []byte("region: emea\n")}},
-		UserTokens: []TokenSpec{
-			{Name: "esi", Pattern: `[0-9a-f]{4}(\.[0-9a-f]{4}){4}`, WordBoundary: true},
-		},
+		Options:  []byte(`{"Proc":{"ContextEmbedding":true},"Strict":true,"LexCacheSize":-1}`),
+		CacheDir: "/tmp/concord-cache",
+		SetJSON:  []byte(`{"contracts":[]}`),
+		Meta:     []NamedBlob{{Name: "meta/site.yaml", Text: []byte("region: emea\n")}},
 	}
 }
 
@@ -154,8 +144,8 @@ func TestReadFrameDefects(t *testing.T) {
 		}
 	}
 	// A Job framed under the previous schema (whose layout still
-	// carried the two differential-baseline flags) must be refused at
-	// the frame layer, never decoded field-shifted.
+	// carried the engine option fields) must be refused at the frame
+	// layer, never decoded field-shifted.
 	if _, err := ReadJob(bytes.NewReader(artifact.EncodeFrame(JobMagic, SchemaVersion-1, EncodeJob(testJob())))); err == nil {
 		t.Error("ReadJob accepted a Job frame carrying the previous schema version")
 	}
