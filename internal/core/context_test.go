@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,6 +19,8 @@ func TestOptionsValidate(t *testing.T) {
 		{Support: 5, Confidence: 1.5},
 		{Support: 5, Confidence: 0.9, ScoreThreshold: -1},
 		{Support: 5, Confidence: 0.9, MaxFanout: -1},
+		{Support: 5, Confidence: math.NaN()},
+		{Support: 5, Confidence: 0.9, ScoreThreshold: math.NaN()},
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -29,6 +32,11 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Errorf("DefaultOptions rejected: %v", err)
+	}
+	inf := DefaultOptions()
+	inf.ScoreThreshold = math.Inf(1)
+	if err := inf.Validate(); err != nil {
+		t.Errorf("infinite ScoreThreshold rejected: %v", err)
 	}
 	// The zero Options value still selects defaults in New, preserving
 	// the seed behavior relied on by harness callers.

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -174,7 +173,7 @@ func (o Options) shardingActive() bool {
 }
 
 // Validate rejects unusable option values: Support below 1, Confidence
-// outside (0, 1], negative ScoreThreshold or MaxFanout, non-positive
+// outside (0, 1], negative ScoreThreshold or MaxFanout, NaN, non-positive
 // guard limits, and an invalid shard selection (see ValidateSharding).
 // New calls it after filling defaulted (zero) Support, Confidence, and
 // Limits, so only explicitly nonsensical values are rejected.
@@ -182,10 +181,12 @@ func (o Options) Validate() error {
 	if o.Support < 1 {
 		return fmt.Errorf("core: Support must be at least 1 (got %d)", o.Support)
 	}
-	if o.Confidence <= 0 || o.Confidence > 1 {
+	// The comparisons are written so that NaN, which fails every
+	// comparison, is rejected.
+	if !(o.Confidence > 0 && o.Confidence <= 1) {
 		return fmt.Errorf("core: Confidence must be in (0, 1] (got %v)", o.Confidence)
 	}
-	if o.ScoreThreshold < 0 {
+	if !(o.ScoreThreshold >= 0) {
 		return fmt.Errorf("core: ScoreThreshold must be non-negative (got %v)", o.ScoreThreshold)
 	}
 	if o.MaxFanout < 0 {
@@ -231,39 +232,22 @@ func (o Options) ValidateSharding() error {
 	return nil
 }
 
-// resolvedOptions is the plain-data part of a resolved Options: every
-// option that determines what a run computes, and nothing
-// process-local (no funcs, recorders, caches, or sinks). Its JSON
-// encoding is canonical — fixed field order, no maps — so the process
-// backend's Job carries it as bytes, a worker rebuilds its Options from
-// it (options), and procFingerprint hashes its processing part.
+// resolvedOptions is the plain-data part of a resolved Options that a
+// shard worker needs, and nothing process-local (no funcs, recorders,
+// caches, or sinks). A learn worker only folds statistics
+// (mining.StatsAccumulator.Fold reads MaxFanout and Categories); the
+// mining thresholds apply where the parent mines the merged evidence,
+// so they stay out. Its JSON encoding is canonical — fixed field
+// order, no maps — so the process backend's Job carries it as bytes, a
+// worker rebuilds its Options from it (options), and procFingerprint
+// hashes its processing part.
 type resolvedOptions struct {
-	Proc             procOptions
-	Strict           bool
-	Incremental      bool
-	LexCacheSize     int
-	Support          int
-	Confidence       exactFloat
-	ScoreThreshold   exactFloat
-	MaxFanout        int
-	ConstantLearning bool
-	Categories       []contracts.Category
-}
-
-// exactFloat is a float64 encoded as its IEEE 754 bits, so every value
-// Validate accepts — an infinite ScoreThreshold included, which JSON
-// numbers cannot carry — round-trips exactly.
-type exactFloat float64
-
-func (f exactFloat) MarshalJSON() ([]byte, error) {
-	return json.Marshal(math.Float64bits(float64(f)))
-}
-
-func (f *exactFloat) UnmarshalJSON(b []byte) error {
-	var bits uint64
-	err := json.Unmarshal(b, &bits)
-	*f = exactFloat(math.Float64frombits(bits))
-	return err
+	Proc         procOptions
+	Strict       bool
+	Incremental  bool
+	LexCacheSize int
+	MaxFanout    int
+	Categories   []contracts.Category
 }
 
 // procOptions is the processing part of resolvedOptions: every option
@@ -289,16 +273,12 @@ type tokenSpec struct {
 // resolved describes o as plain data; limits resolve to their defaults.
 func (o Options) resolved() resolvedOptions {
 	ro := resolvedOptions{
-		Proc:             procOptions{ContextEmbedding: o.ContextEmbedding, Limits: o.Limits.WithDefaults()},
-		Strict:           o.Strict,
-		Incremental:      o.Incremental,
-		LexCacheSize:     o.LexCacheSize,
-		Support:          o.Support,
-		Confidence:       exactFloat(o.Confidence),
-		ScoreThreshold:   exactFloat(o.ScoreThreshold),
-		MaxFanout:        o.MaxFanout,
-		ConstantLearning: o.ConstantLearning,
-		Categories:       o.Categories,
+		Proc:         procOptions{ContextEmbedding: o.ContextEmbedding, Limits: o.Limits.WithDefaults()},
+		Strict:       o.Strict,
+		Incremental:  o.Incremental,
+		LexCacheSize: o.LexCacheSize,
+		MaxFanout:    o.MaxFanout,
+		Categories:   o.Categories,
 	}
 	for _, t := range o.UserTokens {
 		ro.Proc.UserTokens = append(ro.Proc.UserTokens, tokenSpec{
@@ -309,9 +289,10 @@ func (o Options) resolved() resolvedOptions {
 	return ro
 }
 
-// options rebuilds the Options a shard worker runs under. Parallelism
-// is 1: a worker runs one shard at a time, sequentially. The caller
-// attaches the artifact cache.
+// options rebuilds the Options a shard worker runs under; New fills
+// the mining thresholds the worker never reads with their defaults.
+// Parallelism is 1: a worker runs one shard at a time, sequentially.
+// The caller attaches the artifact cache.
 func (ro *resolvedOptions) options() Options {
 	opts := Options{
 		Parallelism:      1,
@@ -320,11 +301,7 @@ func (ro *resolvedOptions) options() Options {
 		Strict:           ro.Strict,
 		Incremental:      ro.Incremental,
 		LexCacheSize:     ro.LexCacheSize,
-		Support:          ro.Support,
-		Confidence:       float64(ro.Confidence),
-		ScoreThreshold:   float64(ro.ScoreThreshold),
 		MaxFanout:        ro.MaxFanout,
-		ConstantLearning: ro.ConstantLearning,
 		Categories:       ro.Categories,
 	}
 	for _, t := range ro.Proc.UserTokens {

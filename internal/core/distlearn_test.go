@@ -58,6 +58,35 @@ func TestDistLearnMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestDistLearnMaxFanout pins that MaxFanout crosses the process
+// boundary: on this corpus a fanout cap of 1 binds (the learned set
+// differs from the default-fanout set), and under it the process
+// backend must still learn exactly what the in-process pipeline does.
+func TestDistLearnMaxFanout(t *testing.T) {
+	train := chaosSources(30)
+	def, err := MustNew(DefaultOptions()).Learn(train, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := DefaultOptions()
+	capped.MaxFanout = 1
+	base, err := MustNew(capped).Learn(train, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := learnJSON(t, base)
+	if want == learnJSON(t, def) {
+		t.Fatal("MaxFanout 1 learns the default-fanout set; the corpus does not exercise the cap")
+	}
+	got, err := distEngine(t, 3, 2, func(o *Options) { o.MaxFanout = 1 }).Learn(train, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gj := learnJSON(t, got); gj != want {
+		t.Errorf("process-backend learn at MaxFanout 1 diverges from in-process:\n got %s\nwant %s", gj, want)
+	}
+}
+
 // TestDistLearnProgressMonotonic: the process backend's learn progress
 // is the same exact global (done, total) stream per stage the
 // in-process driver reports.

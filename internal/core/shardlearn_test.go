@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -56,37 +55,6 @@ func TestShardedLearnMatchesUnsharded(t *testing.T) {
 				t.Errorf("shards=%d: mine.merge_ns missing from telemetry", shards)
 			}
 		}
-	}
-}
-
-// TestShardedLearnMatchesStringKeyed checks the sharded learn driver
-// against the string-keyed reference miner: the learned set must be
-// byte-identical to LearnProcessed over the same processed configs
-// with their intern table cleared, which makes MineContext key every
-// statistic and relational candidate by pattern string.
-func TestShardedLearnMatchesStringKeyed(t *testing.T) {
-	train := chaosSources(30)
-	eng := MustNew(DefaultOptions())
-	cfgs, pstats, err := eng.ProcessContext(context.Background(), train, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		c := *cfg
-		c.Interns = nil
-		cfgs[i] = &c
-	}
-	ref, err := eng.LearnProcessed(cfgs, pstats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := learnJSON(t, ref)
-	got, err := shardEngine(t, 3, 2, nil).Learn(train, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gj := learnJSON(t, got); gj != want {
-		t.Errorf("sharded learned set diverges from the string-keyed reference:\n got %s\nwant %s", gj, want)
 	}
 }
 

@@ -141,7 +141,7 @@ func (r *lexRun) lex(s string) lexer.Lexed {
 }
 
 // patternID interns a full pattern key, or reports 0 when interning is
-// off (consumers fall back to string keys).
+// off (see lexer.Line.PatternID for how consumers treat such lines).
 func (r *lexRun) patternID(pattern string) int32 {
 	if r.interns == nil {
 		return 0

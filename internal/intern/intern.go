@@ -8,8 +8,8 @@
 // integers instead of re-hashing full pattern strings per line.
 //
 // IDs are assigned starting at 1, so the zero value of an ID field
-// unambiguously means "not interned" (hand-constructed lines in tests
-// carry no IDs and fall back to string keys).
+// unambiguously means "not interned" (hand-constructed lines carry no
+// IDs).
 //
 // ID assignment order depends on goroutine scheduling when a Table is
 // populated from parallel workers; consumers must therefore never let

@@ -24,8 +24,9 @@ type Line struct {
 	// contract patterns.
 	Pattern string
 	// PatternID is Pattern's dense ID in the run's intern table (see
-	// Config.Interns); 0 means "not interned" (hand-constructed lines),
-	// in which case consumers fall back to keying on the string.
+	// Config.Interns); 0 means "not interned" (hand-constructed lines).
+	// The miner interns such lines on the fly (into a fresh table when
+	// no config carries one); the checker keys them by the string.
 	PatternID int32
 	// Display is the context plus the named leaf pattern, e.g.
 	// ".../rd [a:ip4]:[b:num]", used when rendering contracts.
@@ -76,8 +77,9 @@ func (l *Line) ParamIndex(name string) int {
 // CommonInterns returns the intern table shared by every configuration,
 // or nil when the corpus carries none (hand-constructed configs) or
 // mixes tables from different runs. Only a corpus-wide table lets the
-// miner key its hot maps by dense IDs and the checker accelerate its
-// view index.
+// checker accelerate its view index. The miner folds a corpus without
+// one into a fresh table and rejects a corpus mixing tables (see
+// mining.Miner.MineContext).
 func CommonInterns(cfgs []*Config) *intern.Table {
 	if len(cfgs) == 0 || cfgs[0].Interns == nil {
 		return nil

@@ -5,9 +5,9 @@ package mining
 // scans into accumulator-local state, so the lexed configuration can be
 // released immediately afterwards. Accumulators then Merge and
 // MineAccumulated runs the category miners and relational acceptance
-// over the merged evidence. Both learn drivers take this path: a shard
-// of the sharded learn folds into one accumulator per shard, and the
-// unsharded MineContext folds into one per worker (relationalPass).
+// over the merged evidence. Every learn takes this path: a shard of the
+// sharded learn folds into one accumulator per shard, and the unsharded
+// MineContext folds into one per worker (relationalPass).
 //
 // Merge laws. Every aggregate is either additive (counts: configCount,
 // lineCount, holdConfigs, firstOccs, type/sequence/unique tallies) or
@@ -21,7 +21,6 @@ package mining
 // association — the property test in accumulator_test.go pins this.
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -75,7 +74,7 @@ func (a *StatsAccumulator) Candidates() int { return len(a.candI) }
 func (a *StatsAccumulator) Fold(cfg *lexer.Config) error {
 	m := a.m
 	a.sti.nConfigs++
-	if err := m.statsOneConfigFast(cfg, a.sti); err != nil {
+	if err := m.statsOneConfig(cfg, a.sti); err != nil {
 		return err
 	}
 	if !m.opts.enabled(contracts.CatRelation) {
@@ -87,7 +86,7 @@ func (a *StatsAccumulator) Fold(cfg *lexer.Config) error {
 			a.scratch = newScanScratch(len(m.transforms))
 		}
 		m.scanRelationalConfig(cfg, a.tab, a.scratch)
-		m.foldScanInterned(a.scratch, a.candI)
+		m.foldScan(a.scratch, a.candI)
 	})
 }
 
@@ -101,7 +100,7 @@ func (a *StatsAccumulator) Merge(b *StatsAccumulator) {
 	if a.tab != b.tab {
 		panic("mining: merging accumulators over different intern tables")
 	}
-	mergeStatsInterned(a.sti, b.sti)
+	mergeStats(a.sti, b.sti)
 	mergeCands(a.candI, b.candI)
 }
 
@@ -139,7 +138,7 @@ func mergeTypeStats(dst, src map[string]*typeStats) {
 	}
 }
 
-func mergeStatsInterned(dst, src *statsI) {
+func mergeStats(dst, src *statsI) {
 	dst.nConfigs += src.nConfigs
 	for k, ps := range src.patterns {
 		if g := dst.patterns[k]; g != nil {
@@ -194,23 +193,6 @@ func mergeCands(dst, src map[candKeyI]*candState) {
 		g.holdConfigs += cs.holdConfigs
 		g.agg.Merge(cs.agg)
 	}
-}
-
-// MineAccumulated produces the learned set from a (merged) accumulator:
-// the category miners and relational acceptance filters over evidence
-// collected by Fold. The output is byte-identical to MineContext over
-// the concatenation of every folded configuration, and to the
-// string-keyed reference over the same corpus uninterned.
-func (m *Miner) MineAccumulated(ctx context.Context, acc *StatsAccumulator) (*contracts.Set, error) {
-	st := acc.sti.finalize()
-	set, err := m.mineFromStats(ctx, st, func() ([]contracts.Contract, error) {
-		return m.acceptRelationalInterned(acc.candI, st, acc.tab), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.opts.Telemetry.Add("mine.interned_strings", int64(acc.tab.Len()))
-	return set, nil
 }
 
 // AccumulatorState is the portable plain-data form of a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"concord/internal/format"
@@ -59,8 +60,8 @@ func mineJSON(t *testing.T, m *Miner, acc *StatsAccumulator) string {
 // sharded learning: for randomized contiguous corpus splits, merging
 // the per-split accumulators under a random association and a random
 // shard order mines a learned set byte-identical to folding the whole
-// corpus into one accumulator, which in turn matches the string-keyed
-// MineContext over the same corpus uninterned.
+// corpus into one accumulator, which in turn matches MineContext over
+// the same corpus uninterned (folded into a fresh table).
 func TestAccumulatorMergeProperty(t *testing.T) {
 	const corpus = 24
 	t.Run("interned", func(t *testing.T) {
@@ -80,7 +81,7 @@ func TestAccumulatorMergeProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		if b, _ := json.Marshal(ref); string(b) != want {
-			t.Fatalf("whole-corpus fold diverges from the string-keyed MineContext:\n fold %s\n  ref %s", want, b)
+			t.Fatalf("shared-table fold diverges from the fresh-table MineContext:\n fold %s\n  ref %s", want, b)
 		}
 
 		rng := rand.New(rand.NewSource(41))
@@ -172,5 +173,53 @@ func TestImportAccumulatorRejectsForeignIDs(t *testing.T) {
 	state.Patterns[0].Pattern = StrID(len(state.Strings) + 7)
 	if _, err := m.ImportAccumulator(state, intern.NewTable()); err == nil {
 		t.Error("ImportAccumulator accepted an out-of-range string ID")
+	}
+}
+
+// TestMineContextTableRule pins which corpora the fold accepts: one
+// shared intern table, or none at all (a fresh table is used). IDs from
+// different tables are incomparable, so a corpus mixing tables, or
+// carrying pattern IDs without their table, must error rather than
+// mine from misbound evidence. The brute-force baseline follows the
+// same rule.
+func TestMineContextTableRule(t *testing.T) {
+	m := New(DefaultOptions())
+	shared := intern.NewTable()
+	for _, tc := range []struct {
+		name string
+		cfgs []*lexer.Config
+		want string
+	}{
+		{"shared", accCorpus(t, 0, 8, shared), ""},
+		{"none", accCorpus(t, 0, 8, nil), ""},
+		{"two tables", append(accCorpus(t, 0, 4, intern.NewTable()), accCorpus(t, 4, 8, intern.NewTable())...),
+			"mixes intern tables"},
+		{"table and none", append(accCorpus(t, 0, 4, shared), accCorpus(t, 4, 8, nil)...), "mixes intern tables"},
+		{"ids without table", func() []*lexer.Config {
+			cfgs := accCorpus(t, 0, 8, intern.NewTable())
+			for i, cfg := range cfgs {
+				c := *cfg
+				c.Interns = nil
+				cfgs[i] = &c
+			}
+			return cfgs
+		}(), "pattern IDs without an intern table"},
+	} {
+		set, err := m.MineContext(context.Background(), tc.cfgs)
+		_, bfErr := m.MineRelationalBruteForce(context.Background(), tc.cfgs)
+		if tc.want == "" {
+			if err != nil || bfErr != nil {
+				t.Errorf("%s: MineContext err = %v, brute force err = %v, want both nil", tc.name, err, bfErr)
+			} else if set.Len() == 0 {
+				t.Errorf("%s: learned no contracts", tc.name)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: MineContext err = %v, want %q", tc.name, err, tc.want)
+		}
+		if bfErr == nil || !strings.Contains(bfErr.Error(), tc.want) {
+			t.Errorf("%s: brute force err = %v, want %q", tc.name, bfErr, tc.want)
+		}
 	}
 }

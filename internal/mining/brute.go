@@ -22,10 +22,22 @@ import (
 // cancellation the partial result learned so far is returned along with
 // ctx.Err().
 func (m *Miner) MineRelationalBruteForce(ctx context.Context, cfgs []*lexer.Config) ([]contracts.Contract, error) {
-	st, err := m.collectStats(ctx, cfgs)
+	// Support counts come from the statistics fold alone; the indexed
+	// relational scan never runs here.
+	tab, err := corpusTable(cfgs)
 	if err != nil {
 		return nil, err
 	}
+	sti := newStatsI(len(cfgs), tab)
+	for _, cfg := range cfgs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := m.statsOneConfig(cfg, sti); err != nil {
+			return nil, err
+		}
+	}
+	st := sti.finalize()
 	rels := []relations.Rel{relations.Equals, relations.Contains, relations.StartsWith, relations.EndsWith}
 
 	global := make(map[candKey]*candState)
@@ -120,6 +132,12 @@ type lhsTriple struct {
 	p string
 	i int
 	t string
+}
+
+// scoredInstance is one scored forall instance of a candidate.
+type scoredInstance struct {
+	key string
+	s   float64
 }
 
 // finishBrute applies the same support/confidence/score filters as the

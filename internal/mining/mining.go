@@ -8,6 +8,7 @@ package mining
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"sort"
@@ -17,8 +18,8 @@ import (
 	"concord/internal/contracts"
 	"concord/internal/diag"
 	"concord/internal/faultinject"
+	"concord/internal/intern"
 	"concord/internal/lexer"
-	"concord/internal/netdata"
 	"concord/internal/relations"
 	"concord/internal/telemetry"
 )
@@ -127,7 +128,8 @@ func New(opts Options) *Miner {
 }
 
 // Mine learns contracts from the training configurations. The returned
-// set is deterministic for a given input.
+// set is deterministic for a given input; it is nil for a corpus
+// MineContext rejects (one mixing intern tables).
 func (m *Miner) Mine(cfgs []*lexer.Config) *contracts.Set {
 	set, _ := m.MineContext(context.Background(), cfgs)
 	return set
@@ -138,12 +140,10 @@ func (m *Miner) Mine(cfgs []*lexer.Config) *contracts.Set {
 // returning ctx.Err() when cancelled. Per-category timings and counters
 // go to Options.Telemetry when set.
 //
-// On a corpus sharing one intern table (every engine-processed corpus)
-// it is the sharded learn's Fold → Merge → MineAccumulated path run on
+// It is the sharded learn's Fold → Merge → MineAccumulated path run on
 // one machine: relationalPass folds the configurations into per-worker
-// StatsAccumulators, merges them, and MineAccumulated mines the merged
-// evidence. Any other corpus takes the string-keyed reference path
-// (mineStringKeyed), which tests compare the accumulator fold against.
+// StatsAccumulators over the corpus's intern table (see corpusTable),
+// merges them, and MineAccumulated mines the merged evidence.
 //
 // With Options.Diagnostics attached, panics are contained per unit: a
 // panicking category miner contributes no contracts of that category,
@@ -151,9 +151,9 @@ func (m *Miner) Mine(cfgs []*lexer.Config) *contracts.Set {
 // configuration's evidence, each recorded as a diagnostic.
 // Options.Strict instead aborts on the first panic with an error.
 func (m *Miner) MineContext(ctx context.Context, cfgs []*lexer.Config) (*contracts.Set, error) {
-	tab := lexer.CommonInterns(cfgs)
-	if tab == nil {
-		return m.mineStringKeyed(ctx, cfgs)
+	tab, err := corpusTable(cfgs)
+	if err != nil {
+		return nil, err
 	}
 	sp := m.opts.Telemetry.StartSpan("mine/stats")
 	acc, err := m.relationalPass(ctx, cfgs, tab)
@@ -164,42 +164,35 @@ func (m *Miner) MineContext(ctx context.Context, cfgs []*lexer.Config) (*contrac
 	return m.MineAccumulated(ctx, acc)
 }
 
-// mineStringKeyed is the string-keyed reference learner: the statistics
-// pass, then the relational scan, both in a plain sequential loop over
-// string-keyed tables.
-func (m *Miner) mineStringKeyed(ctx context.Context, cfgs []*lexer.Config) (*contracts.Set, error) {
-	sp := m.opts.Telemetry.StartSpan("mine/stats")
-	st, err := m.collectStats(ctx, cfgs)
-	sp.EndCount(len(cfgs))
-	if err != nil {
-		return nil, err
+// corpusTable returns the intern table the fold keys its statistics
+// by: the table every configuration shares (every engine-processed
+// corpus), or a fresh table for a corpus that carries none
+// (hand-built configurations), whose lines the fold then interns as it
+// goes. IDs from different tables are incomparable, so a corpus mixing
+// tables, or carrying pattern IDs without their table, is an error.
+func corpusTable(cfgs []*lexer.Config) (*intern.Table, error) {
+	if tab := lexer.CommonInterns(cfgs); tab != nil {
+		return tab, nil
 	}
-	return m.mineFromStats(ctx, st, func() ([]contracts.Contract, error) {
-		global := make(map[candKey]*candState)
-		for i, cfg := range cfgs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := m.contain(cfg.Name, func() {
-				faultinject.At("mining.relational.config", cfg.Name)
-				m.mineRelationalConfigBaseline(cfg, global)
-			}); err != nil {
-				return nil, err
-			}
-			if m.opts.Progress != nil {
-				m.opts.Progress(i+1, len(cfgs))
+	for _, cfg := range cfgs {
+		if cfg.Interns != nil {
+			return nil, errors.New("mining: corpus mixes intern tables")
+		}
+		for i := range cfg.Lines {
+			if cfg.Lines[i].PatternID != 0 {
+				return nil, fmt.Errorf("mining: config %q carries pattern IDs without an intern table", cfg.Name)
 			}
 		}
-		return m.acceptRelationalBaseline(global, st), nil
-	})
+	}
+	return intern.NewTable(), nil
 }
 
-// mineFromStats runs the category miners and the relational acceptance
-// over a completed statistics view. It is the shared tail of the
-// string-keyed reference learner and MineAccumulated (stats merged from
-// accumulators); the relational closure supplies that path's candidate
-// evidence.
-func (m *Miner) mineFromStats(ctx context.Context, st *stats, relational func() ([]contracts.Contract, error)) (*contracts.Set, error) {
+// MineAccumulated produces the learned set from a (merged) accumulator:
+// the category miners and relational acceptance filters over evidence
+// collected by Fold. The output is byte-identical to MineContext over
+// the concatenation of every folded configuration.
+func (m *Miner) MineAccumulated(ctx context.Context, acc *StatsAccumulator) (*contracts.Set, error) {
+	st := acc.sti.finalize()
 	rec := m.opts.Telemetry
 	set := &contracts.Set{}
 	mineCat := func(cat contracts.Category, name string, candidates int, fn func() []contracts.Contract) ([]contracts.Contract, error) {
@@ -288,14 +281,12 @@ func (m *Miner) mineFromStats(ctx context.Context, st *stats, relational func() 
 			return nil, err
 		}
 		sp := rec.StartSpan("mine/relation")
-		found, err := relational()
+		found := m.acceptRelational(acc.candI, st, acc.tab)
 		sp.EndCount(len(found))
-		if err != nil {
-			return nil, err
-		}
 		rec.Add("mine.relation.accepted", int64(len(found)))
 		set.Contracts = append(set.Contracts, found...)
 	}
+	rec.Add("mine.interned_strings", int64(acc.tab.Len()))
 	return set, nil
 }
 
@@ -388,150 +379,6 @@ func (m *Miner) contain(unit string, fn func()) (err error) {
 	}()
 	fn()
 	return nil
-}
-
-// collectStats is the string-keyed statistics pass over the whole
-// corpus, shared by the reference learner and the brute-force baseline.
-func (m *Miner) collectStats(ctx context.Context, cfgs []*lexer.Config) (*stats, error) {
-	st := &stats{
-		nConfigs:  len(cfgs),
-		patterns:  make(map[string]*patternStats),
-		pairs:     make(map[[2]string]*pairStats),
-		firstOccs: make(map[string]int),
-		types:     make(map[string]*typeStats),
-		seqs:      make(map[string]*seqStats),
-		uniqs:     make(map[string]*uniqStats),
-		constants: make(map[string]*patternStats),
-		seqMeta:   make(map[string]patternParam),
-		uniqMeta:  make(map[string]patternParam),
-	}
-	for _, cfg := range cfgs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := m.statsOneConfig(cfg, st); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-// statsOneConfig folds one configuration into the shared statistics.
-// Containment is best-effort: the fault-injection point fires before
-// any mutation, but a genuine mid-fold panic can leave this
-// configuration partially counted (the diagnostic says which).
-func (m *Miner) statsOneConfig(cfg *lexer.Config, st *stats) error {
-	return m.contain(cfg.Name, func() {
-		faultinject.At("mining.stats.config", cfg.Name)
-		seenPatterns := make(map[string]bool)
-		seenConstants := make(map[string]bool)
-		// Ordering bookkeeping: per first-pattern occurrence counts and
-		// per-(first,second) successor counts within this config.
-		occ := make(map[string]int)
-		succ := make(map[[2]string]int)
-		succDisp := make(map[[2]string][2]string)
-		// Sequence bookkeeping: values in line order.
-		seqVals := make(map[string][]*big.Int)
-		for i := range cfg.Lines {
-			line := &cfg.Lines[i]
-			p := line.Pattern
-			ps := st.patterns[p]
-			if ps == nil {
-				ps = &patternStats{display: line.Display}
-				st.patterns[p] = ps
-			}
-			ps.lineCount++
-			if !seenPatterns[p] {
-				seenPatterns[p] = true
-				ps.configCount++
-			}
-			// Constants: exact line text of valued lines.
-			if len(line.Params) > 0 && !seenConstants[line.Text] {
-				seenConstants[line.Text] = true
-				cs := st.constants[line.Text]
-				if cs == nil {
-					cs = &patternStats{display: line.Text}
-					st.constants[line.Text] = cs
-				}
-				cs.configCount++
-			}
-			// Ordering pairs (not across the metadata boundary).
-			occ[p]++
-			if next := i + 1; next < len(cfg.Lines) && cfg.Lines[next].Meta == line.Meta {
-				k := [2]string{p, cfg.Lines[next].Pattern}
-				succ[k]++
-				succDisp[k] = [2]string{line.Display, cfg.Lines[next].Display}
-			}
-			// Types.
-			if len(line.Params) > 0 {
-				ag := lexer.TypeAgnostic(p)
-				ts := st.types[ag]
-				if ts == nil {
-					ts = &typeStats{}
-					st.types[ag] = ts
-				}
-				for len(ts.perParam) < len(line.Params) {
-					ts.perParam = append(ts.perParam, make(map[string]*typeUse))
-				}
-				ts.total++
-				for pi, prm := range line.Params {
-					tu := ts.perParam[pi][prm.Type]
-					if tu == nil {
-						tu = &typeUse{}
-						ts.perParam[pi][prm.Type] = tu
-					}
-					tu.lines++
-				}
-			}
-			// Sequences and uniques per parameter.
-			for pi, prm := range line.Params {
-				k := key2(p, pi)
-				if n, ok := prm.Value.(netdata.Num); ok {
-					seqVals[k] = append(seqVals[k], n.Big())
-					if _, ok := st.seqMeta[k]; !ok {
-						st.seqMeta[k] = patternParam{pattern: p, idx: pi}
-						st.seqs[k] = &seqStats{display: line.Display}
-					}
-				}
-				us := st.uniqs[k]
-				if us == nil {
-					us = &uniqStats{display: line.Display, valueCount: make(map[string]int)}
-					st.uniqs[k] = us
-					st.uniqMeta[k] = patternParam{pattern: p, idx: pi}
-				}
-				us.valueCount[prm.Value.Key()]++
-				us.totalValues++
-			}
-		}
-		// Fold per-config ordering results into global pair stats.
-		for k, n := range succ {
-			ps := st.pairs[k]
-			if ps == nil {
-				d := succDisp[k]
-				ps = &pairStats{displayFirst: d[0], displaySecond: d[1]}
-				st.pairs[k] = ps
-			}
-			if n == occ[k[0]] {
-				ps.holdConfigs++
-			}
-		}
-		for p := range seenPatterns {
-			st.firstOccs[p]++
-		}
-		// Fold per-config sequence results.
-		for k, vals := range seqVals {
-			ss := st.seqs[k]
-			if ss == nil {
-				continue
-			}
-			if len(vals) >= 2 {
-				ss.configsWith2++
-				if isArithmetic(vals) {
-					ss.configsSeq++
-				}
-			}
-		}
-	})
 }
 
 // isArithmetic reports whether the values form a nonzero arithmetic

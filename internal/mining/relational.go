@@ -3,7 +3,6 @@ package mining
 import (
 	"context"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -17,10 +16,9 @@ import (
 )
 
 // candKey identifies a candidate relational contract globally by its
-// pattern strings. It is the string-keyed reference's key form (and the
-// wire form of exported candidates); the accumulator fold uses the
-// interned candKeyI instead and only materializes strings for accepted
-// contracts.
+// pattern strings: the key form of exported candidates and of the
+// brute-force baseline. The accumulator fold uses the interned candKeyI
+// instead and only materializes strings for accepted contracts.
 type candKey struct {
 	p1  string
 	i1  int
@@ -51,64 +49,13 @@ type candState struct {
 	agg                *score.Aggregator
 }
 
-// acceptRelationalBaseline filters a complete string-keyed candidate
-// table by support, confidence, and score, materializing the accepted
-// contracts. The table must hold the whole corpus's evidence (a merged
-// table from sharded accumulators is fine; a partial one is not, since
-// echo suppression compares candidates against each other).
-func (m *Miner) acceptRelationalBaseline(global map[candKey]*candState, st *stats) []contracts.Contract {
-	m.opts.Telemetry.Add("mine.relation.candidates", int64(len(global)))
-	var out []contracts.Contract
-	for k, cs := range global {
-		supp := st.patterns[k.p1].configCount
-		if supp < m.opts.Support {
-			continue
-		}
-		conf := float64(cs.holdConfigs) / float64(supp)
-		if conf < m.opts.Confidence {
-			continue
-		}
-		if cs.agg.Total() < m.opts.ScoreThreshold {
-			continue
-		}
-		// Transform echo suppression: if two parameters are equal under
-		// the identity transform, they are also equal under every common
-		// injective transform (hex/hex, str/str, ...). Keep only the
-		// identity form.
-		if k.rel == relations.Equals && k.t1 == k.t2 && k.t1 != "id" {
-			idKey := k
-			idKey.t1, idKey.t2 = "id", "id"
-			if idc, ok := global[idKey]; ok &&
-				float64(idc.holdConfigs)/float64(supp) >= m.opts.Confidence &&
-				idc.agg.Total() >= m.opts.ScoreThreshold {
-				continue
-			}
-		}
-		out = append(out, &contracts.Relational{
-			Pattern1:   k.p1,
-			Display1:   cs.display1,
-			ParamIdx1:  k.i1,
-			Transform1: k.t1,
-			Rel:        k.rel,
-			Pattern2:   k.p2,
-			Display2:   cs.display2,
-			ParamIdx2:  k.i2,
-			Transform2: k.t2,
-			Evidence: contracts.Stats{
-				Support:    supp,
-				Confidence: conf,
-				Score:      cs.agg.Total(),
-			},
-		})
-	}
-	sortByID(out)
-	return out
-}
-
-// acceptRelationalInterned is acceptRelationalBaseline on the interned
-// candidate table: pattern strings are materialized only for candidates
-// clearing the filters.
-func (m *Miner) acceptRelationalInterned(global map[candKeyI]*candState, st *stats, tab *intern.Table) []contracts.Contract {
+// acceptRelational filters a complete candidate table by support,
+// confidence, and score, materializing the accepted contracts; pattern
+// strings are materialized only for candidates clearing the filters.
+// The table must hold the whole corpus's evidence (a merged table from
+// sharded accumulators is fine; a partial one is not, since echo
+// suppression compares candidates against each other).
+func (m *Miner) acceptRelational(global map[candKeyI]*candState, st *stats, tab *intern.Table) []contracts.Contract {
 	m.opts.Telemetry.Add("mine.relation.candidates", int64(len(global)))
 
 	idIdx := int32(-1)
@@ -132,7 +79,10 @@ func (m *Miner) acceptRelationalInterned(global map[candKeyI]*candState, st *sta
 		if cs.agg.Total() < m.opts.ScoreThreshold {
 			continue
 		}
-		// Transform echo suppression (see the baseline path).
+		// Transform echo suppression: if two parameters are equal under
+		// the identity transform, they are also equal under every common
+		// injective transform (hex/hex, str/str, ...). Keep only the
+		// identity form.
 		if m.rels[k.rel] == relations.Equals && k.t1 == k.t2 && k.t1 != idIdx && idIdx >= 0 {
 			idKey := k
 			idKey.t1, idKey.t2 = idIdx, idIdx
@@ -170,9 +120,9 @@ func (m *Miner) acceptRelationalInterned(global map[candKeyI]*candState, st *sta
 // order. The merge laws make the result independent of which worker
 // folded which configuration, so it equals a sequential fold. A strict
 // fault or cancellation stops workers from starting new configurations.
-// cfgs must be non-empty (an interned corpus always is).
+// An empty corpus yields one empty accumulator.
 func (m *Miner) relationalPass(ctx context.Context, cfgs []*lexer.Config, tab *intern.Table) (*StatsAccumulator, error) {
-	workers := min(max(m.opts.Parallelism, 1), len(cfgs))
+	workers := max(min(m.opts.Parallelism, len(cfgs)), 1)
 	accs := make([]*StatsAccumulator, workers)
 	for w := range accs {
 		accs[w] = m.NewStatsAccumulator(tab)
@@ -262,34 +212,18 @@ type hit struct {
 // everything the query pass needs precomputed.
 type appliedVal struct {
 	lhs   int32 // source id
-	vid   int32 // per-config value-key id (fast path; index into eqBuckets)
+	vid   int32 // worker value-key id (index into eqBuckets)
 	val   netdata.Value
-	key   string
 	score float64
 }
 
-// candLocal tracks one candidate's per-configuration evidence. Lines are
-// visited in increasing order, so distinct satisfied lines can be
-// counted with a single lastLine watermark.
-type candLocal struct {
-	lhs       int32
-	rel       int8
-	src       int32
-	lastLine  int32
-	satisfied int32
-	instances []scoredInstance
-}
-
-type scoredInstance struct {
-	key string
-	s   float64
-}
-
-// candLocalF is the fast path's candidate tracker: instances live in
-// the scan's shared instNode slab as a linked list, so the tracker (and
-// the slab holding it) contains no pointers for the garbage collector
-// to scan and appending an instance never reallocates per candidate.
-type candLocalF struct {
+// candTracker tracks one candidate's per-configuration evidence. Lines
+// are visited in increasing order, so distinct satisfied lines can be
+// counted with a single lastLine watermark. Instances live in the
+// scan's shared instNode slab as a linked list, so the tracker (and the
+// slab holding it) contains no pointers for the garbage collector to
+// scan and appending an instance never reallocates per candidate.
+type candTracker struct {
 	lhs       int32
 	rel       int8
 	src       int32
@@ -320,7 +254,7 @@ type applyEntry struct {
 	state uint8 // 0 = unknown, 1 = applies, 2 = rejected
 }
 
-// scanScratch is the fast path's per-worker scan state. The memo
+// scanScratch is the relational scan's per-worker state. The memo
 // fields persist across configurations (values, patterns, and
 // transform results repeat heavily within a corpus); the rest is
 // reset — with capacity retained — before each configuration, so
@@ -354,7 +288,7 @@ type scanScratch struct {
 	valSlab     []appliedVal
 	lineVals    [][2]int32
 	density     []float64
-	locals      []candLocalF
+	locals      []candTracker
 	insts       []instNode
 	indexed     map[uint64]struct{}
 	localIdx    map[uint64]int32
@@ -406,10 +340,10 @@ func (ss *scanScratch) reset(nLines int) {
 	clear(ss.localIdx)
 }
 
-// foldScanInterned folds one configuration's scan into the global
+// foldScan folds one configuration's scan into the global
 // candidate table: a candidate holds here iff every forall instance
 // found a witness.
-func (m *Miner) foldScanInterned(ss *scanScratch, global map[candKeyI]*candState) {
+func (m *Miner) foldScan(ss *scanScratch, global map[candKeyI]*candState) {
 	for i := range ss.locals {
 		c := &ss.locals[i]
 		if c.satisfied != ss.occurrences[c.lhs] {
@@ -440,12 +374,11 @@ func (m *Miner) foldScanInterned(ss *scanScratch, global map[candKeyI]*candState
 }
 
 // scanRelationalConfig processes one configuration into a satisfied-
-// candidate scan for the fast path, accumulated in the worker's
-// scratch. The relational miner (§3.5) uses relation-aware search
-// structures: pass A indexes every (transformed) parameter value as a
-// potential witness; pass B queries the indexes for every value,
-// generating candidates only where an actual relationship exists.
-// Beyond the baseline algorithm it memoizes transform
+// candidate scan, accumulated in the worker's scratch. The relational
+// miner (§3.5) uses relation-aware search structures: pass A indexes
+// every (transformed) parameter value as a potential witness; pass B
+// queries the indexes for every value, generating candidates only where
+// an actual relationship exists. It memoizes transform
 // applications and value scores per worker (values repeat heavily
 // across lines and configurations), interns value keys so pass B
 // replaces string-map lookups with array indexing, resolves patterns
@@ -457,9 +390,9 @@ func (m *Miner) scanRelationalConfig(cfg *lexer.Config, gtab *intern.Table, ss *
 	ss.reset(len(cfg.Lines))
 	nT := ss.nT
 
-	// Local pattern ids are assigned through the run-wide intern id:
-	// an epoch-tagged translation array replaces the per-line string
-	// map lookup of the baseline.
+	// Local pattern ids are assigned through the run-wide intern id: an
+	// epoch-tagged translation array replaces a per-line string map
+	// lookup.
 	localPid := func(line *lexer.Line) int32 {
 		gid := line.PatternID
 		if gid == 0 {
@@ -628,7 +561,7 @@ func (m *Miner) scanRelationalConfig(cfg *lexer.Config, gtab *intern.Table, ss *
 		if !ok {
 			ci = int32(len(ss.locals))
 			ss.localIdx[ck] = ci
-			ss.locals = append(ss.locals, candLocalF{lhs: curAV.lhs, rel: curRel, src: h.src, lastLine: -1, instHead: -1, instTail: -1})
+			ss.locals = append(ss.locals, candTracker{lhs: curAV.lhs, rel: curRel, src: h.src, lastLine: -1, instHead: -1, instTail: -1})
 		}
 		c := &ss.locals[ci]
 		inst := curAV.score
@@ -701,251 +634,6 @@ func (m *Miner) scanRelationalConfig(cfg *lexer.Config, gtab *intern.Table, ss *
 					return v(hit{src: id, score: float32(score.Value(e.Value))})
 				})
 			}
-		}
-	}
-
-}
-
-// mineRelationalConfigBaseline is the pre-interning per-configuration
-// pass, the string-keyed reference MineContext takes when the corpus
-// shares no intern table: it folds straight into the string-keyed
-// candidate table. The learn golden test compares the accumulator fold
-// against it.
-func (m *Miner) mineRelationalConfigBaseline(cfg *lexer.Config, global map[candKey]*candState) {
-	// Intern patterns and (pattern, param, transform) sources.
-	patternID := make(map[string]int32)
-	var patterns []string
-	var displays []string
-	internPattern := func(p, display string) int32 {
-		id, ok := patternID[p]
-		if !ok {
-			id = int32(len(patterns))
-			patternID[p] = id
-			patterns = append(patterns, p)
-			displays = append(displays, display)
-		}
-		return id
-	}
-	type srcKey struct {
-		p int32
-		i int32
-		t int32
-	}
-	srcID := make(map[srcKey]int32)
-	var sources []srcInfo
-	var occurrences []int32 // per-source forall instance count
-	internSrc := func(k srcKey) int32 {
-		id, ok := srcID[k]
-		if !ok {
-			id = int32(len(sources))
-			srcID[k] = id
-			sources = append(sources, srcInfo{patternID: k.p, paramIdx: k.i, transform: k.t})
-			occurrences = append(occurrences, 0)
-		}
-		return id
-	}
-
-	// Specialized per-relation indexes with integer payloads.
-	eq := make(map[string][]hit)
-	cv4 := trie.NewPrefixTrie[hit](false)
-	cv6 := trie.NewPrefixTrie[hit](true)
-	sw := trie.NewStringTrie[hit]()
-	ew := trie.NewStringTrie[hit]()
-
-	// User-defined relation indexes work with string-keyed sources; the
-	// side table maps their query hits back to interned ids.
-	extraIx := make([]relations.Index, len(m.opts.ExtraRelations))
-	for k := range m.opts.ExtraRelations {
-		extraIx[k] = m.opts.ExtraRelations[k].NewIndex()
-	}
-	var extraSrcID map[relations.Source]int32
-	if len(extraIx) > 0 {
-		extraSrcID = make(map[relations.Source]int32)
-	}
-
-	// Pass A: apply transforms, intern sources, and index witness
-	// values. Duplicate (value, source) pairs are indexed once.
-	lineVals := make([][]appliedVal, len(cfg.Lines))
-	indexed := make(map[string]bool)
-	for li := range cfg.Lines {
-		line := &cfg.Lines[li]
-		pid := internPattern(line.Pattern, line.Display)
-		if len(line.Params) == 0 {
-			continue
-		}
-		vals := make([]appliedVal, 0, len(line.Params))
-		for pi := range line.Params {
-			for ti := range m.transforms {
-				tv, ok := m.transforms[ti].Apply(line.Params[pi].Value)
-				if !ok {
-					continue
-				}
-				id := internSrc(srcKey{p: pid, i: int32(pi), t: int32(ti)})
-				occurrences[id]++
-				key := tv.Key()
-				sc := score.Value(tv)
-				vals = append(vals, appliedVal{lhs: id, val: tv, key: key, score: sc})
-				dk := key + "\x00" + strconv.Itoa(int(id))
-				if indexed[dk] {
-					continue
-				}
-				indexed[dk] = true
-				h := hit{src: id, score: float32(sc)}
-				eq[key] = append(eq[key], h)
-				switch v := tv.(type) {
-				case netdata.Prefix:
-					if v.Addr().Is6() {
-						cv6.Insert(v, h)
-					} else {
-						cv4.Insert(v, h)
-					}
-				case netdata.Str:
-					sw.Insert(string(v), h)
-					ew.Insert(trie.Reverse(string(v)), h)
-				}
-				if len(extraIx) > 0 {
-					esrc := relations.Source{Pattern: line.Pattern, ParamIdx: pi, Transform: m.transforms[ti].Name}
-					extraSrcID[esrc] = id
-					for _, ix := range extraIx {
-						ix.Add(tv, esrc)
-					}
-				}
-			}
-		}
-		lineVals[li] = vals
-	}
-
-	// Witness-source density penalty: a source whose values densely
-	// cover a small domain (e.g. interface indexes 0..N) witnesses
-	// almost any small value by coincidence. Instance scores are damped
-	// by the source's occurrence count, generalizing the paper's
-	// "common values yield spurious matches" heuristic.
-	density := make([]float64, len(sources))
-	for i := range sources {
-		density[i] = 1 / (1 + math.Log2(math.Max(1, float64(occurrences[i]))))
-	}
-
-	// Pass B: query the indexes for every value. Candidates are tracked
-	// in a compact map keyed by packed (lhs, src, rel).
-	local := make(map[uint64]*candLocal)
-	maxFanout := m.opts.MaxFanout
-	record := func(av *appliedVal, li int32, rel int8, h hit) {
-		ck := uint64(uint32(av.lhs))<<34 | uint64(uint32(h.src))<<4 | uint64(rel)
-		c := local[ck]
-		if c == nil {
-			c = &candLocal{lhs: av.lhs, rel: rel, src: h.src, lastLine: -1}
-			local[ck] = c
-		}
-		inst := av.score
-		if s := float64(h.score); s < inst {
-			inst = s
-		}
-		inst *= density[h.src]
-		if c.lastLine == li {
-			at := len(c.instances) - 1
-			if inst > c.instances[at].s {
-				c.instances[at].s = inst
-			}
-			return
-		}
-		c.lastLine = li
-		c.satisfied++
-		c.instances = append(c.instances, scoredInstance{key: av.key, s: inst})
-	}
-	for li := range cfg.Lines {
-		for ai := range lineVals[li] {
-			av := &lineVals[li][ai]
-			lhsSrc := sources[av.lhs]
-			fanout, visited := 0, 0
-			visit := func(rel int8) func(h hit) bool {
-				fanout, visited = 0, 0
-				return func(h hit) bool {
-					// Traversal budget: self-skips below still consume it,
-					// so a subtree dominated by the query's own values
-					// cannot force a full walk.
-					visited++
-					if visited > 4*maxFanout {
-						return false
-					}
-					ws := sources[h.src]
-					// A parameter never witnesses itself: the same
-					// (pattern, param) is skipped regardless of transform,
-					// since relating a value to a transform of itself
-					// carries no cross-line information.
-					if ws.patternID == lhsSrc.patternID && ws.paramIdx == lhsSrc.paramIdx {
-						return true
-					}
-					fanout++
-					if fanout > maxFanout {
-						return false
-					}
-					record(av, int32(li), rel, h)
-					return true
-				}
-			}
-			if bucket := eq[av.key]; len(bucket) > 0 {
-				v := visit(0)
-				for i := range bucket {
-					if !v(bucket[i]) {
-						break
-					}
-				}
-			}
-			switch v := av.val.(type) {
-			case netdata.IP:
-				if v.Is6() {
-					cv6.Containing(v, visit(1))
-				} else {
-					cv4.Containing(v, visit(1))
-				}
-			case netdata.Prefix:
-				if v.Addr().Is6() {
-					cv6.ContainingPrefix(v, visit(1))
-				} else {
-					cv4.ContainingPrefix(v, visit(1))
-				}
-			case netdata.Str:
-				sw.ExtensionsOf(string(v), true, visit(2))
-				ew.ExtensionsOf(trie.Reverse(string(v)), true, visit(3))
-			}
-			for k, ix := range extraIx {
-				v := visit(int8(4 + k))
-				ix.Query(av.val, func(e relations.Entry) bool {
-					id, ok := extraSrcID[e.Source]
-					if !ok {
-						return true
-					}
-					return v(hit{src: id, score: float32(score.Value(e.Value))})
-				})
-			}
-		}
-	}
-
-	// Fold: a candidate holds here iff every forall instance found a
-	// witness.
-	for _, c := range local {
-		if c.satisfied != occurrences[c.lhs] {
-			continue
-		}
-		ls := sources[c.lhs]
-		ws := sources[c.src]
-		k := candKey{
-			p1: patterns[ls.patternID], i1: int(ls.paramIdx), t1: m.transforms[ls.transform].Name,
-			rel: m.rels[c.rel],
-			p2:  patterns[ws.patternID], i2: int(ws.paramIdx), t2: m.transforms[ws.transform].Name,
-		}
-		cs := global[k]
-		if cs == nil {
-			cs = &candState{
-				display1: displays[ls.patternID],
-				display2: displays[ws.patternID],
-				agg:      score.NewAggregator(),
-			}
-			global[k] = cs
-		}
-		cs.holdConfigs++
-		for _, inst := range c.instances {
-			cs.agg.AddInstance(inst.key, inst.s)
 		}
 	}
 }

@@ -9,12 +9,12 @@ import (
 	"concord/internal/netdata"
 )
 
-// statsI is the interned mirror of stats: the same aggregates keyed by
-// dense pattern IDs instead of pattern strings, so the per-line fold in
-// statsOneConfigFast hashes small integers instead of full
-// context-embedded pattern text. finalize converts back to the
-// string-keyed stats the miners consume (a per-distinct-key cost,
-// negligible next to the per-line pass).
+// statsI is the statistics pass's accumulator: the aggregates of stats
+// keyed by dense pattern IDs instead of pattern strings, so the
+// per-line fold in statsOneConfig hashes small integers instead of full
+// context-embedded pattern text. finalize converts to the string-keyed
+// stats the miners consume (a per-distinct-key cost, negligible next to
+// the per-line pass).
 type statsI struct {
 	nConfigs  int
 	tab       *intern.Table
@@ -50,8 +50,8 @@ func newStatsI(nConfigs int, tab *intern.Table) *statsI {
 }
 
 // pid returns a line's dense pattern ID, interning on the fly for lines
-// that predate the run's table (metadata lines constructed outside the
-// format layer).
+// that carry none (hand-built configurations, folded into a fresh
+// table; see corpusTable).
 func (st *statsI) pid(line *lexer.Line) int32 {
 	if line.PatternID != 0 {
 		return line.PatternID
@@ -59,17 +59,21 @@ func (st *statsI) pid(line *lexer.Line) int32 {
 	return st.tab.ID(line.Pattern)
 }
 
-// statsOneConfigFast is statsOneConfig on interned keys; the fold logic
-// mirrors it statement for statement (the golden differential test
-// pins the equivalence).
-func (m *Miner) statsOneConfigFast(cfg *lexer.Config, st *statsI) error {
+// statsOneConfig folds one configuration into the statistics.
+// Containment is best-effort: the fault-injection point fires before
+// any mutation, but a genuine mid-fold panic can leave this
+// configuration partially counted (the diagnostic says which).
+func (m *Miner) statsOneConfig(cfg *lexer.Config, st *statsI) error {
 	return m.contain(cfg.Name, func() {
 		faultinject.At("mining.stats.config", cfg.Name)
 		seenPatterns := make(map[int32]bool)
 		seenConstants := make(map[string]bool)
+		// Ordering bookkeeping: per first-pattern occurrence counts and
+		// per-(first,second) successor counts within this config.
 		occ := make(map[int32]int)
 		succ := make(map[[2]int32]int)
 		succDisp := make(map[[2]int32][2]string)
+		// Sequence bookkeeping: values in line order.
 		seqVals := make(map[int64][]*big.Int)
 		for i := range cfg.Lines {
 			line := &cfg.Lines[i]
