@@ -38,7 +38,7 @@ race:
 # the race detector: panic containment, strict-mode aborts, input
 # guards, and goroutine-leak checks.
 chaos:
-	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Panic|Pathological|Lenient|Diagnostics|Guard|Limits|Binary|Oversize|DepthCap|LineBudget|EmptyCorpus|Poison|Warm|Artifact|Incremental|Corrupt|Concurrent|Registry|Singleflight|Eviction|Bundle|Reload|Rollback|Journal|Recover|Shard|Combiner|Fleet|Worker|Dist|Frame|Accumulator|Straggler' ./...
+	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Panic|Pathological|Lenient|Diagnostics|Guard|Limits|Binary|Oversize|DepthCap|LineBudget|EmptyCorpus|Poison|Warm|Artifact|Incremental|Corrupt|Concurrent|Registry|Singleflight|Eviction|Bundle|Reload|Rollback|Journal|Recover|Shard|ReduceUnique|Fleet|Worker|Dist|Frame|Accumulator|Straggler' ./...
 
 # serve-smoke boots the resident HTTP service under the race detector
 # and drives it over real sockets: one-shot/served output identity, the
@@ -59,11 +59,12 @@ reload-smoke:
 # detector: shard-count differential identity ({1,3,16} shards,
 # byte-identical reports), warm-shard artifact replay, monotonic
 # global progress, shard/config panic containment in both lenient and
-# strict modes, the map-reduce unique combiner, the 10k-device
-# generation-plan uniqueness suite, and the sharded server batch and
-# CLI paths.
+# strict modes, the map-reduce Unique reduce (contiguous splits, sites
+# replayed through the check-artifact record, panic containment), the
+# 10k-device generation-plan uniqueness suite, and the sharded server
+# batch and CLI paths.
 fleet-smoke:
-	$(GO) test -race -timeout 10m -count=1 -run 'TestSharded|TestShardOptionsValidate|TestChaosShard|TestUniqueCombiner|TestFleet|TestServeShardedCheckBatch' ./internal/core ./internal/contracts ./internal/synth ./internal/server ./cmd/concord
+	$(GO) test -race -timeout 10m -count=1 -run 'TestSharded|TestShardOptionsValidate|TestChaosShard|TestReduceUnique|TestFleet|TestServeShardedCheckBatch' ./internal/core ./internal/contracts ./internal/artifact ./internal/synth ./internal/server ./cmd/concord
 
 # dist-smoke is the worker-process shard backend gate under the race
 # detector: cross-backend differential identity (process vs. in-process

@@ -1,7 +1,9 @@
 package artifact_test
 
 import (
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -293,6 +295,91 @@ func TestCheckEntryCodecRoundTrip(t *testing.T) {
 		if _, err := artifact.DecodeCheckEntry(payload[:cut]); err == nil {
 			t.Fatalf("DecodeCheckEntry accepted truncation at %d/%d", cut, len(payload))
 		}
+	}
+}
+
+// checkEntryGolden is EncodeCheckEntry of goldenCheckEntry. The check
+// artifact cache and the shard wire both carry this layout; changing it
+// without bumping artifact.SchemaVersion would make warm caches replay
+// garbage, so a layout change must fail here.
+const checkEntryGolden = "2821020770726573656e741406756e6971756502020770726573656e740270310970726573656e74207805612e63666700076d697373696e6706756e6971756502753108756e69717565207905612e636667ac020364757002027531020b69703a31302e302e302e310831302e302e302e31030b69703a31302e302e302e320831302e302e302e32ac0202753201056e756d3a39013908"
+
+func goldenCheckEntry() *artifact.CheckEntry {
+	return &artifact.CheckEntry{
+		Violations: []contracts.Violation{
+			{Category: contracts.CatPresent, ContractID: "p1", Contract: "present x", File: "a.cfg", Detail: "missing"},
+			{Category: contracts.CatUnique, ContractID: "u1", Contract: "unique y", File: "a.cfg", Line: 300, Detail: "dup"},
+		},
+		SourceLines: 40,
+		Covered:     33,
+		ByCategory:  map[contracts.Category]int{contracts.CatPresent: 20, contracts.CatUnique: 2},
+		Unique: map[string][]contracts.UniqueSite{
+			"u2": {{Key: "num:9", Display: "9", Line: 8}},
+			"u1": {{Key: "ip:10.0.0.1", Display: "10.0.0.1", Line: 3}, {Key: "ip:10.0.0.2", Display: "10.0.0.2", Line: 300}},
+		},
+	}
+}
+
+func TestCheckEntryGoldenLayout(t *testing.T) {
+	if artifact.SchemaVersion != 1 {
+		t.Fatalf("SchemaVersion = %d: re-pin checkEntryGolden for the new layout", artifact.SchemaVersion)
+	}
+	got := hex.EncodeToString(artifact.EncodeCheckEntry(goldenCheckEntry()))
+	if got != checkEntryGolden {
+		t.Fatalf("CheckEntry layout changed without a SchemaVersion bump:\n got %s\nwant %s", got, checkEntryGolden)
+	}
+	raw, _ := hex.DecodeString(checkEntryGolden)
+	dec, err := artifact.DecodeCheckEntry(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := goldenCheckEntry(); !reflect.DeepEqual(dec, want) {
+		t.Fatalf("golden decode:\n got %+v\nwant %+v", dec, want)
+	}
+}
+
+// TestReduceUniqueSitesReplay asserts that Unique sites replayed from a
+// check entry (the warm-cache and worker-process paths) reduce exactly
+// as sites extracted directly from the configurations, and as the cold
+// CheckUniqueAcross walk over the configurations themselves.
+func TestReduceUniqueSitesReplay(t *testing.T) {
+	set := &contracts.Set{Contracts: []contracts.Contract{
+		&contracts.Unique{Pattern: "/hostname r[num]", Display: "/hostname r[a:num]", ParamIdx: 0},
+		&contracts.Unique{Pattern: "/router-id [ip4]", Display: "/router-id [a:ip4]", ParamIdx: 0},
+	}}
+	ch := contracts.NewChecker(set)
+	lx := lexer.MustNew()
+	var cfgs []*lexer.Config
+	var names []string
+	var direct, replayed []map[string][]contracts.UniqueSite
+	for i := 0; i < 12; i++ {
+		lb := i
+		if i%5 == 4 {
+			lb = i / 5 // every fifth device reuses an earlier loopback
+		}
+		name := fmt.Sprintf("r%02d.cfg", i)
+		text := fmt.Sprintf("hostname r%02d\nrouter-id 10.0.%d.1\n", i, lb)
+		cfg := format.Process(name, []byte(text), lx, format.Options{Embed: true})
+		sites := ch.UniqueContributions(&cfg)
+		dec, err := artifact.DecodeCheckEntry(artifact.EncodeCheckEntry(&artifact.CheckEntry{Unique: sites}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs, names = append(cfgs, &cfg), append(names, name)
+		direct, replayed = append(direct, sites), append(replayed, dec.Unique)
+	}
+	reduce := func(sites []map[string][]contracts.UniqueSite) []contracts.Violation {
+		return ch.ReduceUnique(len(names), func(i int) (string, map[string][]contracts.UniqueSite) { return names[i], sites[i] })
+	}
+	want := ch.CheckUniqueAcross(cfgs)
+	if len(want) == 0 {
+		t.Fatal("corpus planted no duplicates; the test is vacuous")
+	}
+	if got := reduce(direct); !reflect.DeepEqual(got, want) {
+		t.Errorf("direct reduce = %+v, want %+v", got, want)
+	}
+	if got := reduce(replayed); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed reduce = %+v, want %+v", got, want)
 	}
 }
 

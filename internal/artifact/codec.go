@@ -17,35 +17,68 @@ import (
 // deduplicating the heavily repeated fields (patterns, displays, token
 // type names). Decoding allocates one string per distinct table entry
 // plus the per-line Raw/Text, which is what makes replay cheap
-// relative to re-lexing.
+// relative to re-lexing. Writer and Reader are the codec primitives of
+// every binary payload in the repo: the artifact cache's, and the shard
+// wire's (internal/shardrpc), which embeds CheckEntry records as is.
 
-// writer accumulates an encoding.
-type writer struct {
-	b []byte
+// Writer accumulates an encoding in Buf.
+type Writer struct {
+	Buf []byte
 }
 
-func (w *writer) uvarint(u uint64) { w.b = binary.AppendUvarint(w.b, u) }
+// Uvarint appends an unsigned varint.
+func (w *Writer) Uvarint(u uint64) { w.Buf = binary.AppendUvarint(w.Buf, u) }
 
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.b = append(w.b, s...)
+// Bool appends one byte, 0 or 1.
+func (w *Writer) Bool(v bool) {
+	var b byte
+	if v {
+		b = 1
+	}
+	w.Buf = append(w.Buf, b)
 }
 
-// reader decodes with a sticky error, so call sites stay linear and the
-// final err check catches any malformed field.
-type reader struct {
+// Str appends a length-prefixed string.
+func (w *Writer) Str(s string) {
+	w.Uvarint(uint64(len(s)))
+	w.Buf = append(w.Buf, s...)
+}
+
+// Bytes appends a length-prefixed byte slice.
+func (w *Writer) Bytes(b []byte) {
+	w.Uvarint(uint64(len(b)))
+	w.Buf = append(w.Buf, b...)
+}
+
+// F64 appends a float64 as its fixed-width little-endian IEEE 754
+// bits: exact round-trip, no formatting ambiguity.
+func (w *Writer) F64(v float64) {
+	w.Buf = binary.LittleEndian.AppendUint64(w.Buf, math.Float64bits(v))
+}
+
+// Reader decodes with a sticky error, so call sites stay linear and the
+// final Done catches any malformed field. After the first error every
+// read returns a zero value.
+type Reader struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (r *reader) fail(format string, args ...any) {
+// NewReader returns a Reader over b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// Err returns the first decode error, if any.
+func (r *Reader) Err() error { return r.err }
+
+func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (r *reader) uvarint() uint64 {
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -58,10 +91,10 @@ func (r *reader) uvarint() uint64 {
 	return u
 }
 
-// count reads a uvarint bounded by the remaining input, so a corrupt
+// Count reads a uvarint bounded by the remaining input, so a corrupt
 // length can never drive a huge allocation.
-func (r *reader) count() int {
-	u := r.uvarint()
+func (r *Reader) Count() int {
+	u := r.Uvarint()
 	if r.err == nil && u > uint64(len(r.b)-r.off) {
 		r.fail("artifact: count %d exceeds remaining input %d", u, len(r.b)-r.off)
 		return 0
@@ -69,8 +102,43 @@ func (r *reader) count() int {
 	return int(u)
 }
 
-func (r *reader) str() string {
-	n := r.count()
+// line reads a 1-based line number, rejecting values no configuration
+// can have.
+func (r *Reader) line(what string) int {
+	u := r.Uvarint()
+	if u > math.MaxInt32 {
+		r.fail("artifact: implausible %s line %d", what, u)
+		return 0
+	}
+	return int(u)
+}
+
+// rawByte reads one byte.
+func (r *Reader) rawByte(what string) byte {
+	if r.err != nil {
+		return 0
+	}
+	if r.off >= len(r.b) {
+		r.fail("artifact: truncated %s at offset %d", what, r.off)
+		return 0
+	}
+	v := r.b[r.off]
+	r.off++
+	return v
+}
+
+// Bool reads one byte that must be 0 or 1.
+func (r *Reader) Bool() bool {
+	v := r.rawByte("bool")
+	if v > 1 {
+		r.fail("artifact: bad bool value %d at offset %d", v, r.off-1)
+	}
+	return v == 1
+}
+
+// Str reads a length-prefixed string.
+func (r *Reader) Str() string {
+	n := r.Count()
 	if r.err != nil {
 		return ""
 	}
@@ -79,7 +147,34 @@ func (r *reader) str() string {
 	return s
 }
 
-func (r *reader) done() error {
+// Bytes reads a length-prefixed byte slice into a fresh copy.
+func (r *Reader) Bytes() []byte {
+	n := r.Count()
+	if r.err != nil {
+		return nil
+	}
+	b := make([]byte, n)
+	copy(b, r.b[r.off:r.off+n])
+	r.off += n
+	return b
+}
+
+// F64 reads a float64 written by Writer.F64.
+func (r *Reader) F64() float64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b)-r.off < 8 {
+		r.fail("artifact: truncated float64 at offset %d", r.off)
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+	r.off += 8
+	return v
+}
+
+// Done returns the first decode error, or an error if input remains.
+func (r *Reader) Done() error {
 	if r.err != nil {
 		return r.err
 	}
@@ -137,29 +232,29 @@ func EncodeConfig(cfg *lexer.Config) ([]byte, bool) {
 			tab.ref(line.Params[pi].Type)
 		}
 	}
-	w := &writer{b: make([]byte, 0, 64*len(cfg.Lines))}
-	w.uvarint(uint64(cfg.SourceLines))
-	w.uvarint(uint64(len(tab.strs)))
+	w := &Writer{Buf: make([]byte, 0, 64*len(cfg.Lines))}
+	w.Uvarint(uint64(cfg.SourceLines))
+	w.Uvarint(uint64(len(tab.strs)))
 	for _, s := range tab.strs {
-		w.str(s)
+		w.Str(s)
 	}
-	w.uvarint(uint64(len(cfg.Lines)))
+	w.Uvarint(uint64(len(cfg.Lines)))
 	for i := range cfg.Lines {
 		line := &cfg.Lines[i]
-		w.uvarint(uint64(line.Num))
-		w.str(line.Raw)
-		w.str(line.Text)
-		w.uvarint(tab.ref(line.Pattern))
-		w.uvarint(tab.ref(line.Display))
-		w.uvarint(uint64(len(line.Params)))
+		w.Uvarint(uint64(line.Num))
+		w.Str(line.Raw)
+		w.Str(line.Text)
+		w.Uvarint(tab.ref(line.Pattern))
+		w.Uvarint(tab.ref(line.Display))
+		w.Uvarint(uint64(len(line.Params)))
 		for pi := range line.Params {
 			p := &line.Params[pi]
-			w.uvarint(tab.ref(p.Type))
-			w.b = append(w.b, byte(p.Value.Kind()))
-			w.str(p.Value.String())
+			w.Uvarint(tab.ref(p.Type))
+			w.Buf = append(w.Buf, byte(p.Value.Kind()))
+			w.Str(p.Value.String())
 		}
 	}
-	return w.b, true
+	return w.Buf, true
 }
 
 // encodableValue reports whether a value is one of the built-in
@@ -179,16 +274,16 @@ func encodableValue(v netdata.Value) bool {
 // pattern into the run's table so the compiled checker's dense-ID fast
 // path works on replayed configs exactly as on freshly lexed ones.
 func DecodeConfig(data []byte, name string, interns *intern.Table) (*lexer.Config, error) {
-	r := &reader{b: data}
+	r := NewReader(data)
 	cfg := &lexer.Config{Name: name, Interns: interns}
-	cfg.SourceLines = int(r.uvarint())
-	nStrs := r.count()
+	cfg.SourceLines = int(r.Uvarint())
+	nStrs := r.Count()
 	if r.err != nil {
 		return nil, r.err
 	}
 	strs := make([]string, nStrs)
 	for i := range strs {
-		strs[i] = r.str()
+		strs[i] = r.Str()
 	}
 	// Pattern IDs are interned once per distinct table entry, not once
 	// per line.
@@ -202,7 +297,7 @@ func DecodeConfig(data []byte, name string, interns *intern.Table) (*lexer.Confi
 		}
 		return strs[ref], ids[ref], nil
 	}
-	nLines := r.count()
+	nLines := r.Count()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -210,12 +305,12 @@ func DecodeConfig(data []byte, name string, interns *intern.Table) (*lexer.Confi
 	for i := 0; i < nLines; i++ {
 		var line lexer.Line
 		line.File = name
-		line.Num = int(r.uvarint())
-		line.Raw = r.str()
-		line.Text = r.str()
-		pRef := r.uvarint()
-		dRef := r.uvarint()
-		nParams := r.count()
+		line.Num = int(r.Uvarint())
+		line.Raw = r.Str()
+		line.Text = r.Str()
+		pRef := r.Uvarint()
+		dRef := r.Uvarint()
+		nParams := r.Count()
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -230,16 +325,9 @@ func DecodeConfig(data []byte, name string, interns *intern.Table) (*lexer.Confi
 		if nParams > 0 {
 			line.Params = make([]lexer.Param, nParams)
 			for pi := 0; pi < nParams; pi++ {
-				tRef := r.uvarint()
-				if r.err != nil {
-					return nil, r.err
-				}
-				if r.off >= len(r.b) {
-					return nil, fmt.Errorf("artifact: truncated param kind")
-				}
-				kind := netdata.Kind(r.b[r.off])
-				r.off++
-				raw := r.str()
+				tRef := r.Uvarint()
+				kind := netdata.Kind(r.rawByte("param kind"))
+				raw := r.Str()
 				if r.err != nil {
 					return nil, r.err
 				}
@@ -255,7 +343,7 @@ func DecodeConfig(data []byte, name string, interns *intern.Table) (*lexer.Confi
 		}
 		cfg.Lines = append(cfg.Lines, line)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return cfg, nil
@@ -306,117 +394,96 @@ type CheckEntry struct {
 // EncodeCheckEntry serializes a check entry. Map fields are written in
 // sorted key order so the encoding is deterministic.
 func EncodeCheckEntry(e *CheckEntry) []byte {
-	w := &writer{b: make([]byte, 0, 256)}
-	w.uvarint(uint64(e.SourceLines))
-	w.uvarint(uint64(e.Covered))
+	w := &Writer{Buf: make([]byte, 0, 256)}
+	w.CheckEntry(e)
+	return w.Buf
+}
+
+// CheckEntry appends e in EncodeCheckEntry's layout, so a larger record
+// (the shard wire's per-config result) carries the entry as is.
+func (w *Writer) CheckEntry(e *CheckEntry) {
+	w.Uvarint(uint64(e.SourceLines))
+	w.Uvarint(uint64(e.Covered))
 	cats := make([]string, 0, len(e.ByCategory))
 	for c := range e.ByCategory {
 		cats = append(cats, string(c))
 	}
 	sort.Strings(cats)
-	w.uvarint(uint64(len(cats)))
+	w.Uvarint(uint64(len(cats)))
 	for _, c := range cats {
-		w.str(c)
-		w.uvarint(uint64(e.ByCategory[contracts.Category(c)]))
+		w.Str(c)
+		w.Uvarint(uint64(e.ByCategory[contracts.Category(c)]))
 	}
-	w.uvarint(uint64(len(e.Violations)))
+	w.Uvarint(uint64(len(e.Violations)))
 	for i := range e.Violations {
 		v := &e.Violations[i]
-		w.str(string(v.Category))
-		w.str(v.ContractID)
-		w.str(v.Contract)
-		w.str(v.File)
-		w.uvarint(uint64(v.Line))
-		w.str(v.Detail)
+		w.Str(string(v.Category))
+		w.Str(v.ContractID)
+		w.Str(v.Contract)
+		w.Str(v.File)
+		w.Uvarint(uint64(v.Line))
+		w.Str(v.Detail)
 	}
 	ids := make([]string, 0, len(e.Unique))
 	for id := range e.Unique {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	w.uvarint(uint64(len(ids)))
+	w.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
 		sites := e.Unique[id]
-		w.str(id)
-		w.uvarint(uint64(len(sites)))
+		w.Str(id)
+		w.Uvarint(uint64(len(sites)))
 		for _, s := range sites {
-			w.str(s.Key)
-			w.str(s.Display)
-			w.uvarint(uint64(s.Line))
+			w.Str(s.Key)
+			w.Str(s.Display)
+			w.Uvarint(uint64(s.Line))
 		}
 	}
-	return w.b
 }
 
-// DecodeCheckEntry reconstructs a check entry. ByCategory and Unique
-// are always non-nil (possibly empty) maps, matching what a cold check
-// produces.
+// DecodeCheckEntry reconstructs a check entry.
 func DecodeCheckEntry(data []byte) (*CheckEntry, error) {
-	r := &reader{b: data}
-	e := &CheckEntry{
+	r := NewReader(data)
+	e := r.CheckEntry()
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return &e, nil
+}
+
+// CheckEntry reads an entry written by Writer.CheckEntry. ByCategory
+// and Unique are always non-nil (possibly empty) maps, matching what a
+// cold check produces.
+func (r *Reader) CheckEntry() CheckEntry {
+	e := CheckEntry{
 		ByCategory: make(map[contracts.Category]int),
 		Unique:     make(map[string][]contracts.UniqueSite),
 	}
-	e.SourceLines = int(r.uvarint())
-	e.Covered = int(r.uvarint())
-	nCats := r.count()
-	for i := 0; i < nCats && r.err == nil; i++ {
-		c := r.str()
-		n := r.uvarint()
-		if r.err == nil {
-			e.ByCategory[contracts.Category(c)] = int(n)
-		}
+	e.SourceLines = int(r.Uvarint())
+	e.Covered = int(r.Uvarint())
+	for i, n := 0, r.Count(); i < n && r.err == nil; i++ {
+		c := contracts.Category(r.Str())
+		e.ByCategory[c] = int(r.Uvarint())
 	}
-	nViol := r.count()
-	if r.err != nil {
-		return nil, r.err
+	for i, n := 0, r.Count(); i < n && r.err == nil; i++ {
+		e.Violations = append(e.Violations, contracts.Violation{
+			Category:   contracts.Category(r.Str()),
+			ContractID: r.Str(),
+			Contract:   r.Str(),
+			File:       r.Str(),
+			Line:       r.line("violation"),
+			Detail:     r.Str(),
+		})
 	}
-	for i := 0; i < nViol; i++ {
-		var v contracts.Violation
-		v.Category = contracts.Category(r.str())
-		v.ContractID = r.str()
-		v.Contract = r.str()
-		v.File = r.str()
-		line := r.uvarint()
-		v.Detail = r.str()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if line > math.MaxInt32 {
-			return nil, fmt.Errorf("artifact: implausible violation line %d", line)
-		}
-		v.Line = int(line)
-		e.Violations = append(e.Violations, v)
-	}
-	nUniq := r.count()
-	if r.err != nil {
-		return nil, r.err
-	}
-	for i := 0; i < nUniq; i++ {
-		id := r.str()
-		nSites := r.count()
-		if r.err != nil {
-			return nil, r.err
-		}
-		sites := make([]contracts.UniqueSite, 0, nSites)
-		for j := 0; j < nSites; j++ {
-			var s contracts.UniqueSite
-			s.Key = r.str()
-			s.Display = r.str()
-			line := r.uvarint()
-			if r.err != nil {
-				return nil, r.err
-			}
-			if line > math.MaxInt32 {
-				return nil, fmt.Errorf("artifact: implausible site line %d", line)
-			}
-			s.Line = int(line)
-			sites = append(sites, s)
+	for i, n := 0, r.Count(); i < n && r.err == nil; i++ {
+		id := r.Str()
+		m := r.Count()
+		sites := make([]contracts.UniqueSite, 0, m)
+		for j := 0; j < m && r.err == nil; j++ {
+			sites = append(sites, contracts.UniqueSite{Key: r.Str(), Display: r.Str(), Line: r.line("site")})
 		}
 		e.Unique[id] = sites
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return e
 }

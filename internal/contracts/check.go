@@ -716,21 +716,15 @@ func (ch *Checker) CheckUniqueAcross(cfgs []*lexer.Config) []Violation {
 // then reads only the lines of its own pattern instead of scanning the
 // whole batch.
 func (ch *Checker) checkUniqueGlobal(cfgs []*lexer.Config) []Violation {
-	uniques := make([]*Unique, 0, len(ch.cs.absence))
-	for _, c := range ch.cs.absence {
-		if u, ok := c.(*Unique); ok {
-			uniques = append(uniques, u)
-		}
-	}
-	if len(uniques) == 0 {
+	if len(ch.cs.uniques) == 0 {
 		return nil
 	}
 	// byCfg[ci] maps interned pattern IDs to line indexes of cfgs[ci],
 	// restricted to the patterns unique contracts anchor on.
-	wanted := make(map[string]int, len(uniques))
-	for _, u := range uniques {
-		if id, ok := ch.cs.ids[u.Pattern]; ok {
-			wanted[u.Pattern] = id
+	wanted := make(map[string]int, len(ch.cs.uniques))
+	for _, c := range ch.cs.uniques {
+		if id, ok := ch.cs.ids[c.u.Pattern]; ok {
+			wanted[c.u.Pattern] = id
 		}
 	}
 	byCfg := make([]map[int][]int, len(cfgs))
@@ -744,14 +738,14 @@ func (ch *Checker) checkUniqueGlobal(cfgs []*lexer.Config) []Violation {
 		byCfg[ci] = idx
 	}
 	var out []Violation
-	for _, u := range uniques {
-		u := u
+	for _, c := range ch.cs.uniques {
+		u := c.u
 		id, ok := wanted[u.Pattern]
 		if !ok {
 			continue
 		}
 		ch.contained(u, "", func() {
-			faultinject.At("contracts.check.unique_global", u.ID())
+			faultinject.At("contracts.check.unique_global", c.id)
 			type site struct {
 				file string
 				line int
@@ -790,45 +784,66 @@ type UniqueSite struct {
 	Line    int
 }
 
-// uniqueContracts returns the set's unique contracts in compiled
-// (deterministic) order.
-func (ch *Checker) uniqueContracts() []*Unique {
-	uniques := make([]*Unique, 0, len(ch.cs.absence))
-	for _, c := range ch.cs.absence {
-		if u, ok := c.(*Unique); ok {
-			uniques = append(uniques, u)
-		}
-	}
-	return uniques
-}
-
 // UniqueContributions extracts, for every unique contract of the set,
-// the ordered value sites of one configuration. The result is what an
-// incremental caller caches: replaying it through a UniqueAccumulator
-// yields exactly the violations a direct checkUniqueGlobal scan over the
-// same configuration would contribute.
+// the ordered value sites of one configuration. The result is what a
+// caller that releases or caches the configuration keeps: ReduceUnique
+// over it yields exactly the violations a direct checkUniqueGlobal scan
+// over the same configuration would contribute.
 func (ch *Checker) UniqueContributions(cfg *lexer.Config) map[string][]UniqueSite {
-	uniques := ch.uniqueContracts()
-	out := make(map[string][]UniqueSite, len(uniques))
-	if len(uniques) == 0 {
+	out := make(map[string][]UniqueSite, len(ch.cs.uniques))
+	if len(ch.cs.uniques) == 0 {
 		return out
-	}
-	wanted := make(map[string][]*Unique, len(uniques))
-	for _, u := range uniques {
-		wanted[u.Pattern] = append(wanted[u.Pattern], u)
 	}
 	for i := range cfg.Lines {
 		line := &cfg.Lines[i]
-		for _, u := range wanted[line.Pattern] {
-			if u.ParamIdx >= len(line.Params) {
+		for _, c := range ch.cs.uniquesByPattern[line.Pattern] {
+			if c.u.ParamIdx >= len(line.Params) {
 				continue
 			}
-			v := line.Params[u.ParamIdx].Value
-			out[u.ID()] = append(out[u.ID()], UniqueSite{
+			v := line.Params[c.u.ParamIdx].Value
+			out[c.id] = append(out[c.id], UniqueSite{
 				Key: v.Key(), Display: v.String(), Line: line.Num,
 			})
 		}
 	}
+	return out
+}
+
+// ReduceUnique is the map-reduce form of CheckUniqueAcross, for callers
+// that do not hold the lexed corpus: the map side is UniqueContributions
+// per configuration (run in a shard, or cached in a check artifact),
+// and this reduce reads n configurations' names and sites through at,
+// in corpus order. The first site of a value is the witness, every
+// later site a violation, so for any split of the corpus into
+// contiguous shards, reducing the concatenated per-config sites
+// reproduces CheckUniqueAcross over the whole corpus. Panics inside a
+// contract are contained exactly as in the direct scan (lenient skips
+// the contract with a diagnostic, strict re-raises).
+func (ch *Checker) ReduceUnique(n int, at func(i int) (name string, sites map[string][]UniqueSite)) []Violation {
+	var out []Violation
+	for _, c := range ch.cs.uniques {
+		u, id := c.u, c.id
+		ch.contained(u, "", func() {
+			faultinject.At("contracts.check.unique_global", id)
+			type site struct {
+				file string
+				line int
+			}
+			seen := make(map[string]site)
+			for i := 0; i < n; i++ {
+				name, sites := at(i)
+				for _, s := range sites[id] {
+					if prev, dup := seen[s.Key]; dup {
+						out = append(out, violation(u, name, s.Line,
+							fmt.Sprintf("value %s duplicates %s:%d", s.Display, prev.file, prev.line)))
+						continue
+					}
+					seen[s.Key] = site{file: name, line: s.Line}
+				}
+			}
+		})
+	}
+	SortViolations(out)
 	return out
 }
 

@@ -56,6 +56,12 @@ type CompiledSet struct {
 	// detection must see configurations where the pattern is absent).
 	absence []Contract
 
+	// uniques lists the Unique contracts in set order with their IDs,
+	// which key every configuration's value sites; uniquesByPattern
+	// buckets them by anchor pattern for site extraction.
+	uniques          []uniqueCol
+	uniquesByPattern map[string][]uniqueCol
+
 	// anchored[id] lists the contracts whose anchor pattern has that
 	// interned ID; anchoredN is the total across all buckets.
 	anchored  [][]Contract
@@ -79,6 +85,13 @@ type CompiledSet struct {
 	// witSlots assigns a dense slot to each (pattern, paramIdx,
 	// transform) witness column used by a Relational contract.
 	witSlots map[witKey]int
+}
+
+// uniqueCol is one Unique contract with its ID, computed once at
+// compile time rather than per configuration or per value site.
+type uniqueCol struct {
+	u  *Unique
+	id string
 }
 
 type patternParamKey struct {
@@ -108,6 +121,8 @@ func CompileWithInterns(set *Set, tab *intern.Table) *CompiledSet {
 		typesByAg: make(map[string][]*TypeError),
 		numSlots:  make(map[patternParamKey]int),
 		witSlots:  make(map[witKey]int),
+
+		uniquesByPattern: make(map[string][]uniqueCol),
 	}
 	anchorOf := func(p string) int {
 		id := cs.intern(p)
@@ -127,9 +142,13 @@ func CompileWithInterns(set *Set, tab *intern.Table) *CompiledSet {
 			}
 		case *Unique:
 			// The existence component is an absence check; the global
-			// uniqueness component is handled by checkUniqueGlobal.
+			// uniqueness component is handled by checkUniqueGlobal or
+			// ReduceUnique.
 			cs.absence = append(cs.absence, c)
 			cs.intern(c.Pattern)
+			col := uniqueCol{u: c, id: c.ID()}
+			cs.uniques = append(cs.uniques, col)
+			cs.uniquesByPattern[c.Pattern] = append(cs.uniquesByPattern[c.Pattern], col)
 		case *Ordering:
 			id := anchorOf(c.First)
 			cs.anchored[id] = append(cs.anchored[id], c)

@@ -126,7 +126,7 @@ type Options struct {
 	// per-configuration work — lexed configurations are released as the
 	// shard advances, so peak memory is bounded by in-flight shards
 	// rather than fleet size. A sharded check merges cross-config
-	// Unique contracts through the contracts.UniqueCombiner; a
+	// Unique contracts by one reduce over the per-config value sites; a
 	// sharded learn folds each configuration into a per-shard
 	// mining.StatsAccumulator and merges the accumulators in shard
 	// order. Results are byte-identical to the unsharded paths, warm
@@ -1199,15 +1199,6 @@ func (e *Engine) CheckProcessedContext(ctx context.Context, set *contracts.Set, 
 	return res, nil
 }
 
-// covCount is one configuration's coverage reduced to counts — the
-// form both the cold path and a replayed check artifact can produce
-// identically.
-type covCount struct {
-	sourceLines int
-	covered     int
-	byCategory  map[contracts.Category]int
-}
-
 // checkFingerprint hashes everything besides a config's own content
 // that determines its check result: the check inputs (see
 // checkInputsHasher) plus the metadata corpus. Any mismatch makes every
@@ -1251,14 +1242,16 @@ func checkKey(hash, checkFP artifact.Key, name string) artifact.Key {
 		Key(hash).Key(checkFP).Str(name).Sum()
 }
 
-// checkedConfig is one configuration's check outcome: violations,
-// coverage counts, the unique-contract contribution when requested, and
-// whether the result was replayed from a check artifact.
+// checkedConfig is one configuration's check outcome: the record a
+// check artifact stores and a shard worker ships (violations, coverage
+// counts, and the unique-contract value sites when requested), whether
+// coverage is present (false when the check panicked and was
+// contained), and whether the result was replayed from a check
+// artifact.
 type checkedConfig struct {
-	violations []contracts.Violation
-	cov        *covCount
-	contrib    map[string][]contracts.UniqueSite
-	hit        bool
+	artifact.CheckEntry
+	hasCov bool
+	hit    bool
 }
 
 // checkRow is one surviving configuration's place in a check report, as
@@ -1274,11 +1267,11 @@ type checkRow struct {
 // checkOne evaluates one configuration: replayed from its check
 // artifact on a warm run (warm, with a content hash in sa), else checked
 // fresh (and, on a warm run, persisted when the result is certainly
-// complete). wantContrib additionally extracts the configuration's
-// unique-contract value multiset so the caller can merge
-// cross-configuration uniqueness without retaining the config. Panics
-// propagate to the caller's containment.
-func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *lexer.Config, sa sourceArt, warm bool, checkFP artifact.Key, wantContrib bool) checkedConfig {
+// complete). wantSites additionally extracts the configuration's
+// unique-contract value sites so the caller can merge cross-configuration
+// uniqueness without retaining the config. Panics propagate to the
+// caller's containment.
+func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *lexer.Config, sa sourceArt, warm bool, checkFP artifact.Key, wantSites bool) checkedConfig {
 	faultinject.At("core.check.config", cfg.Name)
 	warmKey := warm && !sa.hash.IsZero()
 	var key artifact.Key
@@ -1291,12 +1284,7 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 			if derr == nil {
 				e.opts.Telemetry.Add("artifact.cache_hits", 1)
 				e.opts.Telemetry.Add("artifact.bytes_read", int64(len(payload)))
-				return checkedConfig{
-					violations: entry.Violations,
-					cov:        &covCount{entry.SourceLines, entry.Covered, entry.ByCategory},
-					contrib:    entry.Unique,
-					hit:        true,
-				}
+				return checkedConfig{CheckEntry: *entry, hasCov: true, hit: true}
 			}
 			e.invalidateArtifact(dc, cfg.Name, derr)
 		case errors.Is(lerr, artifact.ErrMiss):
@@ -1316,29 +1304,24 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 		checker = checker.ForRequest(e.opts.Telemetry, cdc)
 		defer dc.Merge(cdc)
 	}
-	out := checkedConfig{violations: checker.Check(cfg)}
+	var out checkedConfig
+	out.Violations = checker.Check(cfg)
 	if cov := checker.Coverage(cfg); cov != nil {
-		cc := &covCount{cov.SourceLines, len(cov.Covered), make(map[contracts.Category]int, len(cov.ByCategory))}
+		out.hasCov = true
+		out.SourceLines, out.Covered = cov.SourceLines, len(cov.Covered)
+		out.ByCategory = make(map[contracts.Category]int, len(cov.ByCategory))
 		for cat, lines := range cov.ByCategory {
-			cc.byCategory[cat] = len(lines)
+			out.ByCategory[cat] = len(lines)
 		}
-		out.cov = cc
 	}
-	if wantContrib {
-		out.contrib = checker.UniqueContributions(cfg)
+	if wantSites {
+		out.Unique = checker.UniqueContributions(cfg)
 	}
 	// Persist only results that are certainly complete: the config
 	// processed cleanly, coverage succeeded, and checking it recorded no
 	// diagnostics.
-	if warmKey && sa.clean && out.cov != nil && cdc.Len() == 0 {
-		entry := &artifact.CheckEntry{
-			Violations:  out.violations,
-			SourceLines: out.cov.sourceLines,
-			Covered:     out.cov.covered,
-			ByCategory:  out.cov.byCategory,
-			Unique:      out.contrib,
-		}
-		payload := artifact.EncodeCheckEntry(entry)
+	if warmKey && sa.clean && out.hasCov && cdc.Len() == 0 {
+		payload := artifact.EncodeCheckEntry(&out.CheckEntry)
 		if serr := e.opts.Artifacts.Store(artifact.KindCheck, key, payload); serr != nil {
 			e.opts.Telemetry.Add("artifact.store_errors", 1)
 		} else {
@@ -1383,27 +1366,31 @@ func (e *Engine) checkProcessedContext(ctx context.Context, dc *diag.Collector, 
 	}
 	var unique []contracts.Violation
 	if warm {
-		// The incremental global-uniqueness pass: cached configs
-		// contribute their persisted value multisets, fresh ones the
-		// multisets extracted above, and the combiner reproduces
-		// CheckUniqueAcross exactly.
-		combiner := checker.UniqueCombiner()
-		acc := combiner.NewAccumulator()
+		// The incremental global-uniqueness pass: cached configs carry
+		// their persisted value sites, fresh ones the sites extracted
+		// above, and the reduce reproduces CheckUniqueAcross exactly.
 		for i := range rows {
-			contrib := rows[i].contrib
-			if contrib == nil {
-				// The worker panicked before extracting; recover the
-				// contribution so cross-config uniqueness matches the
-				// cold path, which always scans every surviving config.
-				contrib = checker.UniqueContributions(cfgs[i])
+			if rows[i].Unique == nil {
+				// The check panicked before extracting; recover the
+				// sites so cross-config uniqueness matches the cold
+				// path, which always scans every surviving config.
+				rows[i].Unique = checker.UniqueContributions(cfgs[i])
 			}
-			acc.AddSites(rows[i].name, contrib)
 		}
-		unique = combiner.Reduce([]*contracts.UniqueAccumulator{acc})
+		unique = reduceUnique(checker, rows)
 	} else {
 		unique = checker.CheckUniqueAcross(cfgs)
 	}
 	return e.finishCheck(rows, unique, pstats, warm, checkFP), nil
+}
+
+// reduceUnique is the cross-config Unique reduce over check rows in
+// corpus order, for the drivers that release or replay configurations
+// (warm and sharded checks).
+func reduceUnique(checker *contracts.Checker, rows []checkRow) []contracts.Violation {
+	return checker.ReduceUnique(len(rows), func(i int) (string, map[string][]contracts.UniqueSite) {
+		return rows[i].name, rows[i].Unique
+	})
 }
 
 // finishCheck is the check pipeline's shared tail for both drivers: it
@@ -1414,31 +1401,31 @@ func (e *Engine) checkProcessedContext(ctx context.Context, dc *diag.Collector, 
 func (e *Engine) finishCheck(rows []checkRow, unique []contracts.Violation, pstats ProcessStats, warm bool, checkFP artifact.Key) *CheckResult {
 	res := &CheckResult{Stats: pstats}
 	for i := range rows {
-		res.Violations = append(res.Violations, rows[i].violations...)
+		res.Violations = append(res.Violations, rows[i].Violations...)
 	}
 	res.Violations = append(res.Violations, unique...)
 	contracts.SortViolations(res.Violations)
 
 	res.Coverage.ByCategory = make(map[contracts.Category]int)
 	for i := range rows {
-		cc := rows[i].cov
-		if cc == nil {
+		row := &rows[i]
+		if !row.hasCov {
 			// This configuration's check panicked and was contained;
 			// the diagnostic is already recorded.
 			continue
 		}
 		out := ConfigCoverage{
-			Name:        rows[i].name,
-			SourceLines: cc.sourceLines,
-			Covered:     cc.covered,
-			ByCategory:  make(map[contracts.Category]int, len(cc.byCategory)),
+			Name:        row.name,
+			SourceLines: row.SourceLines,
+			Covered:     row.Covered,
+			ByCategory:  make(map[contracts.Category]int, len(row.ByCategory)),
 		}
-		for cat, n := range cc.byCategory {
+		for cat, n := range row.ByCategory {
 			out.ByCategory[cat] = n
 			res.Coverage.ByCategory[cat] += n
 		}
-		res.Coverage.TotalLines += cc.sourceLines
-		res.Coverage.CoveredLines += cc.covered
+		res.Coverage.TotalLines += row.SourceLines
+		res.Coverage.CoveredLines += row.Covered
 		res.Coverage.PerConfig = append(res.Coverage.PerConfig, out)
 	}
 	if warm {

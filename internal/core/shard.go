@@ -4,18 +4,17 @@
 // whole lexed fleet in memory the way the unsharded driver does. The
 // sharded driver partitions the corpus into deterministic contiguous
 // shards, runs shards on a bounded worker pool, and streams inside
-// each shard: every configuration is processed, checked, folded into
-// the shard's cross-config accumulator, and then released — so peak
-// memory is bounded by the configurations in flight, not by fleet
-// size. Cross-configuration Unique contracts are merged afterwards
-// through the contracts.UniqueCombiner, which reproduces a
-// sequential whole-corpus scan exactly.
+// each shard: every configuration is processed, checked into its row,
+// and then released — so peak memory is bounded by the configurations
+// in flight, not by fleet size. Each row keeps the configuration's
+// Unique value sites, and cross-configuration Unique contracts are merged afterwards by one
+// reduce over the rows in corpus order (contracts.Checker.ReduceUnique),
+// which reproduces a sequential whole-corpus scan exactly.
 //
 // The shard boundary is deliberately narrow — a shard receives
 // (sources, shared corpus state) and returns a shardResult of plain
-// per-config values plus an accumulator — so a worker-process backend
-// can later slot in behind runShard by serializing that boundary,
-// without touching the merge.
+// per-config values — so the worker-process backend slots in behind
+// runShard by serializing that boundary, without touching the merge.
 package core
 
 import (
@@ -62,13 +61,12 @@ func makeShards(sources []Source, n int) []shard {
 
 // shardResult is what crosses the shard boundary back to the merge:
 // per-configuration rows in shard (= corpus) order, the shard's corpus
-// tally, and its combiner accumulator. Everything here is O(results);
-// nothing references the shard's lexed configurations, which is what
-// bounds a fleet-scale run's memory.
+// tally. Everything here is O(results) — a row's Unique sites included
+// — and nothing references the shard's lexed configurations, which is
+// what bounds a fleet-scale run's memory.
 type shardResult struct {
 	rows  []checkRow
 	tally corpusTally
-	acc   *contracts.UniqueAccumulator
 }
 
 // shardWorkers is the sharded drivers' pool width: ShardWorkers, or
@@ -83,8 +81,8 @@ func (e *Engine) shardWorkers() int {
 // checkShardedContext is the fleet-scale implementation behind
 // CheckContext when Options.Shards > 1. Its output is byte-identical
 // to the unsharded path: shards are contiguous and merged in order, so
-// per-config results concatenate to the corpus order, and the combiner
-// reduction reproduces the sequential cross-config uniqueness scan.
+// per-config results concatenate to the corpus order, and the Unique
+// reduce over them reproduces the sequential cross-config uniqueness scan.
 // checker, when non-nil, is a pre-compiled checker to reuse (the
 // registry's compile-once-serve-many path); nil builds one.
 func (e *Engine) checkShardedContext(ctx context.Context, dc *diag.Collector, set *contracts.Set, sources, meta []Source, checker *contracts.Checker) (*CheckResult, error) {
@@ -100,7 +98,6 @@ func (e *Engine) checkShardedContext(ctx context.Context, dc *diag.Collector, se
 	if checker == nil {
 		checker = e.newChecker(set, dc, cr.interns)
 	}
-	combiner := checker.UniqueCombiner()
 	warm := cr.artOn && e.opts.Incremental
 	var checkFP artifact.Key
 	if warm {
@@ -119,7 +116,7 @@ func (e *Engine) checkShardedContext(ctx context.Context, dc *diag.Collector, se
 	if e.opts.ShardBackend == ShardBackendProcess {
 		err = e.runShardsProcess(ctx, dc, set, meta, cr, telemetry.StageCheck, shards, procProg, checkProg,
 			func(i int, wr *shardrpc.Result) (*corpusTally, error) {
-				sr, err := e.wireShardResult(wr, combiner)
+				sr, err := e.wireShardResult(wr)
 				if err != nil {
 					return nil, err
 				}
@@ -130,7 +127,7 @@ func (e *Engine) checkShardedContext(ctx context.Context, dc *diag.Collector, se
 		err = e.forEachCtx(ctx, dc, telemetry.StageCheck, e.shardWorkers(), len(shards),
 			func(i int) string { return shardLabel(shards[i]) },
 			func(i int) error {
-				sr, err := e.runShard(ctx, dc, cr, checker, combiner, warm, checkFP, shards[i], procProg, checkProg)
+				sr, err := e.runShard(ctx, dc, cr, checker, warm, checkFP, shards[i], procProg, checkProg)
 				if err != nil {
 					return err
 				}
@@ -149,7 +146,7 @@ func (e *Engine) checkShardedContext(ctx context.Context, dc *diag.Collector, se
 			return nil, fmt.Errorf("core: strict mode: %w", jerr)
 		}
 	}
-	return e.mergeShards(combiner, warm, checkFP, shards, results), nil
+	return e.mergeShards(checker, warm, checkFP, shards, results), nil
 }
 
 // shardLabel names a shard in diagnostics: its index and the corpus
@@ -159,14 +156,13 @@ func shardLabel(sh shard) string {
 		sh.sources[0].Name, sh.sources[len(sh.sources)-1].Name)
 }
 
-// runShard streams one shard: each configuration is processed, checked,
-// folded into the shard's accumulator, and released before the next
-// starts. The faultinject site "core.shard" (keyed by shard index)
+// runShard streams one shard: each configuration is processed, checked
+// into its row, and released before the next starts. The faultinject site "core.shard" (keyed by shard index)
 // models a shard lost whole — a crashed worker process, once that
 // backend exists.
-func (e *Engine) runShard(ctx context.Context, dc *diag.Collector, cr *corpusRun, checker *contracts.Checker, combiner *contracts.UniqueCombiner, warm bool, checkFP artifact.Key, sh shard, procProg, checkProg *progressCounter) (*shardResult, error) {
+func (e *Engine) runShard(ctx context.Context, dc *diag.Collector, cr *corpusRun, checker *contracts.Checker, warm bool, checkFP artifact.Key, sh shard, procProg, checkProg *progressCounter) (*shardResult, error) {
 	faultinject.At("core.shard", strconv.Itoa(sh.index))
-	res := &shardResult{acc: combiner.NewAccumulator()}
+	res := &shardResult{}
 	for _, src := range sh.sources {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -217,9 +213,9 @@ func (e *Engine) shardProcess(dc *diag.Collector, cr *corpusRun, src Source) (cf
 }
 
 // shardCheck is checkOne under per-config containment, appending the
-// result to the shard in corpus order. Contributions are always
-// extracted (checkOne's wantContrib) because the configuration is
-// released right after this call — the accumulator is the only state
+// result to the shard in corpus order. Unique sites are always
+// extracted (checkOne's wantSites) because the configuration is
+// released right after this call — the row's sites are the only state
 // that survives to the cross-config merge.
 func (e *Engine) shardCheck(dc *diag.Collector, checker *contracts.Checker, warm bool, checkFP artifact.Key, cfg *lexer.Config, sa sourceArt, res *shardResult) (err error) {
 	j := len(res.rows)
@@ -235,26 +231,23 @@ func (e *Engine) shardCheck(dc *diag.Collector, checker *contracts.Checker, warm
 			dc.Add(d)
 			e.opts.Telemetry.Add("diag.panics", 1)
 			// The check panicked after the config joined the corpus;
-			// recover its contribution so cross-config uniqueness still
-			// scans every surviving configuration, as the unsharded
-			// driver does.
-			res.acc.AddSites(cfg.Name, checker.UniqueContributions(cfg))
+			// recover its sites so cross-config uniqueness still scans
+			// every surviving configuration, as the unsharded driver
+			// does.
+			res.rows[j].Unique = checker.UniqueContributions(cfg)
 		}
 	}()
-	r := e.checkOne(dc, checker, cfg, sa, warm, checkFP, true)
-	res.rows[j].checkedConfig = r
-	res.acc.AddSites(cfg.Name, r.contrib)
+	res.rows[j].checkedConfig = e.checkOne(dc, checker, cfg, sa, warm, checkFP, true)
 	return nil
 }
 
 // mergeShards concatenates per-shard rows and tallies in shard order
-// (= corpus order) and reduces the accumulators into the cross-config
-// unique violations. A shard lost to lenient containment contributes
-// only its skip count.
-func (e *Engine) mergeShards(combiner *contracts.UniqueCombiner, warm bool, checkFP artifact.Key, shards []shard, results []*shardResult) *CheckResult {
+// (= corpus order) and reduces the rows' Unique sites into the
+// cross-config unique violations. A shard lost to lenient containment
+// contributes only its skip count.
+func (e *Engine) mergeShards(checker *contracts.Checker, warm bool, checkFP artifact.Key, shards []shard, results []*shardResult) *CheckResult {
 	var tally corpusTally
 	var rows []checkRow
-	accs := make([]*contracts.UniqueAccumulator, 0, len(results))
 	for i, sr := range results {
 		if sr == nil {
 			tally.skipped += len(shards[i].sources)
@@ -262,9 +255,8 @@ func (e *Engine) mergeShards(combiner *contracts.UniqueCombiner, warm bool, chec
 		}
 		tally.merge(&sr.tally)
 		rows = append(rows, sr.rows...)
-		accs = append(accs, sr.acc)
 	}
 	pstats := tally.stats()
 	e.setCorpusGauges(pstats)
-	return e.finishCheck(rows, combiner.Reduce(accs), pstats, warm, checkFP)
+	return e.finishCheck(rows, reduceUnique(checker, rows), pstats, warm, checkFP)
 }

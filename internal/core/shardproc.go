@@ -4,13 +4,13 @@
 // The wire boundary is exactly the in-process shard boundary: a worker
 // process runs runShard (check) or runLearnShard (learn) over its
 // corpus slice and ships back the plain values the in-process shard
-// result holds — per-config violations, coverage counts, artifact
-// bookkeeping, and the serialized UniqueAccumulator entries for a
-// check; the exported mining.AccumulatorState for a learn; the shard's
-// corpus tally and any diagnostics for both. The parent rebuilds the
-// in-process shard results from those frames and hands them to the
-// unchanged mergeShards or mergeLearnShards, which is the whole
-// byte-identity argument:
+// result holds — per config, its artifact bookkeeping and the
+// artifact.CheckEntry record (violations, coverage counts, Unique value
+// sites) for a check; the exported mining.AccumulatorState for a
+// learn; the shard's corpus tally and any diagnostics for both. The
+// parent rebuilds the in-process shard results from those frames and
+// hands them to the unchanged mergeShards or mergeLearnShards, which is
+// the whole byte-identity argument:
 //
 //   - Shard partitioning is a pure function of (corpus length, N), so
 //     parent and worker agree on slice boundaries by construction.
@@ -24,9 +24,9 @@
 //     (func-valued extensions), so the worker's processing and check
 //     fingerprints equal the parent's and warm artifact replay
 //     addresses the same cache entries.
-//   - The parent replays each worker's accumulator entries through
-//     AddSites (check) or imports its state (learn) in shard order, so
-//     the merge sees exactly the state an in-process fold would have
+//   - The parent rebuilds each worker's check rows from their entries
+//     (check) or imports its state (learn) in shard order, so the
+//     merge sees exactly the state an in-process shard would have
 //     produced.
 //
 // Failure policy mirrors the in-process pools: transport failures
@@ -208,12 +208,10 @@ func (e *Engine) shardWorkerCommand() ([]string, error) {
 }
 
 // wireShardResult rebuilds the in-process shardResult from a worker's
-// Result frame: plain values copy over, the content hashes re-parse,
-// and the accumulator entries replay through AddSites in shard order —
-// the exact fold shardCheck performs locally.
-func (e *Engine) wireShardResult(wr *shardrpc.Result, combiner *contracts.UniqueCombiner) (*shardResult, error) {
+// Result frame: each config's entry becomes its row's outcome, in shard
+// order, and the content hashes re-parse.
+func (e *Engine) wireShardResult(wr *shardrpc.Result) (*shardResult, error) {
 	sr := &shardResult{
-		acc: combiner.NewAccumulator(),
 		tally: corpusTally{
 			configs:  len(wr.Configs),
 			skipped:  wr.Skipped,
@@ -226,14 +224,7 @@ func (e *Engine) wireShardResult(wr *shardrpc.Result, combiner *contracts.Unique
 		row := checkRow{
 			name:          c.Name,
 			art:           sourceArt{lexHit: c.LexHit},
-			checkedConfig: checkedConfig{violations: c.Violations, hit: c.CheckHit},
-		}
-		if c.Cov != nil {
-			row.cov = &covCount{
-				sourceLines: c.Cov.SourceLines,
-				covered:     c.Cov.Covered,
-				byCategory:  c.Cov.ByCategory,
-			}
+			checkedConfig: checkedConfig{CheckEntry: c.Entry, hasCov: c.HasCoverage, hit: c.CheckHit},
 		}
 		if c.HashHex != "" {
 			if err := row.art.hash.ParseHex(c.HashHex); err != nil {
@@ -241,7 +232,6 @@ func (e *Engine) wireShardResult(wr *shardrpc.Result, combiner *contracts.Unique
 			}
 		}
 		sr.rows = append(sr.rows, row)
-		sr.acc.AddSites(c.Name, c.Contrib)
 	}
 	return sr, nil
 }
@@ -311,13 +301,12 @@ type shardWorker struct {
 	// stage labels contained faults; body runs one shard of the job's
 	// kind (checkShard or learnShard), filling the Result's payload and
 	// returning the shard's corpus tally.
-	stage    telemetry.Stage
-	body     func(sh shard, res *shardrpc.Result) (*corpusTally, error)
-	checker  *contracts.Checker
-	combiner *contracts.UniqueCombiner
-	miner    *mining.Miner
-	warm     bool
-	checkFP  artifact.Key
+	stage   telemetry.Stage
+	body    func(sh shard, res *shardrpc.Result) (*corpusTally, error)
+	checker *contracts.Checker
+	miner   *mining.Miner
+	warm    bool
+	checkFP artifact.Key
 	// base is dc's length after metadata processing; per-shard result
 	// frames carry only diagnostics recorded past this point (and past
 	// prior shards), never the metadata ones the parent already has.
@@ -360,7 +349,6 @@ func newShardWorker(job *shardrpc.Job) (*shardWorker, error) {
 			return nil, fmt.Errorf("decode contract set: %w", err)
 		}
 		wk.checker = eng.newChecker(set, wk.dc, wk.cr.interns)
-		wk.combiner = wk.checker.UniqueCombiner()
 		wk.warm = wk.cr.artOn && eng.opts.Incremental
 		if wk.warm {
 			wk.checkFP, wk.warm = eng.checkFingerprint(set, wk.cr.metaFP)
@@ -407,41 +395,26 @@ func (wk *shardWorker) run(t *shardrpc.Task) (res *shardrpc.Result) {
 	return res
 }
 
-// checkShard is a check job's shard body: runShard, flattened onto the
-// wire Result entry by entry. The accumulator's fold order (== shard
-// order) is preserved by construction because shardCheck appends rows
-// and accumulator entries in lockstep.
+// checkShard is a check job's shard body: runShard, with each row
+// shipped as its wire ConfigResult in shard order.
 func (wk *shardWorker) checkShard(sh shard, res *shardrpc.Result) (*corpusTally, error) {
 	prog := &progressCounter{e: wk.eng} // Progress is parent-side: ticks are no-ops here
-	sr, err := wk.eng.runShard(context.Background(), wk.dc, wk.cr, wk.checker, wk.combiner, wk.warm, wk.checkFP, sh, prog, prog)
+	sr, err := wk.eng.runShard(context.Background(), wk.dc, wk.cr, wk.checker, wk.warm, wk.checkFP, sh, prog, prog)
 	if err != nil {
 		return nil, err
 	}
 	for j := range sr.rows {
 		row := &sr.rows[j]
 		c := shardrpc.ConfigResult{
-			Name:       row.name,
-			Violations: row.violations,
-			CheckHit:   row.hit,
-			LexHit:     row.art.lexHit,
+			Name:        row.name,
+			LexHit:      row.art.lexHit,
+			CheckHit:    row.hit,
+			HasCoverage: row.hasCov,
+			Entry:       row.CheckEntry,
 		}
 		if !row.art.hash.IsZero() {
 			c.HashHex = row.art.hash.Hex()
 		}
-		if cc := row.cov; cc != nil {
-			c.Cov = &shardrpc.Coverage{
-				SourceLines: cc.sourceLines,
-				Covered:     cc.covered,
-				ByCategory:  cc.byCategory,
-			}
-		}
-		name, sites := sr.acc.Entry(j)
-		if name != row.name {
-			// Impossible by construction; fail loudly rather than ship a
-			// misaligned accumulator.
-			panic(fmt.Sprintf("shard worker: accumulator entry %d is %q, want %q", j, name, row.name))
-		}
-		c.Contrib = sites
 		res.Configs = append(res.Configs, c)
 	}
 	return &sr.tally, nil

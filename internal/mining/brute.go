@@ -3,9 +3,9 @@ package mining
 import (
 	"context"
 	"math"
-	"sort"
 
 	"concord/internal/contracts"
+	"concord/internal/intern"
 	"concord/internal/lexer"
 	"concord/internal/netdata"
 	"concord/internal/relations"
@@ -74,7 +74,7 @@ func (m *Miner) MineRelationalBruteForce(ctx context.Context, cfgs []*lexer.Conf
 		// Quadratic enumeration of candidate contracts.
 		for si := range sources {
 			if err := ctx.Err(); err != nil {
-				return finishBrute(global, st, m), err
+				return m.finishBrute(global, st, tab), err
 			}
 			s1 := &sources[si]
 			for sj := range sources {
@@ -125,7 +125,7 @@ func (m *Miner) MineRelationalBruteForce(ctx context.Context, cfgs []*lexer.Conf
 			}
 		}
 	}
-	return finishBrute(global, st, m), nil
+	return m.finishBrute(global, st, tab), nil
 }
 
 type lhsTriple struct {
@@ -140,26 +140,29 @@ type scoredInstance struct {
 	s   float64
 }
 
-// finishBrute applies the same support/confidence/score filters as the
-// indexed miner so the two are comparable.
-func finishBrute(global map[candKey]*candState, st *stats, m *Miner) []contracts.Contract {
-	var out []contracts.Contract
-	for k, cs := range global {
-		ps := st.patterns[k.p1]
-		if ps == nil || ps.configCount < m.opts.Support {
-			continue
-		}
-		conf := float64(cs.holdConfigs) / float64(ps.configCount)
-		if conf < m.opts.Confidence || cs.agg.Total() < m.opts.ScoreThreshold {
-			continue
-		}
-		out = append(out, &contracts.Relational{
-			Pattern1: k.p1, Display1: cs.display1, ParamIdx1: k.i1, Transform1: k.t1,
-			Rel:      k.rel,
-			Pattern2: k.p2, Display2: cs.display2, ParamIdx2: k.i2, Transform2: k.t2,
-			Evidence: contracts.Stats{Support: ps.configCount, Confidence: conf, Score: cs.agg.Total()},
-		})
+// finishBrute rekeys the candidates onto the indexed miner's interned
+// form and filters them through the same acceptRelational (support,
+// confidence, score, and transform echo suppression), so the two miners
+// are comparable.
+func (m *Miner) finishBrute(global map[candKey]*candState, st *stats, tab *intern.Table) []contracts.Contract {
+	transforms := make(map[string]int32, len(m.transforms))
+	for ti := range m.transforms {
+		transforms[m.transforms[ti].Name] = int32(ti)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
+	rels := make(map[relations.Rel]int8, len(m.rels))
+	for ri, rel := range m.rels {
+		rels[rel] = int8(ri)
+	}
+	interned := make(map[candKeyI]*candState, len(global))
+	for k, cs := range global {
+		if st.patterns[k.p1] == nil {
+			continue // the pattern's config was dropped by stats containment
+		}
+		interned[candKeyI{
+			p1: tab.ID(k.p1), i1: int32(k.i1), t1: transforms[k.t1],
+			rel: rels[k.rel],
+			p2:  tab.ID(k.p2), i2: int32(k.i2), t2: transforms[k.t2],
+		}] = cs
+	}
+	return m.acceptRelational(interned, st, tab)
 }

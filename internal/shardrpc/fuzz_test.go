@@ -27,15 +27,18 @@ func frameSeeds(magic [4]byte, payload []byte) [][]byte {
 
 // FuzzShardFrame feeds arbitrary bytes to the framed Job, Task, and
 // Result readers and the raw payload decoders, seeded with every
-// message kind: a Job, a Task, a check Result, and a learn Result
-// carrying accumulator state. The contract mirrors FuzzBundleManifest:
+// message kind: a Job, a Task, a check Result (one of its configs a
+// contained check panic without coverage), a check Result whose
+// violation line exceeds math.MaxInt32, and a learn Result carrying
+// accumulator state. The contract mirrors FuzzBundleManifest:
 // truncated, bit-flipped, or version-skewed frames must decode to an
 // error — never a panic, and never a partial value.
 func FuzzShardFrame(f *testing.F) {
 	task := EncodeTask(&Task{Shard: 2, Attempt: 1, Sources: []NamedBlob{
 		{Name: "r0.cfg", Text: []byte("hostname r0\nrouter-id 10.0.0.1\n")},
 	}})
-	payloads := [][]byte{task, EncodeResult(testResult()), EncodeResult(testLearnResult()), EncodeJob(testJob())}
+	payloads := [][]byte{task, EncodeResult(testResult()), EncodeResult(implausibleLineResult()),
+		EncodeResult(testLearnResult()), EncodeJob(testJob())}
 	for _, payload := range payloads {
 		for _, magic := range [][4]byte{TaskMagic, ResultMagic, JobMagic} {
 			for _, seed := range frameSeeds(magic, payload) {

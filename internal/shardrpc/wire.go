@@ -7,11 +7,14 @@
 // truncated pipe, a torn write, or a crashed worker mid-frame is
 // detected before a byte of payload is parsed, never half-applied.
 //
-// The payload encoding reuses the artifact codec idiom: uvarint counts
-// bounded by the remaining input, length-prefixed strings, a sticky
-// decode error, and an exact trailing-bytes check. Everything that
-// crosses the wire is plain values — names, violation fields, site
-// lists, coverage counts, dictionary-encoded mining evidence — never
+// Payloads are written with the artifact codec's Writer and Reader
+// (uvarint counts bounded by the remaining input, length-prefixed
+// strings, a sticky decode error, an exact trailing-bytes check), and a
+// configuration's check outcome travels as the very artifact.CheckEntry
+// record the check-artifact cache stores, so one encoder and one
+// decoder, bounds checks included, serve both. Everything that crosses
+// the wire is plain values — names, violation fields, site lists,
+// coverage counts, dictionary-encoded mining evidence — never
 // process-local state like intern IDs or compiled patterns, which is
 // what keeps a distributed run byte-identical to the in-process
 // driver: the parent merges worker Results through exactly the code
@@ -21,15 +24,12 @@
 package shardrpc
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"concord/internal/artifact"
-	"concord/internal/contracts"
 	"concord/internal/diag"
 	"concord/internal/mining"
 )
@@ -47,8 +47,9 @@ var (
 // kind; version 3 dropped the Job's two differential-baseline flags.
 // Version 4 folded the learn-result frame into Result (an optional
 // State beside Configs) and replaced the Job's option fields with the
-// engine's options descriptor.
-const SchemaVersion = 4
+// engine's options descriptor. Version 5 carries each configuration's
+// check outcome as an artifact.CheckEntry record.
+const SchemaVersion = 5
 
 // Frame payload ceilings. Tasks carry raw config text and results can
 // carry a fleet shard's violations or serialized mining evidence, so
@@ -98,29 +99,23 @@ type Task struct {
 	Sources []NamedBlob
 }
 
-// Coverage is one configuration's per-line coverage counts.
-type Coverage struct {
-	SourceLines int
-	Covered     int
-	ByCategory  map[contracts.Category]int
-}
-
-// ConfigResult is one configuration's check outcome, in shard order.
-// Contrib is the configuration's unique-contract value sites — the
-// serialized UniqueAccumulator entry the parent replays through
-// AddSites so UniqueCombiner.Reduce works across the process boundary.
+// ConfigResult is one configuration's check outcome, in shard order:
+// its artifact bookkeeping for the parent-side manifest, and Entry, the
+// same record the check-artifact cache stores — violations, coverage
+// counts, and the unique-contract value sites the parent's cross-config
+// merge reads.
 type ConfigResult struct {
-	Name       string
-	Violations []contracts.Violation
-	// Cov is nil when this configuration's check panicked and was
-	// contained (lenient mode), mirroring the in-process shard.
-	Cov      *Coverage
-	CheckHit bool
-	LexHit   bool
+	Name string
 	// HashHex is the config's content hash (artifact cache manifest);
 	// empty when the config cannot participate in caching.
-	HashHex string
-	Contrib map[string][]contracts.UniqueSite
+	HashHex  string
+	LexHit   bool
+	CheckHit bool
+	// HasCoverage is false when this configuration's check panicked and
+	// was contained (lenient mode), mirroring the in-process shard: Entry
+	// then carries only the recovered unique sites.
+	HasCoverage bool
+	Entry       artifact.CheckEntry
 }
 
 // Result is one shard's complete outcome, for either job kind. A
@@ -150,164 +145,35 @@ type Result struct {
 	Diags    []diag.Diagnostic
 }
 
-// --- codec primitives (artifact codec idiom) ---
-
-type writer struct {
-	b []byte
-}
-
-func (w *writer) uvarint(u uint64) { w.b = binary.AppendUvarint(w.b, u) }
-
-func (w *writer) bool(v bool) {
-	if v {
-		w.b = append(w.b, 1)
-	} else {
-		w.b = append(w.b, 0)
-	}
-}
-
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.b = append(w.b, s...)
-}
-
-// f64 encodes a float64 as its fixed-width little-endian IEEE 754 bits:
-// exact round-trip, no formatting ambiguity.
-func (w *writer) f64(v float64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v))
-}
-
-func (w *writer) bytes(b []byte) {
-	w.uvarint(uint64(len(b)))
-	w.b = append(w.b, b...)
-}
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	u, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("shardrpc: bad uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return u
-}
-
-func (r *reader) bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off >= len(r.b) {
-		r.fail("shardrpc: truncated bool at offset %d", r.off)
-		return false
-	}
-	v := r.b[r.off]
-	r.off++
-	if v > 1 {
-		r.fail("shardrpc: bad bool value %d at offset %d", v, r.off-1)
-		return false
-	}
-	return v == 1
-}
-
-// count reads a uvarint bounded by the remaining input, so a corrupt
-// length can never drive a huge allocation.
-func (r *reader) count() int {
-	u := r.uvarint()
-	if r.err == nil && u > uint64(len(r.b)-r.off) {
-		r.fail("shardrpc: count %d exceeds remaining input %d", u, len(r.b)-r.off)
-		return 0
-	}
-	return int(u)
-}
-
-func (r *reader) str() string {
-	n := r.count()
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *reader) bytes() []byte {
-	n := r.count()
-	if r.err != nil {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, r.b[r.off:r.off+n])
-	r.off += n
-	return b
-}
-
-func (r *reader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b)-r.off < 8 {
-		r.fail("shardrpc: truncated float64 at offset %d", r.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("shardrpc: %d trailing bytes", len(r.b)-r.off)
-	}
-	return nil
-}
-
 // --- Job ---
 
 // EncodeJob serializes a Job payload (frame not included).
 func EncodeJob(j *Job) []byte {
-	w := &writer{}
-	w.bool(j.Learn)
-	w.bytes(j.Options)
-	w.str(j.CacheDir)
-	w.bytes(j.SetJSON)
-	w.uvarint(uint64(len(j.Meta)))
+	w := &artifact.Writer{}
+	w.Bool(j.Learn)
+	w.Bytes(j.Options)
+	w.Str(j.CacheDir)
+	w.Bytes(j.SetJSON)
+	w.Uvarint(uint64(len(j.Meta)))
 	for _, m := range j.Meta {
-		w.str(m.Name)
-		w.bytes(m.Text)
+		w.Str(m.Name)
+		w.Bytes(m.Text)
 	}
-	return w.b
+	return w.Buf
 }
 
 // DecodeJob parses a Job payload, returning an error on any defect.
 func DecodeJob(payload []byte) (*Job, error) {
-	r := &reader{b: payload}
+	r := artifact.NewReader(payload)
 	j := &Job{}
-	j.Learn = r.bool()
-	j.Options = r.bytes()
-	j.CacheDir = r.str()
-	j.SetJSON = r.bytes()
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		j.Meta = append(j.Meta, NamedBlob{Name: r.str(), Text: r.bytes()})
+	j.Learn = r.Bool()
+	j.Options = r.Bytes()
+	j.CacheDir = r.Str()
+	j.SetJSON = r.Bytes()
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+		j.Meta = append(j.Meta, NamedBlob{Name: r.Str(), Text: r.Bytes()})
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return j, nil
@@ -332,27 +198,27 @@ func ReadJob(r io.Reader) (*Job, error) {
 
 // EncodeTask serializes a Task payload (frame not included).
 func EncodeTask(t *Task) []byte {
-	w := &writer{}
-	w.uvarint(uint64(t.Shard))
-	w.uvarint(uint64(t.Attempt))
-	w.uvarint(uint64(len(t.Sources)))
+	w := &artifact.Writer{}
+	w.Uvarint(uint64(t.Shard))
+	w.Uvarint(uint64(t.Attempt))
+	w.Uvarint(uint64(len(t.Sources)))
 	for _, s := range t.Sources {
-		w.str(s.Name)
-		w.bytes(s.Text)
+		w.Str(s.Name)
+		w.Bytes(s.Text)
 	}
-	return w.b
+	return w.Buf
 }
 
 // DecodeTask parses a Task payload, returning an error on any defect.
 func DecodeTask(payload []byte) (*Task, error) {
-	r := &reader{b: payload}
+	r := artifact.NewReader(payload)
 	t := &Task{}
-	t.Shard = int(r.uvarint())
-	t.Attempt = int(r.uvarint())
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		t.Sources = append(t.Sources, NamedBlob{Name: r.str(), Text: r.bytes()})
+	t.Shard = int(r.Uvarint())
+	t.Attempt = int(r.Uvarint())
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+		t.Sources = append(t.Sources, NamedBlob{Name: r.Str(), Text: r.Bytes()})
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -380,49 +246,49 @@ func ReadTask(r io.Reader) (*Task, error) {
 // keys are encoded in sorted order so the same result always encodes
 // to the same bytes.
 func EncodeResult(res *Result) []byte {
-	w := &writer{}
-	w.uvarint(uint64(res.Shard))
-	w.str(res.Err)
-	w.str(res.Stack)
-	w.bool(res.Lost)
-	w.uvarint(uint64(len(res.Configs)))
+	w := &artifact.Writer{}
+	w.Uvarint(uint64(res.Shard))
+	w.Str(res.Err)
+	w.Str(res.Stack)
+	w.Bool(res.Lost)
+	w.Uvarint(uint64(len(res.Configs)))
 	for i := range res.Configs {
 		encodeConfigResult(w, &res.Configs[i])
 	}
-	w.bool(res.State != nil)
+	w.Bool(res.State != nil)
 	if res.State != nil {
 		encodeAccState(w, res.State)
 	}
-	w.uvarint(uint64(res.Skipped))
-	w.uvarint(uint64(res.Lines))
+	w.Uvarint(uint64(res.Skipped))
+	w.Uvarint(uint64(res.Lines))
 	encodePatternCounts(w, res.Patterns)
 	// Diagnostics ride as their canonical JSON: diag.Diagnostic already
 	// defines a lossless JSON round-trip (Cause flattens to text).
 	diags, _ := json.Marshal(res.Diags)
-	w.bytes(diags)
-	return w.b
+	w.Bytes(diags)
+	return w.Buf
 }
 
 // encodePatternCounts writes a shard's pattern → parameter-count map
 // in sorted key order.
-func encodePatternCounts(w *writer, patterns map[string]int) {
+func encodePatternCounts(w *artifact.Writer, patterns map[string]int) {
 	pats := sortedMapKeys(patterns)
-	w.uvarint(uint64(len(pats)))
+	w.Uvarint(uint64(len(pats)))
 	for _, p := range pats {
-		w.str(p)
-		w.uvarint(uint64(patterns[p]))
+		w.Str(p)
+		w.Uvarint(uint64(patterns[p]))
 	}
 }
 
-func decodePatternCounts(r *reader) map[string]int {
-	n := r.count()
-	if n == 0 || r.err != nil {
+func decodePatternCounts(r *artifact.Reader) map[string]int {
+	n := r.Count()
+	if n == 0 || r.Err() != nil {
 		return nil
 	}
 	out := make(map[string]int, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		p := r.str()
-		out[p] = int(r.uvarint())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		p := r.Str()
+		out[p] = int(r.Uvarint())
 	}
 	return out
 }
@@ -436,73 +302,46 @@ func sortedMapKeys(m map[string]int) []string {
 	return keys
 }
 
-func encodeConfigResult(w *writer, c *ConfigResult) {
-	w.str(c.Name)
-	w.uvarint(uint64(len(c.Violations)))
-	for _, v := range c.Violations {
-		w.str(string(v.Category))
-		w.str(v.ContractID)
-		w.str(v.Contract)
-		w.str(v.File)
-		w.uvarint(uint64(v.Line))
-		w.str(v.Detail)
-	}
-	w.bool(c.Cov != nil)
-	if c.Cov != nil {
-		w.uvarint(uint64(c.Cov.SourceLines))
-		w.uvarint(uint64(c.Cov.Covered))
-		cats := make([]string, 0, len(c.Cov.ByCategory))
-		for cat := range c.Cov.ByCategory {
-			cats = append(cats, string(cat))
-		}
-		sort.Strings(cats)
-		w.uvarint(uint64(len(cats)))
-		for _, cat := range cats {
-			w.str(cat)
-			w.uvarint(uint64(c.Cov.ByCategory[contracts.Category(cat)]))
-		}
-	}
-	w.bool(c.CheckHit)
-	w.bool(c.LexHit)
-	w.str(c.HashHex)
-	ids := make([]string, 0, len(c.Contrib))
-	for id := range c.Contrib {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	w.uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		w.str(id)
-		sites := c.Contrib[id]
-		w.uvarint(uint64(len(sites)))
-		for _, s := range sites {
-			w.str(s.Key)
-			w.str(s.Display)
-			w.uvarint(uint64(s.Line))
-		}
+func encodeConfigResult(w *artifact.Writer, c *ConfigResult) {
+	w.Str(c.Name)
+	w.Str(c.HashHex)
+	w.Bool(c.LexHit)
+	w.Bool(c.CheckHit)
+	w.Bool(c.HasCoverage)
+	w.CheckEntry(&c.Entry)
+}
+
+func decodeConfigResult(r *artifact.Reader) ConfigResult {
+	return ConfigResult{
+		Name:        r.Str(),
+		HashHex:     r.Str(),
+		LexHit:      r.Bool(),
+		CheckHit:    r.Bool(),
+		HasCoverage: r.Bool(),
+		Entry:       r.CheckEntry(),
 	}
 }
 
 // DecodeResult parses a Result payload, returning an error on any
 // defect — a malformed field never yields a partial result.
 func DecodeResult(payload []byte) (*Result, error) {
-	r := &reader{b: payload}
+	r := artifact.NewReader(payload)
 	res := &Result{}
-	res.Shard = int(r.uvarint())
-	res.Err = r.str()
-	res.Stack = r.str()
-	res.Lost = r.bool()
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
+	res.Shard = int(r.Uvarint())
+	res.Err = r.Str()
+	res.Stack = r.Str()
+	res.Lost = r.Bool()
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
 		res.Configs = append(res.Configs, decodeConfigResult(r))
 	}
-	if r.bool() {
+	if r.Bool() {
 		res.State = decodeAccState(r)
 	}
-	res.Skipped = int(r.uvarint())
-	res.Lines = int(r.uvarint())
+	res.Skipped = int(r.Uvarint())
+	res.Lines = int(r.Uvarint())
 	res.Patterns = decodePatternCounts(r)
-	diags := r.bytes()
-	if err := r.done(); err != nil {
+	diags := r.Bytes()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if len(diags) > 0 {
@@ -511,54 +350,6 @@ func DecodeResult(payload []byte) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func decodeConfigResult(r *reader) ConfigResult {
-	c := ConfigResult{Name: r.str()}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		c.Violations = append(c.Violations, contracts.Violation{
-			Category:   contracts.Category(r.str()),
-			ContractID: r.str(),
-			Contract:   r.str(),
-			File:       r.str(),
-			Line:       int(r.uvarint()),
-			Detail:     r.str(),
-		})
-	}
-	if r.bool() {
-		cov := &Coverage{
-			SourceLines: int(r.uvarint()),
-			Covered:     int(r.uvarint()),
-		}
-		if n := r.count(); r.err == nil {
-			cov.ByCategory = make(map[contracts.Category]int, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				cat := contracts.Category(r.str())
-				cov.ByCategory[cat] = int(r.uvarint())
-			}
-		}
-		c.Cov = cov
-	}
-	c.CheckHit = r.bool()
-	c.LexHit = r.bool()
-	c.HashHex = r.str()
-	// Contrib is always non-nil for a decoded config — the in-process
-	// accumulator receives a (possibly empty) map per config, and the
-	// replayed fold must match it.
-	c.Contrib = map[string][]contracts.UniqueSite{}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		id := r.str()
-		var sites []contracts.UniqueSite
-		for j, m := 0, r.count(); j < m && r.err == nil; j++ {
-			sites = append(sites, contracts.UniqueSite{
-				Key:     r.str(),
-				Display: r.str(),
-				Line:    int(r.uvarint()),
-			})
-		}
-		c.Contrib[id] = sites
-	}
-	return c
 }
 
 // WriteResult frames and writes a Result to w.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"concord/internal/artifact"
@@ -26,26 +28,36 @@ func testResult() *Result {
 		Shard: 3,
 		Configs: []ConfigResult{
 			{
-				Name: "r1.cfg",
-				Violations: []contracts.Violation{{
-					Category: contracts.CatUnique, ContractID: "u1", Contract: "router-id [ip]",
-					File: "r1.cfg", Line: 7, Detail: "value 10.0.0.1 duplicates r0.cfg:7",
-				}},
-				Cov: &Coverage{SourceLines: 40, Covered: 31,
-					ByCategory: map[contracts.Category]int{contracts.CatPresent: 20, contracts.CatUnique: 11}},
-				CheckHit: true,
-				LexHit:   true,
-				HashHex:  "aa11",
-				Contrib: map[string][]contracts.UniqueSite{
-					"u1": {{Key: "10.0.0.1", Display: "10.0.0.1", Line: 7}},
-					"u2": nil,
+				Name:        "r1.cfg",
+				HashHex:     "aa11",
+				LexHit:      true,
+				CheckHit:    true,
+				HasCoverage: true,
+				Entry: artifact.CheckEntry{
+					Violations: []contracts.Violation{{
+						Category: contracts.CatUnique, ContractID: "u1", Contract: "router-id [ip]",
+						File: "r1.cfg", Line: 7, Detail: "value 10.0.0.1 duplicates r0.cfg:7",
+					}},
+					SourceLines: 40,
+					Covered:     31,
+					ByCategory:  map[contracts.Category]int{contracts.CatPresent: 20, contracts.CatUnique: 11},
+					Unique: map[string][]contracts.UniqueSite{
+						"u1": {{Key: "10.0.0.1", Display: "10.0.0.1", Line: 7}},
+						"u2": {},
+					},
 				},
 			},
 			{
 				// A config whose check panicked and was contained: no
-				// coverage, no violations, contribution still present.
-				Name:    "r2.cfg",
-				Contrib: map[string][]contracts.UniqueSite{},
+				// coverage, no violations, its recovered unique sites
+				// still present.
+				Name: "r2.cfg",
+				Entry: artifact.CheckEntry{
+					ByCategory: map[contracts.Category]int{},
+					Unique: map[string][]contracts.UniqueSite{
+						"u1": {{Key: "10.0.0.2", Display: "10.0.0.2", Line: 3}},
+					},
+				},
 			},
 		},
 		Skipped:  2,
@@ -111,6 +123,26 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadResult(&buf); err != io.EOF {
 		t.Errorf("drained stream = %v, want io.EOF", err)
+	}
+}
+
+// implausibleLineResult is a check Result whose one violation sits on
+// a line no configuration can have; it encodes, but must not decode.
+func implausibleLineResult() *Result {
+	res := &Result{Configs: []ConfigResult{{Name: "r1.cfg", HasCoverage: true}}}
+	res.Configs[0].Entry.Violations = []contracts.Violation{{
+		Category: contracts.CatPresent, ContractID: "p1", File: "r1.cfg", Line: math.MaxInt32 + 1,
+	}}
+	return res
+}
+
+// TestWireRejectsImplausibleLine requires the wire to inherit the
+// check-artifact decoder's bounds: a violation line above
+// math.MaxInt32 is a decode error, not a value.
+func TestWireRejectsImplausibleLine(t *testing.T) {
+	res, err := DecodeResult(EncodeResult(implausibleLineResult()))
+	if err == nil || !strings.Contains(err.Error(), "implausible violation line") {
+		t.Fatalf("DecodeResult = %+v, %v; want an implausible-line error", res, err)
 	}
 }
 
