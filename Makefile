@@ -38,7 +38,7 @@ race:
 # the race detector: panic containment, strict-mode aborts, input
 # guards, and goroutine-leak checks.
 chaos:
-	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Panic|Pathological|Lenient|Diagnostics|Guard|Limits|Binary|Oversize|DepthCap|LineBudget|EmptyCorpus|Poison|Warm|Artifact|Incremental|Corrupt|Concurrent|Registry|Singleflight|Eviction|Bundle|Reload|Rollback|Journal|Recover|Shard|ReduceUnique|Fleet|Worker|Dist|Frame|Accumulator|Straggler' ./...
+	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Panic|Pathological|Lenient|Diagnostics|Guard|Limits|Binary|Oversize|DepthCap|LineBudget|EmptyCorpus|Poison|Warm|Artifact|Incremental|Corrupt|Concurrent|Registry|Singleflight|Eviction|Bundle|Reload|Rollback|Journal|Recover|Shard|ReduceUnique|OnePass|Fleet|Worker|Dist|Frame|Accumulator|Straggler' ./...
 
 # serve-smoke boots the resident HTTP service under the race detector
 # and drives it over real sockets: one-shot/served output identity, the
@@ -61,10 +61,13 @@ reload-smoke:
 # global progress, shard/config panic containment in both lenient and
 # strict modes, the map-reduce Unique reduce (contiguous splits, sites
 # replayed through the check-artifact record, panic containment), the
+# one pass per configuration (check, coverage and Unique sites off one
+# view against separate calls; the unsharded reduce against the corpus
+# walk; a contained config panic keeping its Unique sites), the
 # 10k-device generation-plan uniqueness suite, and the sharded server
 # batch and CLI paths.
 fleet-smoke:
-	$(GO) test -race -timeout 10m -count=1 -run 'TestSharded|TestShardOptionsValidate|TestChaosShard|TestReduceUnique|TestFleet|TestServeShardedCheckBatch' ./internal/core ./internal/contracts ./internal/artifact ./internal/synth ./internal/server ./cmd/concord
+	$(GO) test -race -timeout 10m -count=1 -run 'TestSharded|TestShardOptionsValidate|TestChaosShard|TestReduceUnique|TestOnePass|TestFleet|TestServeShardedCheckBatch' ./internal/core ./internal/contracts ./internal/artifact ./internal/synth ./internal/server ./cmd/concord
 
 # dist-smoke is the worker-process shard backend gate under the race
 # detector: cross-backend differential identity (process vs. in-process

@@ -159,10 +159,6 @@ func (ch *Checker) ForRequest(rec *telemetry.Recorder, dc *diag.Collector) *Chec
 	return &fork
 }
 
-// CompiledSet exposes the checker's compiled contract set (primarily
-// for inspection and tests).
-func (ch *Checker) CompiledSet() *CompiledSet { return ch.cs }
-
 // holds evaluates a relation, consulting custom definitions for
 // non-built-in names.
 func (ch *Checker) holds(rel relations.Rel, lhs, witness netdata.Value) bool {
@@ -368,6 +364,26 @@ func (v *view) computeWitnesses(ch *Checker, pattern string, paramIdx int, trans
 	return ws
 }
 
+// ConfigCheck is everything one configuration contributes to a check:
+// what Check, Coverage and UniqueContributions return for it.
+type ConfigCheck struct {
+	Violations []Violation
+	Coverage   *CoverageResult
+	Unique     map[string][]UniqueSite
+}
+
+// CheckConfig is the engine's one pass over a configuration: one view
+// (pattern index, decoded numeric and witness columns) serves the
+// check, the coverage and the Unique site extraction. Every contract
+// keeps its own containment and fault-injection site, so the result and
+// its diagnostics equal those of the three separate calls.
+func (ch *Checker) CheckConfig(cfg *lexer.Config) ConfigCheck {
+	v := ch.newView(cfg)
+	r := ConfigCheck{Violations: ch.checkView(v), Coverage: ch.coverView(v), Unique: ch.uniqueSites(v)}
+	ch.flushCache(v)
+	return r
+}
+
 // Check evaluates every per-configuration contract against cfg and
 // returns the violations in deterministic order. Cross-configuration
 // unique contracts are evaluated by CheckAll. With WithDiagnostics
@@ -383,6 +399,13 @@ func (v *view) computeWitnesses(ch *Checker, pattern string, paramIdx int, trans
 // produces identical violations.
 func (ch *Checker) Check(cfg *lexer.Config) []Violation {
 	v := ch.newView(cfg)
+	out := ch.checkView(v)
+	ch.flushCache(v)
+	return out
+}
+
+// checkView is Check's body over an already built view.
+func (ch *Checker) checkView(v *view) []Violation {
 	var out []Violation
 	if ch.linear {
 		out = ch.checkLinear(v)
@@ -391,7 +414,6 @@ func (ch *Checker) Check(cfg *lexer.Config) []Violation {
 	}
 	SortViolations(out)
 	ch.rec.Add("check.violations", int64(len(out)))
-	ch.flushCache(v)
 	return out
 }
 
@@ -499,8 +521,8 @@ func (ch *Checker) flushCache(v *view) {
 
 // CheckAll evaluates the full set against a batch of configurations,
 // including the cross-configuration uniqueness component of unique
-// contracts. The compiled set is built once (at NewChecker) and shared
-// by every configuration.
+// contracts by the CheckUniqueAcross walk: the whole-batch reference
+// the engine's check is tested against.
 func (ch *Checker) CheckAll(cfgs []*lexer.Config) []Violation {
 	var out []Violation
 	for _, cfg := range cfgs {
@@ -703,8 +725,8 @@ func (ch *Checker) checkUniqueExistence(v *view, c *Unique) []Violation {
 }
 
 // CheckUniqueAcross evaluates only the cross-configuration uniqueness
-// component of the set's unique contracts, for callers that parallelize
-// per-configuration checks themselves and run the global pass once.
+// component of the set's unique contracts by walking the lexed corpus:
+// the reference the engine's reduce (ReduceUnique) is tested against.
 func (ch *Checker) CheckUniqueAcross(cfgs []*lexer.Config) []Violation {
 	out := ch.checkUniqueGlobal(cfgs)
 	SortViolations(out)
@@ -785,38 +807,42 @@ type UniqueSite struct {
 }
 
 // UniqueContributions extracts, for every unique contract of the set,
-// the ordered value sites of one configuration. The result is what a
-// caller that releases or caches the configuration keeps: ReduceUnique
-// over it yields exactly the violations a direct checkUniqueGlobal scan
-// over the same configuration would contribute.
+// the ordered value sites of one configuration (CheckConfig's Unique).
+// ReduceUnique over it yields exactly the violations a direct
+// checkUniqueGlobal scan over the same configuration would contribute.
 func (ch *Checker) UniqueContributions(cfg *lexer.Config) map[string][]UniqueSite {
+	return ch.uniqueSites(ch.newView(cfg))
+}
+
+// uniqueSites reads every Unique contract's value sites off the view's
+// pattern index, in line order. Contracts sharing an ID share one site
+// list, which each of them reduces.
+func (ch *Checker) uniqueSites(v *view) map[string][]UniqueSite {
 	out := make(map[string][]UniqueSite, len(ch.cs.uniques))
-	if len(ch.cs.uniques) == 0 {
-		return out
-	}
-	for i := range cfg.Lines {
-		line := &cfg.Lines[i]
-		for _, c := range ch.cs.uniquesByPattern[line.Pattern] {
+	for _, c := range ch.cs.uniques {
+		if _, done := out[c.id]; done {
+			continue
+		}
+		for _, li := range v.lines(c.u.Pattern) {
+			line := &v.cfg.Lines[li]
 			if c.u.ParamIdx >= len(line.Params) {
 				continue
 			}
-			v := line.Params[c.u.ParamIdx].Value
-			out[c.id] = append(out[c.id], UniqueSite{
-				Key: v.Key(), Display: v.String(), Line: line.Num,
-			})
+			val := line.Params[c.u.ParamIdx].Value
+			out[c.id] = append(out[c.id], UniqueSite{Key: val.Key(), Display: val.String(), Line: line.Num})
 		}
 	}
 	return out
 }
 
-// ReduceUnique is the map-reduce form of CheckUniqueAcross, for callers
-// that do not hold the lexed corpus: the map side is UniqueContributions
-// per configuration (run in a shard, or cached in a check artifact),
-// and this reduce reads n configurations' names and sites through at,
-// in corpus order. The first site of a value is the witness, every
-// later site a violation, so for any split of the corpus into
-// contiguous shards, reducing the concatenated per-config sites
-// reproduces CheckUniqueAcross over the whole corpus. Panics inside a
+// ReduceUnique is the map-reduce form of CheckUniqueAcross, and the one
+// every engine check path runs: the map side is each configuration's
+// CheckConfig sites (or their check-artifact replay), and this reduce
+// reads n configurations' names and sites through at, in corpus order.
+// The first site of a value is the witness, every later site a
+// violation, so for any split of the corpus into contiguous shards,
+// reducing the concatenated per-config sites reproduces the
+// CheckUniqueAcross reference over the whole corpus. Panics inside a
 // contract are contained exactly as in the direct scan (lenient skips
 // the contract with a diagnostic, strict re-raises).
 func (ch *Checker) ReduceUnique(n int, at func(i int) (name string, sites map[string][]UniqueSite)) []Violation {

@@ -36,8 +36,6 @@ import (
 // A CompiledSet is safe for concurrent use: everything is read-only
 // after Compile except the agnostic-pattern memo, which is a sync.Map.
 type CompiledSet struct {
-	set *Set
-
 	// ids interns every pattern referenced by a contract (anchors and
 	// witness patterns); patterns holds the reverse mapping.
 	ids      map[string]int
@@ -57,10 +55,8 @@ type CompiledSet struct {
 	absence []Contract
 
 	// uniques lists the Unique contracts in set order with their IDs,
-	// which key every configuration's value sites; uniquesByPattern
-	// buckets them by anchor pattern for site extraction.
-	uniques          []uniqueCol
-	uniquesByPattern map[string][]uniqueCol
+	// which key every configuration's value sites.
+	uniques []uniqueCol
 
 	// anchored[id] lists the contracts whose anchor pattern has that
 	// interned ID; anchoredN is the total across all buckets.
@@ -116,13 +112,10 @@ func Compile(set *Set) *CompiledSet { return CompileWithInterns(set, nil) }
 // indexing for configurations processed with the same table.
 func CompileWithInterns(set *Set, tab *intern.Table) *CompiledSet {
 	cs := &CompiledSet{
-		set:       set,
 		ids:       make(map[string]int),
 		typesByAg: make(map[string][]*TypeError),
 		numSlots:  make(map[patternParamKey]int),
 		witSlots:  make(map[witKey]int),
-
-		uniquesByPattern: make(map[string][]uniqueCol),
 	}
 	anchorOf := func(p string) int {
 		id := cs.intern(p)
@@ -142,13 +135,10 @@ func CompileWithInterns(set *Set, tab *intern.Table) *CompiledSet {
 			}
 		case *Unique:
 			// The existence component is an absence check; the global
-			// uniqueness component is handled by checkUniqueGlobal or
-			// ReduceUnique.
+			// one reduces every configuration's sites (ReduceUnique).
 			cs.absence = append(cs.absence, c)
 			cs.intern(c.Pattern)
-			col := uniqueCol{u: c, id: c.ID()}
-			cs.uniques = append(cs.uniques, col)
-			cs.uniquesByPattern[c.Pattern] = append(cs.uniquesByPattern[c.Pattern], col)
+			cs.uniques = append(cs.uniques, uniqueCol{u: c, id: c.ID()})
 		case *Ordering:
 			id := anchorOf(c.First)
 			cs.anchored[id] = append(cs.anchored[id], c)
@@ -234,6 +224,3 @@ func (cs *CompiledSet) agnostic(pattern string) string {
 	cs.agMemo.Store(pattern, ag)
 	return ag
 }
-
-// Len returns the number of contracts in the underlying set.
-func (cs *CompiledSet) Len() int { return cs.set.Len() }

@@ -62,12 +62,20 @@ func (r *CoverageResult) CategoryPercent(cat Category) float64 {
 // the approximation matches exact removal for leaf lines.
 //
 // Coverage shares the compiled contract set and the per-configuration
-// pattern index with Check: anchored contract groups (ordering,
-// sequence, relational) whose anchor pattern is absent mark no lines
-// and are skipped wholesale; absence contracts (present, unique) are
-// always consulted.
+// pattern index with Check (CheckConfig runs both on one view):
+// anchored contract groups (ordering, sequence, relational) whose
+// anchor pattern is absent mark no lines and are skipped wholesale;
+// absence contracts (present, unique) are always consulted.
 func (ch *Checker) Coverage(cfg *lexer.Config) *CoverageResult {
 	v := ch.newView(cfg)
+	res := ch.coverView(v)
+	ch.flushCache(v)
+	return res
+}
+
+// coverView is Coverage's body over an already built view.
+func (ch *Checker) coverView(v *view) *CoverageResult {
+	cfg := v.cfg
 	res := &CoverageResult{
 		SourceLines: cfg.SourceLines,
 		Covered:     make(map[int]bool),
@@ -121,7 +129,6 @@ func (ch *Checker) Coverage(cfg *lexer.Config) *CoverageResult {
 		}
 	}
 	ch.rec.Add("coverage.lines_covered", int64(len(res.Covered)))
-	ch.flushCache(v)
 	return res
 }
 

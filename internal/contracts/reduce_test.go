@@ -95,3 +95,28 @@ func TestReduceUniquePanicContained(t *testing.T) {
 		t.Errorf("diagnostics = %+v, want one for the skipped contract", dc.All())
 	}
 }
+
+// TestReduceUniqueDuplicateContracts: a set that lists one Unique
+// contract twice (an overlay repeating a base contract) keeps one site
+// list per contract ID, so the reduce reports each duplicate value once
+// per contract, as the CheckUniqueAcross walk does, and never a value
+// duplicating itself.
+func TestReduceUniqueDuplicateContracts(t *testing.T) {
+	set := reduceSet()
+	set.Contracts = append(set.Contracts, set.Contracts[1])
+	ch := NewChecker(set)
+	cfgs := reduceCorpus(t, 10)
+	var names []string
+	var sites []map[string][]UniqueSite
+	for _, cfg := range cfgs {
+		names = append(names, cfg.Name)
+		sites = append(sites, ch.UniqueContributions(cfg))
+	}
+	want := ch.CheckUniqueAcross(cfgs)
+	if len(want) == 0 {
+		t.Fatal("corpus planted no duplicates; the test is vacuous")
+	}
+	if got := reduceSites(ch, names, sites); !reflect.DeepEqual(got, want) {
+		t.Errorf("ReduceUnique = %+v, want %+v", got, want)
+	}
+}

@@ -115,7 +115,7 @@ type Options struct {
 	// results in Check/CheckContext: configurations whose content hash,
 	// processing options, metadata corpus, and contract-set fingerprint
 	// are unchanged skip re-checking entirely, contributing their cached
-	// violations, coverage counts, and unique-contract value multisets
+	// violations, coverage counts, and unique-contract value sites
 	// (so cross-configuration uniqueness stays exact over a mix of
 	// cached and fresh configs). Requires Artifacts.
 	Incremental bool
@@ -1244,10 +1244,9 @@ func checkKey(hash, checkFP artifact.Key, name string) artifact.Key {
 
 // checkedConfig is one configuration's check outcome: the record a
 // check artifact stores and a shard worker ships (violations, coverage
-// counts, and the unique-contract value sites when requested), whether
-// coverage is present (false when the check panicked and was
-// contained), and whether the result was replayed from a check
-// artifact.
+// counts, and the unique-contract value sites), whether coverage is
+// present (false when the check panicked and was contained), and
+// whether the result was replayed from a check artifact.
 type checkedConfig struct {
 	artifact.CheckEntry
 	hasCov bool
@@ -1266,12 +1265,12 @@ type checkRow struct {
 
 // checkOne evaluates one configuration: replayed from its check
 // artifact on a warm run (warm, with a content hash in sa), else checked
-// fresh (and, on a warm run, persisted when the result is certainly
-// complete). wantSites additionally extracts the configuration's
-// unique-contract value sites so the caller can merge cross-configuration
-// uniqueness without retaining the config. Panics propagate to the
-// caller's containment.
-func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *lexer.Config, sa sourceArt, warm bool, checkFP artifact.Key, wantSites bool) checkedConfig {
+// fresh in one pass (contracts.Checker.CheckConfig: violations, coverage
+// and Unique sites off one view) and, on a warm run, persisted when the
+// result is certainly complete. The sites let the cross-config Unique
+// reduce run without retaining the config. Panics propagate to the
+// caller's containment (checkStep).
+func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *lexer.Config, sa sourceArt, warm bool, checkFP artifact.Key) checkedConfig {
 	faultinject.At("core.check.config", cfg.Name)
 	warmKey := warm && !sa.hash.IsZero()
 	var key artifact.Key
@@ -1304,18 +1303,13 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 		checker = checker.ForRequest(e.opts.Telemetry, cdc)
 		defer dc.Merge(cdc)
 	}
-	var out checkedConfig
-	out.Violations = checker.Check(cfg)
-	if cov := checker.Coverage(cfg); cov != nil {
-		out.hasCov = true
-		out.SourceLines, out.Covered = cov.SourceLines, len(cov.Covered)
-		out.ByCategory = make(map[contracts.Category]int, len(cov.ByCategory))
-		for cat, lines := range cov.ByCategory {
-			out.ByCategory[cat] = len(lines)
-		}
-	}
-	if wantSites {
-		out.Unique = checker.UniqueContributions(cfg)
+	r := checker.CheckConfig(cfg)
+	out := checkedConfig{hasCov: true}
+	out.Violations, out.Unique = r.Violations, r.Unique
+	out.SourceLines, out.Covered = r.Coverage.SourceLines, len(r.Coverage.Covered)
+	out.ByCategory = make(map[contracts.Category]int, len(r.Coverage.ByCategory))
+	for cat, lines := range r.Coverage.ByCategory {
+		out.ByCategory[cat] = len(lines)
 	}
 	// Persist only results that are certainly complete: the config
 	// processed cleanly, coverage succeeded, and checking it recorded no
@@ -1329,6 +1323,27 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 		}
 	}
 	return out
+}
+
+// checkStep is checkOne under per-config containment, the check step of
+// every driver (unsharded pool, shard, worker process, registry). A
+// lenient panic records a diagnostic and drops the config's coverage
+// but recovers its Unique sites, since the config joined the corpus and
+// the cross-config reduce must see it; strict returns the abort error.
+func (e *Engine) checkStep(dc *diag.Collector, checker *contracts.Checker, cfg *lexer.Config, sa sourceArt, warm bool, checkFP artifact.Key) (out checkedConfig, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			d := diag.FromPanic(string(telemetry.StageCheck), cfg.Name, r)
+			if e.opts.Strict {
+				err = fmt.Errorf("core: %s stage aborted (strict): %w", telemetry.StageCheck, d.AsError())
+				return
+			}
+			dc.Add(d)
+			e.opts.Telemetry.Add("diag.panics", 1)
+			out.Unique = checker.UniqueContributions(cfg)
+		}
+	}()
+	return e.checkOne(dc, checker, cfg, sa, warm, checkFP), nil
 }
 
 // checkProcessedContext evaluates the set against the processed
@@ -1357,53 +1372,30 @@ func (e *Engine) checkProcessedContext(ctx context.Context, dc *diag.Collector, 
 		func(i int) string { return cfgs[i].Name },
 		func(i int) error {
 			defer prog.tick()
-			rows[i].checkedConfig = e.checkOne(dc, checker, cfgs[i], rows[i].art, warm, checkFP, warm)
-			return nil
+			var err error
+			rows[i].checkedConfig, err = e.checkStep(dc, checker, cfgs[i], rows[i].art, warm, checkFP)
+			return err
 		})
 	sp.EndCount(len(cfgs))
 	if err != nil {
 		return nil, err
 	}
-	var unique []contracts.Violation
-	if warm {
-		// The incremental global-uniqueness pass: cached configs carry
-		// their persisted value sites, fresh ones the sites extracted
-		// above, and the reduce reproduces CheckUniqueAcross exactly.
-		for i := range rows {
-			if rows[i].Unique == nil {
-				// The check panicked before extracting; recover the
-				// sites so cross-config uniqueness matches the cold
-				// path, which always scans every surviving config.
-				rows[i].Unique = checker.UniqueContributions(cfgs[i])
-			}
-		}
-		unique = reduceUnique(checker, rows)
-	} else {
-		unique = checker.CheckUniqueAcross(cfgs)
-	}
-	return e.finishCheck(rows, unique, pstats, warm, checkFP), nil
-}
-
-// reduceUnique is the cross-config Unique reduce over check rows in
-// corpus order, for the drivers that release or replay configurations
-// (warm and sharded checks).
-func reduceUnique(checker *contracts.Checker, rows []checkRow) []contracts.Violation {
-	return checker.ReduceUnique(len(rows), func(i int) (string, map[string][]contracts.UniqueSite) {
-		return rows[i].name, rows[i].Unique
-	})
+	return e.finishCheck(checker, rows, pstats, warm, checkFP), nil
 }
 
 // finishCheck is the check pipeline's shared tail for both drivers: it
-// concatenates the per-config violations (rows in corpus order) with
-// the cross-config unique violations, sorts them into report order,
-// builds the coverage summary, and on a warm run writes the artifact
-// manifest.
-func (e *Engine) finishCheck(rows []checkRow, unique []contracts.Violation, pstats ProcessStats, warm bool, checkFP artifact.Key) *CheckResult {
+// reduces the rows' Unique sites, in corpus order, into the cross-config
+// unique violations (contracts.Checker.ReduceUnique), concatenates them
+// with the per-config violations, sorts them into report order, builds
+// the coverage summary, and on a warm run writes the artifact manifest.
+func (e *Engine) finishCheck(checker *contracts.Checker, rows []checkRow, pstats ProcessStats, warm bool, checkFP artifact.Key) *CheckResult {
 	res := &CheckResult{Stats: pstats}
 	for i := range rows {
 		res.Violations = append(res.Violations, rows[i].Violations...)
 	}
-	res.Violations = append(res.Violations, unique...)
+	res.Violations = append(res.Violations, checker.ReduceUnique(len(rows), func(i int) (string, map[string][]contracts.UniqueSite) {
+		return rows[i].name, rows[i].Unique
+	})...)
 	contracts.SortViolations(res.Violations)
 
 	res.Coverage.ByCategory = make(map[contracts.Category]int)

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"concord/internal/contracts"
@@ -68,7 +71,7 @@ func TestCheckAllDeterministic(t *testing.T) {
 	}
 }
 
-// TestMetamorphicInvariance checks two whole-pipeline metamorphic
+// TestMetamorphicInvariance checks whole-pipeline metamorphic
 // properties on four synth roles:
 //
 //   - Permuting the order of the configurations changes neither the
@@ -78,6 +81,9 @@ func TestCheckAllDeterministic(t *testing.T) {
 //     corpus order.
 //   - The learn fold's worker count (Parallelism) never changes the
 //     learned set, whichever worker folds which configuration.
+//   - On the edge roles (E1, E2; W4 is too costly under -race), renaming
+//     every file in place changes neither the learned set nor, once the
+//     names are mapped back, any violation or the coverage.
 func TestMetamorphicInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("learns four corpora several times; skipped in -short mode")
@@ -163,6 +169,63 @@ func TestMetamorphicInvariance(t *testing.T) {
 			}
 			if got, want := check(shuffle(planted)), check(planted); !bytes.Equal(got, want) {
 				t.Errorf("permuted corpus checks differently (%d vs %d bytes)", len(got), len(want))
+			}
+			if role == "W4" || role == "W2" {
+				return // the rename row below runs on the edge roles only
+			}
+
+			// Rename every file, reversing the names' sort order while
+			// keeping corpus order: with names mapped back, the learned
+			// set, every violation and the coverage must match. A device
+			// copied under a second name plants Unique duplicates, whose
+			// first-seen witness must follow corpus order, not names.
+			rename := func(in []Source) ([]Source, *strings.Replacer) {
+				out := make([]Source, len(in))
+				var pairs []string
+				for i, s := range in {
+					out[i] = Source{Name: fmt.Sprintf("renamed-%03d%s", len(in)-i, filepath.Ext(s.Name)), Text: s.Text}
+					pairs = append(pairs, out[i].Name, s.Name)
+				}
+				return out, strings.NewReplacer(pairs...)
+			}
+			renamedSrcs, _ := rename(srcs)
+			if _, got := marshal(eng.Learn(renamedSrcs, meta)); !bytes.Equal(got, want) {
+				t.Errorf("renamed corpus learned a different set (%d vs %d bytes)", len(got), len(want))
+			}
+			dupCorpus := append(append([]Source(nil), planted...), Source{Name: "copy-" + planted[1].Name, Text: planted[1].Text})
+			checkAll := func(corpus []Source, names *strings.Replacer) []byte {
+				cr, err := eng.Check(set, corpus, meta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dups := 0
+				for i := range cr.Violations {
+					v := &cr.Violations[i]
+					v.File, v.Detail = names.Replace(v.File), names.Replace(v.Detail)
+					if strings.Contains(v.Detail, "duplicates") {
+						dups++
+					}
+				}
+				if dups == 0 {
+					t.Fatal("no Unique duplicates; the rename row is vacuous")
+				}
+				contracts.SortViolations(cr.Violations)
+				for i := range cr.Coverage.PerConfig {
+					cr.Coverage.PerConfig[i].Name = names.Replace(cr.Coverage.PerConfig[i].Name)
+				}
+				data, err := json.Marshal(struct {
+					Violations []contracts.Violation `json:"violations"`
+					Coverage   CoverageSummary       `json:"coverage"`
+					Stats      ProcessStats          `json:"stats"`
+				}{cr.Violations, cr.Coverage, cr.Stats})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			renamed, unname := rename(dupCorpus)
+			if got, want := checkAll(renamed, unname), checkAll(dupCorpus, strings.NewReplacer()); !bytes.Equal(got, want) {
+				t.Errorf("renamed corpus checks differently once names are mapped back (%d vs %d bytes)", len(got), len(want))
 			}
 		})
 	}

@@ -7,9 +7,9 @@
 // each shard: every configuration is processed, checked into its row,
 // and then released — so peak memory is bounded by the configurations
 // in flight, not by fleet size. Each row keeps the configuration's
-// Unique value sites, and cross-configuration Unique contracts are merged afterwards by one
-// reduce over the rows in corpus order (contracts.Checker.ReduceUnique),
-// which reproduces a sequential whole-corpus scan exactly.
+// Unique value sites, and finishCheck reduces them in corpus order into
+// the cross-configuration Unique violations, exactly as a sequential
+// whole-corpus scan would.
 //
 // The shard boundary is deliberately narrow — a shard receives
 // (sources, shared corpus state) and returns a shardResult of plain
@@ -157,9 +157,9 @@ func shardLabel(sh shard) string {
 }
 
 // runShard streams one shard: each configuration is processed, checked
-// into its row, and released before the next starts. The faultinject site "core.shard" (keyed by shard index)
-// models a shard lost whole — a crashed worker process, once that
-// backend exists.
+// into its row, and released before the next starts. The faultinject
+// site "core.shard" (keyed by shard index) models a shard lost whole,
+// the in-process counterpart of a crashed worker process.
 func (e *Engine) runShard(ctx context.Context, dc *diag.Collector, cr *corpusRun, checker *contracts.Checker, warm bool, checkFP artifact.Key, sh shard, procProg, checkProg *progressCounter) (*shardResult, error) {
 	faultinject.At("core.shard", strconv.Itoa(sh.index))
 	res := &shardResult{}
@@ -189,7 +189,10 @@ func (e *Engine) shardStep(dc *diag.Collector, cr *corpusRun, checker *contracts
 		checkProg.tick() // never reaches checking; keep the global total exact
 		return nil
 	}
-	err = e.shardCheck(dc, checker, warm, checkFP, cfg, sa, res)
+	res.tally.add(cfg)
+	row := checkRow{name: cfg.Name, art: sa}
+	row.checkedConfig, err = e.checkStep(dc, checker, cfg, sa, warm, checkFP)
+	res.rows = append(res.rows, row)
 	checkProg.tick()
 	return err
 }
@@ -212,35 +215,6 @@ func (e *Engine) shardProcess(dc *diag.Collector, cr *corpusRun, src Source) (cf
 	return cfg, sa, nil
 }
 
-// shardCheck is checkOne under per-config containment, appending the
-// result to the shard in corpus order. Unique sites are always
-// extracted (checkOne's wantSites) because the configuration is
-// released right after this call — the row's sites are the only state
-// that survives to the cross-config merge.
-func (e *Engine) shardCheck(dc *diag.Collector, checker *contracts.Checker, warm bool, checkFP artifact.Key, cfg *lexer.Config, sa sourceArt, res *shardResult) (err error) {
-	j := len(res.rows)
-	res.rows = append(res.rows, checkRow{name: cfg.Name, art: sa})
-	res.tally.add(cfg)
-	defer func() {
-		if r := recover(); r != nil {
-			d := diag.FromPanic(string(telemetry.StageCheck), cfg.Name, r)
-			if e.opts.Strict {
-				err = fmt.Errorf("core: %s stage aborted (strict): %w", telemetry.StageCheck, d.AsError())
-				return
-			}
-			dc.Add(d)
-			e.opts.Telemetry.Add("diag.panics", 1)
-			// The check panicked after the config joined the corpus;
-			// recover its sites so cross-config uniqueness still scans
-			// every surviving configuration, as the unsharded driver
-			// does.
-			res.rows[j].Unique = checker.UniqueContributions(cfg)
-		}
-	}()
-	res.rows[j].checkedConfig = e.checkOne(dc, checker, cfg, sa, warm, checkFP, true)
-	return nil
-}
-
 // mergeShards concatenates per-shard rows and tallies in shard order
 // (= corpus order) and reduces the rows' Unique sites into the
 // cross-config unique violations. A shard lost to lenient containment
@@ -258,5 +232,5 @@ func (e *Engine) mergeShards(checker *contracts.Checker, warm bool, checkFP arti
 	}
 	pstats := tally.stats()
 	e.setCorpusGauges(pstats)
-	return e.finishCheck(rows, reduceUnique(checker, rows), pstats, warm, checkFP)
+	return e.finishCheck(checker, rows, pstats, warm, checkFP)
 }
