@@ -5,7 +5,7 @@ GO ?= go
 # ci is the full verification gate: formatting, static checks, build,
 # the race-enabled test suite, the fault-injection suite, a smoke run
 # of the repo benchmark (perfbench), a smoke run of the HTTP service, the
-# crash-recovery/hot-reload smoke, the fleet-scale sharded-check
+# crash-recovery/hot-reload smoke, the fleet-scale streaming
 # smoke, the worker-process shard backend smoke, the sharded
 # map-reduce learning smoke, and a best-effort vulnerability scan.
 ci: fmt vet build race chaos perfbench-smoke serve-smoke reload-smoke fleet-smoke dist-smoke learn-dist-smoke vuln
@@ -55,19 +55,22 @@ serve-smoke:
 reload-smoke:
 	$(GO) test -race -timeout 5m -count=1 -run 'TestReloadSmokeKillRecover|TestServeRestart|TestServeReloadUnderLoad|TestServeBundle' ./cmd/concord ./internal/server
 
-# fleet-smoke is the fleet-scale sharded-check gate under the race
-# detector: shard-count differential identity ({1,3,16} shards,
-# byte-identical reports), warm-shard artifact replay, monotonic
-# global progress, shard/config panic containment in both lenient and
-# strict modes, the map-reduce Unique reduce (contiguous splits, sites
-# replayed through the check-artifact record, panic containment), the
-# one pass per configuration (check, coverage and Unique sites off one
-# view against separate calls; the unsharded reduce against the corpus
-# walk; a contained config panic keeping its Unique sites), the
-# 10k-device generation-plan uniqueness suite, and the sharded server
-# batch and CLI paths.
+# fleet-smoke is the fleet-scale streaming gate under the race
+# detector: the stream interleaves each configuration's process and
+# check or mine steps and reports exact global progress
+# (TestStreamInterleavesStages), the stream from sources matches the
+# staged CheckProcessed at Parallelism 1 and 8, in-process shard
+# options are a no-op and the process-backend shard rows (partition
+# edges, warm replay of a stream-populated cache, monotonic progress)
+# stay byte-identical (TestSharded*), the map-reduce Unique reduce
+# (contiguous splits, sites replayed through the check-artifact record,
+# panic containment), the one pass per configuration (check, coverage
+# and Unique sites off one view against separate calls; the reduce
+# against the corpus walk; a contained config panic keeping its Unique
+# sites), the 10k-device generation-plan uniqueness suite, and the
+# sharded server batch and CLI paths.
 fleet-smoke:
-	$(GO) test -race -timeout 10m -count=1 -run 'TestSharded|TestShardOptionsValidate|TestChaosShard|TestReduceUnique|TestOnePass|TestFleet|TestServeShardedCheckBatch' ./internal/core ./internal/contracts ./internal/artifact ./internal/synth ./internal/server ./cmd/concord
+	$(GO) test -race -timeout 10m -count=1 -run 'TestStream|TestCheckAllDeterministic$$|TestSharded|TestShardOptionsValidate|TestReduceUnique|TestOnePass|TestFleet|TestServeShardedCheckBatch' ./internal/core ./internal/contracts ./internal/artifact ./internal/synth ./internal/server ./cmd/concord
 
 # dist-smoke is the worker-process shard backend gate under the race
 # detector: cross-backend differential identity (process vs. in-process
@@ -82,20 +85,19 @@ dist-smoke:
 	$(GO) test -race -timeout 10m -count=1 -run 'TestDist|TestChaosDist|TestProcessBackend|TestWire|TestReadFrame|TestFrame|FuzzShardFrame|TestMakeShardsProperty|TestServeProcessBackendBatch|TestServeLearnShardValidation|TestCheckShardBackendProcess' ./internal/core ./internal/shardrpc ./internal/artifact ./internal/server ./cmd/concord
 
 # learn-dist-smoke is the fleet-scale sharded learning gate under the
-# race detector: the in-process shard-count differential ({1,2,3,16}
-# shards mining byte-identical learned sets), the sharded row of the
-# learn golden test (3 shards x 2 workers must hit W4's pinned digest),
-# the process-backend learn grid ({1,3,16} shards x {1,4} workers) and
-# a binding MaxFanout across the process boundary, the accumulator
-# merge-law property tests (associativity and shard-order
-# insensitivity under randomized splits), the learn-result wire
-# round-trip and the frame fuzz seeds, learn chaos (lost shards in
-# lenient and strict modes, corrupt result frames, crash-retry,
-# straggler speculation, per-config panic containment), global learn
-# progress monotonicity, and the server's sharded learn-job validation
-# and equivalence paths.
+# race detector: the process backend's partition edges for learning,
+# the sharded row of the learn golden test (3 in-process shards x 2
+# workers, a no-op, must hit W4's pinned digest), the process-backend
+# learn grid ({1,3,16} shards x {1,4} workers) and a binding MaxFanout
+# across the process boundary, the accumulator merge-law property
+# tests (associativity and shard-order insensitivity under randomized
+# splits), the learn-result wire round-trip and the frame fuzz seeds,
+# learn chaos (lost shards in lenient and strict modes, corrupt result
+# frames, crash-retry, straggler speculation), global learn progress
+# monotonicity, and the server's sharded learn-job validation and
+# equivalence paths.
 learn-dist-smoke:
-	$(GO) test -race -timeout 10m -count=1 -run 'TestShardedLearn|TestChaosShardedLearn|TestDistLearn|TestChaosDistLearn|TestAccumulator|TestImportAccumulator|TestLearnWire|TestLearnResult|FuzzLearnFrame|FuzzShardFrame|TestServeLearnShardValidation|TestServeShardedLearn' ./internal/core ./internal/mining ./internal/shardrpc ./internal/server
+	$(GO) test -race -timeout 10m -count=1 -run 'TestShardedLearn|TestDistLearn|TestChaosDistLearn|TestAccumulator|TestImportAccumulator|TestLearnWire|TestLearnResult|FuzzLearnFrame|FuzzShardFrame|TestServeLearnShardValidation|TestServeShardedLearn' ./internal/core ./internal/mining ./internal/shardrpc ./internal/server
 
 # vuln scans dependencies with govulncheck when it is installed; the
 # scan is best-effort and never fails the build (the tool may be

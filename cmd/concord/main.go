@@ -134,13 +134,15 @@ warm runs:
                        configs (requires -cache-dir)
 
 fleet-scale checking and learning:
-  -shards N            partition a check or learn run into N deterministic
-                       contiguous shards streamed on a bounded pool; shards
-                       stream configs one at a time (learn folds each into a
-                       mergeable statistics accumulator), so peak memory is
-                       bounded by workers instead of fleet size, and output
-                       is byte-identical to an unsharded run
-  -shard-workers N     max shards in flight at once (default -parallel)
+  (every check and learn streams: each config is processed, checked or
+  folded into a mergeable statistics accumulator, and released, so peak
+  memory is bounded by the configs in flight, not by fleet size)
+  -shards N            with -shard-backend process, partition a check or
+                       learn run into N deterministic contiguous shards,
+                       each streamed in a worker child process; output is
+                       byte-identical to an unsharded run (no effect
+                       in process)
+  -shard-workers N     max worker processes at once (default -parallel)
   -shard-backend B     shard execution backend: "inprocess" (default) or
                        "process", which runs each shard in a pool of
                        worker child processes over checksummed pipes —
@@ -149,7 +151,7 @@ fleet-scale checking and learning:
 
 robustness:
   -lenient             skip unreadable input files with diagnostics
-  -strict              abort on the first contained fault or degraded input
+  -strict              abort on any contained fault or degraded input
   -diagnostics-json F  write the run's diagnostics report to this file
   -fail-on-diagnostics exit 4 if any diagnostics were recorded
 
@@ -297,8 +299,8 @@ func sharedFlags(fs *flag.FlagSet) *runConfig {
 	tokens := fs.String("tokens", "", "JSON file of user lexer token specs")
 	cacheDir := fs.String("cache-dir", "", "content-addressed artifact cache directory for warm runs")
 	incremental := fs.Bool("incremental", false, "replay cached check results for unchanged configs (requires -cache-dir)")
-	shards := fs.Int("shards", 0, "partition check and learn runs into N streamed shards for fleet-scale corpora (0/1 = unsharded)")
-	shardWorkers := fs.Int("shard-workers", 0, "max shards in flight at once (0 = -parallel)")
+	shards := fs.Int("shards", 0, "with -shard-backend process, run check and learn as N shards in worker processes (no effect in process)")
+	shardWorkers := fs.Int("shard-workers", 0, "max worker processes at once (0 = -parallel)")
 	shardBackend := fs.String("shard-backend", "", "shard execution backend: inprocess (default) or process")
 	rc := &runConfig{
 		metricsJSON: fs.String("metrics-json", "", "write a per-stage telemetry report to this file"),
@@ -308,7 +310,7 @@ func sharedFlags(fs *flag.FlagSet) *runConfig {
 
 		diagnosticsJSON: fs.String("diagnostics-json", "", "write the run's diagnostics report to this file"),
 		lenient:         fs.Bool("lenient", false, "skip unreadable input files with diagnostics instead of failing"),
-		strict:          fs.Bool("strict", false, "abort on the first contained fault or degraded input"),
+		strict:          fs.Bool("strict", false, "abort on any contained fault or degraded input"),
 		failOnDiag:      fs.Bool("fail-on-diagnostics", false, "exit with code 4 if any diagnostics were recorded"),
 		diags:           concord.NewDiagnostics(),
 	}

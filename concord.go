@@ -274,10 +274,11 @@ const (
 	CatRelation = contracts.CatRelation
 )
 
-// The shard execution backends (Options.ShardBackend): in-process
-// goroutine pool (the default) or a pool of shard-worker child
-// processes with crash retries and straggler speculation. Results are
-// byte-identical across backends.
+// The shard execution backends (Options.ShardBackend): in process (the
+// default), where every run streams on the engine's worker pool and
+// Shards has no effect, or a pool of shard-worker child processes, each
+// streaming one shard, with crash retries and straggler speculation.
+// Results are byte-identical across backends.
 const (
 	ShardBackendInProcess = core.ShardBackendInProcess
 	ShardBackendProcess   = core.ShardBackendProcess

@@ -198,8 +198,9 @@ func TestChaosMiningStrictAborts(t *testing.T) {
 }
 
 // TestChaosCheckFaultContained injects a panic into one
-// configuration's check pass: checking completes, that configuration
-// is absent from coverage, and a check-stage diagnostic names it.
+// configuration's check pass: checking completes without leaking
+// workers, that configuration stays in the corpus statistics but is
+// absent from coverage, and a check-stage diagnostic names it.
 func TestChaosCheckFaultContained(t *testing.T) {
 	defer faultinject.Reset()
 	srcs := chaosSources(20)
@@ -213,9 +214,14 @@ func TestChaosCheckFaultContained(t *testing.T) {
 
 	injected := errors.New("injected check fault")
 	faultinject.Set("core.check.config", faultinject.PanicOn(injected, "r09.cfg"))
+	before := runtime.NumGoroutine()
 	cr, err := eng.Check(lr.Set, srcs, nil)
 	if err != nil {
 		t.Fatalf("Check = %v, want containment", err)
+	}
+	assertNoLeak(t, before)
+	if cr.Stats.Configs != len(srcs) {
+		t.Errorf("stats.Configs = %d, want %d (a check panic does not drop the config from the corpus)", cr.Stats.Configs, len(srcs))
 	}
 	if len(cr.Diagnostics) != 1 || cr.Diagnostics[0].Source != "r09.cfg" {
 		t.Fatalf("diagnostics = %+v, want one for r09.cfg", cr.Diagnostics)

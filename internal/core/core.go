@@ -80,11 +80,12 @@ type Options struct {
 	// also surfaces its own diagnostics in LearnResult/CheckResult, so
 	// attaching a collector is only needed to aggregate across runs.
 	Diagnostics *diag.Collector
-	// Strict disables fault containment: the first worker panic, guard
-	// violation, or skipped input aborts the run with an error carrying
-	// the same information a lenient run would have reported as
-	// diagnostics. Lenient (false, the default) returns partial results
-	// plus diagnostics.
+	// Strict disables fault containment: the first worker panic aborts
+	// the run at once, and any other diagnostic (a guard violation, a
+	// skipped input, an unusable cache entry) aborts it when the pass
+	// over the sources ends, with an error carrying the same information
+	// a lenient run would have reported as diagnostics. Lenient (false,
+	// the default) returns partial results plus diagnostics.
 	Strict bool
 	// Limits bounds input processing (max file size, line length,
 	// nesting depth, lines per config); zero fields select the
@@ -119,35 +120,31 @@ type Options struct {
 	// (so cross-configuration uniqueness stays exact over a mix of
 	// cached and fresh configs). Requires Artifacts.
 	Incremental bool
-	// Shards, when greater than one, routes Check/CheckContext and
-	// Learn/LearnContext through the fleet-scale sharded drivers: the
-	// corpus is partitioned into that many deterministic contiguous
-	// shards, shards run on a bounded pool, and each shard streams
-	// per-configuration work — lexed configurations are released as the
-	// shard advances, so peak memory is bounded by in-flight shards
-	// rather than fleet size. A sharded check merges cross-config
-	// Unique contracts by one reduce over the per-config value sites; a
-	// sharded learn folds each configuration into a per-shard
-	// mining.StatsAccumulator and merges the accumulators in shard
-	// order. Results are byte-identical to the unsharded paths, warm
-	// artifact replay included. See DESIGN.md §11 and §13.
+	// Shards, with ShardBackendProcess, partitions the corpus of
+	// Check/CheckContext and Learn/LearnContext into that many
+	// deterministic contiguous shards and runs each in a worker child
+	// process (a single shard still leaves this process). Every run from
+	// sources already streams — each configuration is processed, checked
+	// into its row or folded into its worker's mining accumulator, and
+	// released — so peak memory is bounded by the configurations in
+	// flight, not corpus size, and sharding adds only process isolation.
+	// With the in-process backend Shards is accepted and has no effect.
+	// Results are byte-identical either way, warm artifact replay
+	// included. See DESIGN.md §11 and §13.
 	Shards int
-	// ShardWorkers bounds how many shards are in flight at once; 0
-	// selects Parallelism. Configurations within a shard are processed
-	// sequentially, so ShardWorkers is the effective parallelism of a
-	// sharded check or learn.
+	// ShardWorkers bounds how many worker processes run shards at once;
+	// 0 selects Parallelism. A worker streams its shard sequentially, so
+	// ShardWorkers is the effective parallelism of a process-backend run.
+	// Like Shards, it has no effect on the in-process backend.
 	ShardWorkers int
-	// ShardBackend selects how a sharded check or learn executes its
-	// shards. Empty or ShardBackendInProcess runs them on a goroutine
-	// pool in this process (the default). ShardBackendProcess
-	// dispatches each shard to a pool of worker child processes over
-	// the shardrpc wire protocol, with bounded crash retries and
-	// straggler speculation; results are byte-identical across
-	// backends, warm artifact replay included. The process backend
-	// also routes Shards == 1 through the sharded driver, so a
-	// single-shard corpus still executes out of process. It cannot
-	// serialize ExtraTransforms, ExtraRelations, or UserTokens with
-	// custom Parse funcs — such options are rejected.
+	// ShardBackend selects where a sharded check or learn runs. Empty or
+	// ShardBackendInProcess streams the corpus on this process's worker
+	// pool (the default), ignoring Shards. ShardBackendProcess dispatches
+	// each shard to a pool of worker child processes over the shardrpc
+	// wire protocol, with bounded crash retries and straggler
+	// speculation; each worker runs the same stream over its slice. It
+	// cannot serialize ExtraTransforms, ExtraRelations, or UserTokens
+	// with custom Parse funcs — such options are rejected.
 	ShardBackend string
 	// ShardWorkerCommand is the worker argv for ShardBackendProcess;
 	// element 0 is the executable. Empty selects the
@@ -165,11 +162,10 @@ const (
 )
 
 // shardingActive reports whether Check/CheckContext and
-// Learn/LearnContext route through the sharded drivers: always for
-// Shards > 1, and for a single explicit shard when the process backend
-// is selected (so the work still leaves this process).
+// Learn/LearnContext dispatch their shards to the process backend
+// rather than streaming in this process.
 func (o Options) shardingActive() bool {
-	return o.Shards > 1 || (o.Shards == 1 && o.ShardBackend == ShardBackendProcess)
+	return o.ShardBackend == ShardBackendProcess && o.Shards >= 1
 }
 
 // Validate rejects unusable option values: Support below 1, Confidence
@@ -453,12 +449,10 @@ func (e *Engine) Process(sources, meta []Source) ([]*lexer.Config, ProcessStats)
 func (e *Engine) ProcessContext(ctx context.Context, sources, meta []Source) ([]*lexer.Config, ProcessStats, error) {
 	dc := diag.New()
 	defer e.opts.Diagnostics.Merge(dc)
-	cfgs, _, st, err := e.processContext(ctx, dc, sources, meta)
-	return cfgs, st, err
+	return e.processContext(ctx, dc, sources, meta)
 }
 
-// sourceArt is one surviving configuration's artifact-cache state,
-// aligned with the compacted config slice.
+// sourceArt is one configuration's artifact-cache state.
 type sourceArt struct {
 	// hash is the content hash of the raw source bytes; zero when the
 	// config cannot participate in artifact caching.
@@ -472,84 +466,46 @@ type sourceArt struct {
 	clean bool
 }
 
-// artState carries per-corpus artifact bookkeeping from processing to
-// checking. Nil when no cache is attached.
-type artState struct {
-	per    []sourceArt
-	metaFP artifact.Key
-}
-
 // processContext is the diagnostics-threaded implementation behind
-// ProcessContext; per-run collectors let each Learn/Check surface only
-// its own diagnostics in its result. When an artifact cache is
-// attached, cleanly lexed sources are persisted and replayed by
-// content hash, and the returned artState lets checkProcessedContext
-// extend the warm path to per-config check results.
-func (e *Engine) processContext(ctx context.Context, dc *diag.Collector, sources, meta []Source) ([]*lexer.Config, *artState, ProcessStats, error) {
+// ProcessContext and coverage: the stream with a step that keeps each
+// configuration, compacted to the survivors in input order. Per-run
+// collectors let each run surface only its own diagnostics.
+func (e *Engine) processContext(ctx context.Context, dc *diag.Collector, sources, meta []Source) ([]*lexer.Config, ProcessStats, error) {
 	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageProcess))
 	defer sp.EndCount(len(sources))
 	cr, err := e.newCorpusRun(dc, meta)
 	if err != nil {
-		return nil, nil, ProcessStats{}, err
-	}
-	artOn := cr.artOn
-	var artSlots []sourceArt
-	if artOn {
-		artSlots = make([]sourceArt, len(sources))
+		return nil, ProcessStats{}, err
 	}
 	slots := make([]*lexer.Config, len(sources))
 	prog := &progressCounter{e: e, stage: telemetry.StageProcess, total: len(sources)}
-	err = e.forEachCtx(ctx, dc, telemetry.StageProcess, e.opts.Parallelism, len(sources),
-		func(i int) string { return sources[i].Name },
-		func(i int) error {
-			defer prog.tick()
-			cfg, sa := e.processOneSource(dc, cr, sources[i])
+	tally, err := e.streamSources(ctx, dc, cr, sources, e.opts.Parallelism, prog, nil,
+		func(_, i int, cfg *lexer.Config, _ sourceArt) error {
 			slots[i] = cfg
-			if artOn {
-				artSlots[i] = sa
-			}
 			return nil
 		})
-	if err != nil {
-		return nil, nil, ProcessStats{}, err
-	}
 	cr.emitCacheStats(e)
-	// Compact: sources that panicked a worker or were rejected by input
-	// guards leave nil slots; survivors keep input order (and their
-	// artifact state stays aligned with them).
-	var cfgs []*lexer.Config
-	var per []sourceArt
-	var tally corpusTally
-	for i, c := range slots {
+	if err == nil {
+		err = e.strictGate(dc)
+	}
+	if err != nil {
+		return nil, ProcessStats{}, err
+	}
+	cfgs := make([]*lexer.Config, 0, tally.configs)
+	for _, c := range slots {
 		if c != nil {
 			cfgs = append(cfgs, c)
-			tally.add(c)
-			if artOn {
-				per = append(per, artSlots[i])
-			}
-		} else {
-			tally.skipped++
-		}
-	}
-	var arts *artState
-	if artOn {
-		arts = &artState{per: per, metaFP: cr.metaFP}
-	}
-	if e.opts.Strict {
-		if err := diag.Join(dc.All()); err != nil {
-			return nil, nil, ProcessStats{}, fmt.Errorf("core: strict mode: %w", err)
 		}
 	}
 	st := tally.stats()
 	e.setCorpusGauges(st)
-	return cfgs, arts, st, nil
+	return cfgs, st, nil
 }
 
 // corpusRun is the per-run corpus state shared by every source: the
 // lexer cache, intern table, processed metadata lines, and artifact
-// bookkeeping. Both the unsharded and the sharded drivers build one
-// and thread it through the same per-source helpers, so the two paths
-// cannot drift.
+// bookkeeping. The stream threads it through every source, in this
+// process or in a shard worker.
 type corpusRun struct {
 	lim       format.Limits
 	cache     *lexer.Cache
@@ -611,10 +567,12 @@ func (cr *corpusRun) emitCacheStats(e *Engine) {
 }
 
 // processOneSource lexes one source against the corpus state,
-// replaying it from the artifact cache when possible. A nil config
-// means the source was dropped by an input guard (the diagnostic is
-// already in dc). Panics propagate to the caller's containment.
-func (e *Engine) processOneSource(dc *diag.Collector, cr *corpusRun, src Source) (*lexer.Config, sourceArt) {
+// replaying it from the artifact cache when possible, and ticks prog
+// on every exit. A nil config means the source was dropped by an input
+// guard (the diagnostic is already in dc). Panics propagate to the
+// caller's containment.
+func (e *Engine) processOneSource(dc *diag.Collector, cr *corpusRun, prog *progressCounter, src Source) (*lexer.Config, sourceArt) {
+	defer prog.tick()
 	faultinject.At("core.process.source", src.Name)
 	var sa sourceArt
 	if cr.artOn {
@@ -662,9 +620,9 @@ func (e *Engine) processOneSource(dc *diag.Collector, cr *corpusRun, src Source)
 }
 
 // corpusTally accumulates a corpus's ProcessStats one surviving
-// configuration at a time. Tallies of disjoint slices of the corpus
-// (shards) merge, so every driver reports its stats through this one
-// type.
+// configuration at a time. Tallies of disjoint parts of the corpus (a
+// stream worker's sources, a process shard) merge, so every run
+// reports its stats through this one type.
 type corpusTally struct {
 	configs, skipped, lines int
 	// patterns maps each distinct pattern to its largest parameter count.
@@ -825,13 +783,15 @@ func (e *Engine) progress(stage telemetry.Stage, done, total int) {
 	e.progressMu.Unlock()
 }
 
-// forEachCtx runs fn(0..n-1) on a pool of at most workers goroutines,
-// stopping within one item of ctx being cancelled. Workers never start
-// new items after cancellation; the first non-nil ctx error is returned
-// once all workers have drained. It is the engine's one worker pool:
-// the unsharded stages run it over configurations with Parallelism
-// workers, the sharded drivers over shards with shardWorkers. Progress
-// is the caller's: fn ticks its stage's progressCounter.
+// forEachCtx runs fn(w, i) for i in 0..n-1 on a pool of at most
+// workers goroutines, stopping within one item of ctx being cancelled;
+// w is the index of the worker running the item, so fn can keep
+// per-worker state without locks. Workers take items dynamically and
+// never start new ones after cancellation; the first non-nil ctx error
+// is returned once all workers have drained. It is the engine's one
+// worker pool: the stream runs it over sources, coverage and the
+// staged check over configurations. Progress is the caller's: fn ticks
+// its stage's progressCounter.
 //
 // Panics inside fn are contained per item: in lenient mode (the
 // default) a recovered panic becomes an error diagnostic in dc
@@ -840,7 +800,7 @@ func (e *Engine) progress(stage telemetry.Stage, done, total int) {
 // remaining items are never started) and is returned as an error, so
 // tests and CI keep fail-fast semantics. An error returned by fn aborts
 // the run the same way in either mode.
-func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telemetry.Stage, workers, n int, name func(int) string, fn func(i int) error) error {
+func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telemetry.Stage, workers, n int, name func(int) string, fn func(w, i int) error) error {
 	workers = min(workers, n)
 	ictx, abort := context.WithCancel(ctx)
 	defer abort()
@@ -852,7 +812,7 @@ func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telem
 			abort()
 		})
 	}
-	call := func(i int) {
+	call := func(w, i int) {
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -866,7 +826,7 @@ func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telem
 			dc.Add(d)
 			e.opts.Telemetry.Add("diag.panics", 1)
 		}()
-		if err := fn(i); err != nil {
+		if err := fn(w, i); err != nil {
 			fail(err)
 		}
 	}
@@ -875,7 +835,7 @@ func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telem
 			if ictx.Err() != nil {
 				break
 			}
-			call(i)
+			call(0, i)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -888,7 +848,7 @@ func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telem
 					if ictx.Err() != nil {
 						continue // drain the channel without starting new work
 					}
-					call(i)
+					call(w, i)
 				}
 			}()
 		}
@@ -912,9 +872,10 @@ func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telem
 }
 
 // progressCounter reports monotonic (done, total) progress for one
-// stage. Every driver ticks one per unit of work — the unsharded pools
-// per configuration, the sharded drivers from every shard — so
-// Options.Progress observes one global count per stage.
+// stage. Every driver ticks one per unit of work — the stream per
+// source, the process backend per source of each returned shard — so
+// Options.Progress observes one global count per stage. A nil counter
+// (a shard worker, whose progress the parent reports) ticks nothing.
 type progressCounter struct {
 	e     *Engine
 	stage telemetry.Stage
@@ -926,7 +887,7 @@ type progressCounter struct {
 // reporting share the engine's progress lock: counting outside it let
 // two workers report their counts out of order.
 func (p *progressCounter) tick() {
-	if p.e.opts.Progress == nil {
+	if p == nil || p.e.opts.Progress == nil {
 		return
 	}
 	p.e.progressMu.Lock()
@@ -962,24 +923,13 @@ func (e *Engine) Learn(sources, meta []Source) (*LearnResult, error) {
 // allocation deltas, and miner counters go to Options.Telemetry.
 // Faults are contained per source: a panicked or guard-rejected source
 // is dropped with a diagnostic (in the result and Options.Diagnostics)
-// and learning proceeds on the survivors; Options.Strict aborts on the
-// first fault instead.
+// and learning proceeds on the survivors; with Options.Strict any fault
+// or diagnostic aborts the run instead. Each source is processed and
+// folded in one step, so the lexed corpus is never held at once.
 func (e *Engine) LearnContext(ctx context.Context, sources, meta []Source) (*LearnResult, error) {
 	dc := diag.New()
 	defer e.opts.Diagnostics.Merge(dc)
-	var res *LearnResult
-	var err error
-	if e.opts.shardingActive() {
-		res, err = e.learnShardedContext(ctx, dc, sources, meta)
-	} else {
-		var cfgs []*lexer.Config
-		var pstats ProcessStats
-		cfgs, _, pstats, err = e.processContext(ctx, dc, sources, meta)
-		if err != nil {
-			return nil, err
-		}
-		res, err = e.learnProcessedContext(ctx, dc, cfgs, pstats)
-	}
+	res, err := e.learnSources(ctx, dc, sources, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -997,7 +947,19 @@ func (e *Engine) LearnProcessed(cfgs []*lexer.Config, pstats ProcessStats) (*Lea
 func (e *Engine) LearnProcessedContext(ctx context.Context, cfgs []*lexer.Config, pstats ProcessStats) (*LearnResult, error) {
 	dc := diag.New()
 	defer e.opts.Diagnostics.Merge(dc)
-	res, err := e.learnProcessedContext(ctx, dc, cfgs, pstats)
+	var mineProgress func(done, total int)
+	if e.opts.Progress != nil {
+		prog := &progressCounter{e: e, stage: telemetry.StageMine, total: len(cfgs)}
+		mineProgress = func(int, int) { prog.tick() }
+	}
+	m := e.newLearnMiner(dc, mineProgress)
+	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageMine))
+	set, err := m.MineContext(ctx, cfgs)
+	sp.EndCount(len(cfgs))
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.finishLearn(ctx, dc, set, pstats)
 	if err != nil {
 		return nil, err
 	}
@@ -1005,9 +967,9 @@ func (e *Engine) LearnProcessedContext(ctx context.Context, cfgs []*lexer.Config
 	return res, nil
 }
 
-// newLearnMiner builds the run's miner from the engine options; both the
-// unsharded and the sharded learn drivers construct it here, so the two
-// paths mine under identical parameters by construction.
+// newLearnMiner builds the run's miner from the engine options; the
+// stream, the staged API and every shard worker construct it here, so
+// they mine under identical parameters by construction.
 func (e *Engine) newLearnMiner(dc *diag.Collector, progress func(done, total int)) *mining.Miner {
 	return mining.New(mining.Options{
 		Support:          e.opts.Support,
@@ -1024,22 +986,6 @@ func (e *Engine) newLearnMiner(dc *diag.Collector, progress func(done, total int
 		Strict:           e.opts.Strict,
 		Progress:         progress,
 	})
-}
-
-func (e *Engine) learnProcessedContext(ctx context.Context, dc *diag.Collector, cfgs []*lexer.Config, pstats ProcessStats) (*LearnResult, error) {
-	var mineProgress func(done, total int)
-	if e.opts.Progress != nil {
-		prog := &progressCounter{e: e, stage: telemetry.StageMine, total: len(cfgs)}
-		mineProgress = func(int, int) { prog.tick() }
-	}
-	m := e.newLearnMiner(dc, mineProgress)
-	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageMine))
-	set, err := m.MineContext(ctx, cfgs)
-	sp.EndCount(len(cfgs))
-	if err != nil {
-		return nil, err
-	}
-	return e.finishLearn(ctx, dc, set, pstats)
 }
 
 // finishLearn is the learn pipeline's shared tail: minimization (with
@@ -1155,25 +1101,15 @@ func (e *Engine) Check(set *contracts.Set, sources, meta []Source) (*CheckResult
 // one configuration of cancellation with ctx.Err(). Stage timings and
 // checker counters go to Options.Telemetry. Faults are contained per
 // source and per contract: a panicking contract is skipped for that
-// configuration with a diagnostic; Options.Strict aborts instead.
-// With Options.Shards > 1 the corpus runs through the fleet-scale
-// sharded driver (see shard.go) with byte-identical results.
+// configuration with a diagnostic; with Options.Strict any fault or
+// diagnostic aborts the run instead. Each source is processed and
+// checked in one step, so the lexed corpus is never held at once; with
+// the process backend the same stream runs in worker processes, with
+// byte-identical results.
 func (e *Engine) CheckContext(ctx context.Context, set *contracts.Set, sources, meta []Source) (*CheckResult, error) {
 	dc := diag.New()
 	defer e.opts.Diagnostics.Merge(dc)
-	if e.opts.shardingActive() {
-		res, err := e.checkShardedContext(ctx, dc, set, sources, meta, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.Diagnostics = dc.Sorted()
-		return res, nil
-	}
-	cfgs, arts, pstats, err := e.processContext(ctx, dc, sources, meta)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.checkProcessedContext(ctx, dc, set, cfgs, pstats, arts, nil)
+	res, err := e.checkSources(ctx, dc, set, sources, meta, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1188,13 +1124,29 @@ func (e *Engine) CheckProcessed(set *contracts.Set, cfgs []*lexer.Config, pstats
 }
 
 // CheckProcessedContext is CheckProcessed under a cancellable context.
+// It never replays check artifacts: warm replay needs each source's
+// content hash, which only a run from sources has.
 func (e *Engine) CheckProcessedContext(ctx context.Context, set *contracts.Set, cfgs []*lexer.Config, pstats ProcessStats) (*CheckResult, error) {
 	dc := diag.New()
 	defer e.opts.Diagnostics.Merge(dc)
-	res, err := e.checkProcessedContext(ctx, dc, set, cfgs, pstats, nil, nil)
+	checker := e.newChecker(set, dc, lexer.CommonInterns(cfgs))
+	rows := make([]checkRow, len(cfgs))
+	prog := &progressCounter{e: e, stage: telemetry.StageCheck, total: len(cfgs)}
+	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageCheck))
+	err := e.forEachCtx(ctx, dc, telemetry.StageCheck, e.opts.Parallelism, len(cfgs),
+		func(i int) string { return cfgs[i].Name },
+		func(_, i int) error {
+			defer prog.tick()
+			rows[i].name = cfgs[i].Name
+			var err error
+			rows[i].checkedConfig, err = e.checkStep(dc, checker, cfgs[i], sourceArt{}, false, artifact.Key{})
+			return err
+		})
+	sp.EndCount(len(cfgs))
 	if err != nil {
 		return nil, err
 	}
+	res := e.finishCheck(checker, rows, pstats, false, artifact.Key{})
 	res.Diagnostics = dc.Sorted()
 	return res, nil
 }
@@ -1254,7 +1206,7 @@ type checkedConfig struct {
 }
 
 // checkRow is one surviving configuration's place in a check report, as
-// both check drivers hand it to finishCheck in corpus order: its name
+// every check path hands it to finishCheck in corpus order: its name
 // and artifact state, plus its outcome (zero when the check panicked
 // and was contained).
 type checkRow struct {
@@ -1326,7 +1278,8 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 }
 
 // checkStep is checkOne under per-config containment, the check step of
-// every driver (unsharded pool, shard, worker process, registry). A
+// the stream (in process, in a shard worker, for a registry entry) and
+// of the staged CheckProcessed. A
 // lenient panic records a diagnostic and drops the config's coverage
 // but recovers its Unique sites, since the config joined the corpus and
 // the cross-config reduce must see it; strict returns the abort error.
@@ -1346,44 +1299,7 @@ func (e *Engine) checkStep(dc *diag.Collector, checker *contracts.Checker, cfg *
 	return e.checkOne(dc, checker, cfg, sa, warm, checkFP), nil
 }
 
-// checkProcessedContext evaluates the set against the processed
-// configurations. checker, when non-nil, is a pre-compiled checker to
-// reuse (the registry's compile-once-serve-many path); nil builds one
-// for this run.
-func (e *Engine) checkProcessedContext(ctx context.Context, dc *diag.Collector, set *contracts.Set, cfgs []*lexer.Config, pstats ProcessStats, arts *artState, checker *contracts.Checker) (*CheckResult, error) {
-	if checker == nil {
-		checker = e.newChecker(set, dc, lexer.CommonInterns(cfgs))
-	}
-	warm := arts != nil && e.opts.Incremental
-	var checkFP artifact.Key
-	if warm {
-		checkFP, warm = e.checkFingerprint(set, arts.metaFP)
-	}
-	rows := make([]checkRow, len(cfgs))
-	for i, cfg := range cfgs {
-		rows[i].name = cfg.Name
-		if arts != nil {
-			rows[i].art = arts.per[i]
-		}
-	}
-	prog := &progressCounter{e: e, stage: telemetry.StageCheck, total: len(cfgs)}
-	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageCheck))
-	err := e.forEachCtx(ctx, dc, telemetry.StageCheck, e.opts.Parallelism, len(cfgs),
-		func(i int) string { return cfgs[i].Name },
-		func(i int) error {
-			defer prog.tick()
-			var err error
-			rows[i].checkedConfig, err = e.checkStep(dc, checker, cfgs[i], rows[i].art, warm, checkFP)
-			return err
-		})
-	sp.EndCount(len(cfgs))
-	if err != nil {
-		return nil, err
-	}
-	return e.finishCheck(checker, rows, pstats, warm, checkFP), nil
-}
-
-// finishCheck is the check pipeline's shared tail for both drivers: it
+// finishCheck is the check pipeline's shared tail for every path: it
 // reduces the rows' Unique sites, in corpus order, into the cross-config
 // unique violations (contracts.Checker.ReduceUnique), concatenates them
 // with the per-config violations, sorts them into report order, builds

@@ -39,7 +39,7 @@ func (e *Engine) CoverageLines(set *contracts.Set, sources, meta []Source) ([]Li
 func (e *Engine) CoverageLinesContext(ctx context.Context, set *contracts.Set, sources, meta []Source) ([]LineCoverage, error) {
 	dc := diag.New()
 	defer e.opts.Diagnostics.Merge(dc)
-	cfgs, _, _, err := e.processContext(ctx, dc, sources, meta)
+	cfgs, _, err := e.processContext(ctx, dc, sources, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func (e *Engine) coverageLinesWith(ctx context.Context, dc *diag.Collector, chec
 	prog := &progressCounter{e: e, stage: telemetry.StageCoverage, total: len(cfgs)}
 	err := e.forEachCtx(ctx, dc, telemetry.StageCoverage, e.opts.Parallelism, len(cfgs),
 		func(i int) string { return cfgs[i].Name },
-		func(i int) error {
+		func(_, i int) error {
 			defer prog.tick()
 			cov := checker.Coverage(cfgs[i])
 			var out []LineCoverage

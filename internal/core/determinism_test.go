@@ -16,9 +16,11 @@ import (
 )
 
 // TestCheckAllDeterministic asserts byte-identical JSON output across
-// repeated parallel runs: the sharded worker pool and the compiled
-// engine's map-ordered buckets must not leak scheduling order into the
-// report (ties are broken by file, line, then contract ID).
+// repeated parallel runs: the worker pool and the compiled engine's
+// map-ordered buckets must not leak scheduling order into the report
+// (ties are broken by file, line, then contract ID). The stream from
+// sources, sequential and parallel, must match the staged
+// CheckProcessed over the same sources.
 func TestCheckAllDeterministic(t *testing.T) {
 	role, ok := synth.RoleByName("W4", 0.25)
 	if !ok {
@@ -67,6 +69,28 @@ func TestCheckAllDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(first, data) {
 			t.Fatalf("run %d JSON differs from run 0 (%d vs %d bytes)", run, len(data), len(first))
+		}
+	}
+	// The stream rows check a prefix of the corpus, a third of the cost
+	// under -race: processing is per source, so the prefix's processed
+	// configurations are the staged corpus to compare with.
+	if len(cfgs) != len(srcs) {
+		t.Fatalf("%d of %d sources processed; the prefix would misalign", len(cfgs), len(srcs))
+	}
+	n := min(24, len(srcs))
+	staged, err := MustNew(opts).CheckProcessed(lr.Set, cfgs[:n], pstats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshal(staged)
+	for _, parallelism := range []int{1, 8} {
+		opts.Parallelism = parallelism
+		cr, err := MustNew(opts).Check(lr.Set, srcs[:n], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data := marshal(cr); !bytes.Equal(want, data) {
+			t.Errorf("Check from sources at Parallelism %d differs from CheckProcessed (%d vs %d bytes)", parallelism, len(data), len(want))
 		}
 	}
 }
@@ -234,8 +258,8 @@ func TestMetamorphicInvariance(t *testing.T) {
 // TestDiagnosticsDeterministicOrder: a run reports its diagnostics in
 // one canonical order, whichever worker, shard, or process recorded
 // them first — so check and learn results, diagnostics included, are
-// byte-identical across repeated parallel runs, shard counts, and both
-// shard backends. Every configuration of the corpus has lines past the
+// byte-identical across repeated parallel runs, a sequential run, and
+// the process backend. Every configuration of the corpus has lines past the
 // 18-byte limit, so each one contributes a truncation diagnostic.
 func TestDiagnosticsDeterministicOrder(t *testing.T) {
 	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
@@ -249,15 +273,15 @@ func TestDiagnosticsDeterministicOrder(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	truncate(&opts)
-	sharded := opts
-	sharded.Shards, sharded.ShardWorkers = 3, 3
+	sequential := opts
+	sequential.Parallelism = 1
 	rows := []struct {
 		name string
 		eng  func() *Engine
 	}{
 		{"unsharded", func() *Engine { return MustNew(opts) }},
 		{"unsharded again", func() *Engine { return MustNew(opts) }},
-		{"3 in-process shards", func() *Engine { return MustNew(sharded) }},
+		{"Parallelism 1", func() *Engine { return MustNew(sequential) }},
 		{"3 process shards", func() *Engine { return distEngine(t, 3, 2, truncate) }},
 	}
 	var wantCheck, wantLearn string

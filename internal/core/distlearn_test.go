@@ -45,6 +45,9 @@ func TestDistLearnMatchesInProcess(t *testing.T) {
 			if n := rep.Counters["mine.shard_dispatches"]; n != wantShards {
 				t.Errorf("%d shards / %d workers: mine.shard_dispatches = %d, want %d", shards, workers, n, wantShards)
 			}
+			if _, ok := rep.Counters["mine.merge_ns"]; !ok {
+				t.Errorf("%d shards / %d workers: mine.merge_ns missing from telemetry", shards, workers)
+			}
 			spans := 0
 			for _, sp := range rep.Spans {
 				if strings.HasPrefix(sp.Name, "dist.learn[") {
@@ -54,6 +57,25 @@ func TestDistLearnMatchesInProcess(t *testing.T) {
 			if int64(spans) != wantShards {
 				t.Errorf("%d shards / %d workers: %d dist.learn spans, want %d", shards, workers, spans, wantShards)
 			}
+		}
+	}
+}
+
+// TestShardedLearnTinyCorpus exercises the process backend's partition
+// edges for learning: fewer sources than shards and a single source.
+func TestShardedLearnTinyCorpus(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		train := chaosSources(n)
+		base, err := MustNew(DefaultOptions()).Learn(train, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := distEngine(t, 16, 4, nil).Learn(train, nil)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if gj, want := learnJSON(t, got), learnJSON(t, base); gj != want {
+			t.Errorf("n=%d: learned set diverges:\n got %s\nwant %s", n, gj, want)
 		}
 	}
 }

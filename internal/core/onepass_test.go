@@ -60,9 +60,9 @@ func TestOnePassUniqueMatchesWalk(t *testing.T) {
 }
 
 // TestOnePassChaosConfigPanic: when one configuration's check panics on
-// the unsharded cold path, lenient mode still reports that
-// configuration's Unique duplicates and records the same diagnostic as
-// the sharded driver, and strict mode aborts with the same error text.
+// the cold stream, lenient mode still reports that configuration's
+// Unique duplicates and records the same diagnostic at Parallelism 4 as
+// at Parallelism 1, and strict mode aborts with the same error text.
 func TestOnePassChaosConfigPanic(t *testing.T) {
 	defer faultinject.Reset()
 	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
@@ -88,16 +88,18 @@ func TestOnePassChaosConfigPanic(t *testing.T) {
 	faultinject.Set("core.check.config", faultinject.PanicOn("config check crashed", victim))
 	opts := DefaultOptions()
 	opts.Parallelism = 4
-	unsharded, err := MustNew(opts).Check(lr.Set, test, nil)
+	seqOpts := DefaultOptions()
+	seqOpts.Parallelism = 1
+	parallel, err := MustNew(opts).Check(lr.Set, test, nil)
 	if err != nil {
-		t.Fatalf("lenient unsharded check = %v, want containment", err)
+		t.Fatalf("lenient parallel check = %v, want containment", err)
 	}
-	sharded, err := shardEngine(t, 4, 2, nil).Check(lr.Set, test, nil)
+	sequential, err := MustNew(seqOpts).Check(lr.Set, test, nil)
 	if err != nil {
-		t.Fatalf("lenient sharded check = %v, want containment", err)
+		t.Fatalf("lenient sequential check = %v, want containment", err)
 	}
 	var gotDups []contracts.Violation
-	for _, v := range uniqueDuplicates(unsharded.Violations) {
+	for _, v := range uniqueDuplicates(parallel.Violations) {
 		if v.File == victim {
 			gotDups = append(gotDups, v)
 		}
@@ -105,8 +107,8 @@ func TestOnePassChaosConfigPanic(t *testing.T) {
 	if !reflect.DeepEqual(gotDups, wantDups) {
 		t.Errorf("victim's Unique duplicates = %+v, want %+v", gotDups, wantDups)
 	}
-	if !reflect.DeepEqual(unsharded.Violations, sharded.Violations) {
-		t.Errorf("unsharded violations differ from sharded:\n got %+v\nwant %+v", unsharded.Violations, sharded.Violations)
+	if !reflect.DeepEqual(parallel.Violations, sequential.Violations) {
+		t.Errorf("parallel violations differ from sequential:\n got %+v\nwant %+v", parallel.Violations, sequential.Violations)
 	}
 	stripStack := func(ds []diag.Diagnostic) []diag.Diagnostic {
 		out := append([]diag.Diagnostic(nil), ds...)
@@ -115,18 +117,17 @@ func TestOnePassChaosConfigPanic(t *testing.T) {
 		}
 		return out
 	}
-	if got, want := stripStack(unsharded.Diagnostics), stripStack(sharded.Diagnostics); len(got) != 1 || !reflect.DeepEqual(got, want) {
-		t.Errorf("unsharded diagnostics = %+v, want the sharded driver's %+v", got, want)
+	if got, want := stripStack(parallel.Diagnostics), stripStack(sequential.Diagnostics); len(got) != 1 || !reflect.DeepEqual(got, want) {
+		t.Errorf("parallel diagnostics = %+v, want the sequential run's %+v", got, want)
 	}
 
-	strict := func(o *Options) { o.Strict = true }
-	opts.Strict = true
-	_, uerr := MustNew(opts).Check(lr.Set, test, nil)
-	_, serr := shardEngine(t, 4, 2, strict).Check(lr.Set, test, nil)
-	if uerr == nil || serr == nil {
-		t.Fatalf("strict checks = %v / %v, want both to abort", uerr, serr)
+	opts.Strict, seqOpts.Strict = true, true
+	_, perr := MustNew(opts).Check(lr.Set, test, nil)
+	_, serr := MustNew(seqOpts).Check(lr.Set, test, nil)
+	if perr == nil || serr == nil {
+		t.Fatalf("strict checks = %v / %v, want both to abort", perr, serr)
 	}
-	if uerr.Error() != serr.Error() || !strings.Contains(uerr.Error(), "config check crashed") {
-		t.Errorf("strict unsharded error %q, want the sharded driver's %q", uerr, serr)
+	if perr.Error() != serr.Error() || !strings.Contains(perr.Error(), "config check crashed") {
+		t.Errorf("strict parallel error %q, want the sequential run's %q", perr, serr)
 	}
 }

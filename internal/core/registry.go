@@ -377,41 +377,25 @@ func (en *RegistryEntry) Fingerprint() string { return en.key.Hex() }
 func (en *RegistryEntry) Set() *contracts.Set { return en.set }
 
 // CheckContext evaluates the entry's contract set against the sources
-// using the shared compiled checker and resident caches. rec, when
-// non-nil, receives this request's stage spans and counters (pass a
-// fresh recorder per request for request-scoped telemetry; nil disables
-// it). Diagnostics are request-scoped and returned in the result.
+// using the shared compiled checker and resident caches, streaming each
+// source through process and check in this process, whatever shard
+// options the registry's engines carry. rec, when non-nil, receives
+// this request's stage spans and counters (pass a fresh recorder per
+// request for request-scoped telemetry; nil disables it). Diagnostics
+// are request-scoped and returned in the result.
 func (en *RegistryEntry) CheckContext(ctx context.Context, sources, meta []Source, rec *telemetry.Recorder) (*CheckResult, error) {
-	e := en.eng.forRequest(rec)
-	dc := diag.New()
-	defer en.eng.opts.Diagnostics.Merge(dc)
-	cfgs, arts, pstats, err := e.processContext(ctx, dc, sources, meta)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.checkProcessedContext(ctx, dc, en.set, cfgs, pstats, arts, en.checker.ForRequest(rec, dc))
-	if err != nil {
-		return nil, err
-	}
-	res.Diagnostics = dc.Sorted()
-	return res, nil
+	return en.CheckShardedContext(ctx, sources, meta, rec, 0, 0, "")
 }
 
-// CheckShardedContext is CheckContext routed through the fleet-scale
-// sharded driver (see shard.go): the corpus is partitioned into
-// deterministic contiguous shards streamed on a bounded pool, with
-// results byte-identical to CheckContext. backend selects the shard
-// execution backend (Options.ShardBackend); with the process backend,
-// each shard runs in a worker child process and a single shard still
-// routes through the sharded driver. shards <= 1 otherwise falls back
-// to the unsharded path; shardWorkers <= 0 selects the engine's
-// Parallelism. The entry's compiled checker and resident caches are
-// shared either way.
+// CheckShardedContext is CheckContext with a per-request shard
+// selection (Options.Shards, ShardWorkers and ShardBackend). With the
+// process backend each shard runs in a worker child process, and
+// shards < 1 still dispatches one shard; results are byte-identical to
+// CheckContext. With the in-process backend the selection is validated
+// and otherwise ignored, as on an Engine. The entry's compiled checker
+// and resident caches are shared either way.
 func (en *RegistryEntry) CheckShardedContext(ctx context.Context, sources, meta []Source, rec *telemetry.Recorder, shards, shardWorkers int, backend string) (*CheckResult, error) {
-	if shards <= 1 && backend != ShardBackendProcess {
-		return en.CheckContext(ctx, sources, meta, rec)
-	}
-	if shards < 1 {
+	if backend == ShardBackendProcess && shards < 1 {
 		shards = 1
 	}
 	e := en.eng.forRequest(rec)
@@ -421,7 +405,7 @@ func (en *RegistryEntry) CheckShardedContext(ctx context.Context, sources, meta 
 	}
 	dc := diag.New()
 	defer en.eng.opts.Diagnostics.Merge(dc)
-	res, err := e.checkShardedContext(ctx, dc, en.set, sources, meta, en.checker.ForRequest(rec, dc))
+	res, err := e.checkSources(ctx, dc, en.set, sources, meta, en.checker.ForRequest(rec, dc))
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +420,7 @@ func (en *RegistryEntry) CoverageLinesContext(ctx context.Context, sources, meta
 	e := en.eng.forRequest(rec)
 	dc := diag.New()
 	defer en.eng.opts.Diagnostics.Merge(dc)
-	cfgs, _, _, err := e.processContext(ctx, dc, sources, meta)
+	cfgs, _, err := e.processContext(ctx, dc, sources, meta)
 	if err != nil {
 		return nil, err
 	}

@@ -1,19 +1,20 @@
 // Process-per-shard execution backend (Options.ShardBackendProcess),
 // for the check and the learn pipeline alike.
 //
-// The wire boundary is exactly the in-process shard boundary: a worker
-// process runs runShard (check) or runLearnShard (learn) over its
-// corpus slice and ships back the plain values the in-process shard
-// result holds — per config, its artifact bookkeeping and the
-// artifact.CheckEntry record (violations, coverage counts, Unique value
-// sites) for a check; the exported mining.AccumulatorState for a
-// learn; the shard's corpus tally and any diagnostics for both. The
-// parent rebuilds the in-process shard results from those frames and
-// hands them to the unchanged mergeShards or mergeLearnShards, which is
-// the whole byte-identity argument:
+// The parent partitions the corpus into contiguous shards and
+// dispatches each to a worker child process, which runs the engine's
+// one stream (checkStream or learnStream, stream.go) over its slice
+// with one worker and ships back plain values: per config, its
+// artifact bookkeeping and the artifact.CheckEntry record (violations,
+// coverage counts, Unique value sites) for a check; the exported
+// mining.AccumulatorState for a learn; the shard's corpus tally and any
+// diagnostics for both. The parent turns those frames back into check
+// rows or accumulators and hands them to the same finishCheck or miner
+// the in-process stream feeds, which is the whole byte-identity
+// argument:
 //
-//   - Shard partitioning is a pure function of (corpus length, N), so
-//     parent and worker agree on slice boundaries by construction.
+//   - Shard partitioning is a pure function of (corpus length, N), and
+//     shards are merged in order, so rows concatenate to corpus order.
 //   - Nothing process-local crosses the wire — no intern IDs, no
 //     compiled patterns — only strings and counts (a learn state's
 //     strings travel in a dictionary the parent re-interns), which
@@ -24,15 +25,13 @@
 //     (func-valued extensions), so the worker's processing and check
 //     fingerprints equal the parent's and warm artifact replay
 //     addresses the same cache entries.
-//   - The parent rebuilds each worker's check rows from their entries
-//     (check) or imports its state (learn) in shard order, so the
-//     merge sees exactly the state an in-process shard would have
-//     produced.
+//   - Accumulators merge under the merge laws of
+//     internal/mining/accumulator.go, so the split is invisible.
 //
-// Failure policy mirrors the in-process pools: transport failures
-// (crashed worker, torn frame) are retried by the pool and then fall
-// into the PR 8 shard-containment path; deterministic in-band failures
-// (a contained panic inside the worker, a strict abort) are never
+// Failure policy: transport failures (crashed worker, torn frame) are
+// retried by the pool and then lose the shard whole — a diagnostic,
+// its sources counted skipped; deterministic in-band failures (a
+// contained panic inside the worker, a strict abort) are never
 // retried.
 package core
 
@@ -43,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -65,22 +65,98 @@ type distPolicy struct {
 
 // --- parent side ---
 
-// runShardsProcess is the process-backend twin of the in-process shard
-// pools, for check and learn alike: it builds one Job for the run (a
-// check job for a non-nil set, else a learn job), one Task per shard,
-// and executes them on a shardrpc worker pool. stage labels failures.
-// convert rebuilds the in-process shard result of shard i from its
-// worker Result, stores it in the caller's results, and returns the
-// shard's corpus tally; procProg and stageProg then tick once per
-// source the shard accounted for.
-func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *contracts.Set, meta []Source, cr *corpusRun, stage telemetry.Stage, shards []shard, procProg, stageProg *progressCounter, convert func(i int, wr *shardrpc.Result) (*corpusTally, error)) error {
+// shard is one contiguous slice of the corpus, in input order.
+type shard struct {
+	index   int
+	sources []Source
+}
+
+// makeShards partitions sources into at most n contiguous shards whose
+// sizes differ by at most one, preserving corpus order. The partition
+// is a pure function of (len(sources), n), so a run is reproducible
+// and a re-run shards identically.
+func makeShards(sources []Source, n int) []shard {
+	if n > len(sources) {
+		n = len(sources)
+	}
+	if n < 1 {
+		n = 1
+	}
+	shards := make([]shard, 0, n)
+	for i := 0; i < n; i++ {
+		lo, hi := i*len(sources)/n, (i+1)*len(sources)/n
+		if lo == hi {
+			continue
+		}
+		shards = append(shards, shard{index: i, sources: sources[lo:hi]})
+	}
+	return shards
+}
+
+// shardLabel names a shard in diagnostics: its index and the corpus
+// range it covers.
+func shardLabel(sh shard) string {
+	return fmt.Sprintf("shard %d [%s..%s]", sh.index,
+		sh.sources[0].Name, sh.sources[len(sh.sources)-1].Name)
+}
+
+// checkShardsProcess runs a check's corpus on the process backend and
+// returns the surviving configurations' rows in corpus order with the
+// corpus tally.
+func (e *Engine) checkShardsProcess(ctx context.Context, dc *diag.Collector, set *contracts.Set, sources, meta []Source, cr *corpusRun, procProg, checkProg *progressCounter) ([]checkRow, corpusTally, error) {
+	shards := makeShards(sources, e.opts.Shards)
+	perShard := make([][]checkRow, len(shards))
+	tally, err := e.runShardsProcess(ctx, dc, set, meta, cr, telemetry.StageCheck, shards, procProg, checkProg,
+		func(i int, wr *shardrpc.Result) (int, error) {
+			rows, err := wireRows(wr)
+			perShard[i] = rows
+			return len(rows), err
+		})
+	return slices.Concat(perShard...), tally, err
+}
+
+// learnShardsProcess runs a learn's corpus on the process backend and
+// returns the workers' accumulators, imported against the parent's
+// intern table and merged in shard order, with the corpus tally.
+func (e *Engine) learnShardsProcess(ctx context.Context, dc *diag.Collector, m *mining.Miner, sources, meta []Source, cr *corpusRun, procProg, mineProg *progressCounter) (*mining.StatsAccumulator, corpusTally, error) {
+	shards := makeShards(sources, e.opts.Shards)
+	e.opts.Telemetry.Add("mine.shard_dispatches", int64(len(shards)))
+	accs := make([]*mining.StatsAccumulator, len(shards))
+	tally, err := e.runShardsProcess(ctx, dc, nil, meta, cr, telemetry.StageMine, shards, procProg, mineProg,
+		func(i int, wr *shardrpc.Result) (int, error) {
+			if wr.State == nil {
+				return 0, errors.New("core: worker learn result carries no accumulator state")
+			}
+			acc, err := m.ImportAccumulator(wr.State, cr.interns)
+			if err != nil {
+				return 0, err
+			}
+			accs[i] = acc
+			return acc.NConfigs(), nil
+		})
+	if err != nil {
+		return nil, corpusTally{}, err
+	}
+	return e.mergeAccumulators(m, cr.interns, accs), tally, nil
+}
+
+// runShardsProcess executes shards on a shardrpc worker pool, for check
+// and learn alike: it builds one Job for the run (a check job for a
+// non-nil set, else a learn job) and one Task per shard. stage labels
+// failures. convert takes shard i's worker Result into the caller's
+// per-shard state and returns how many configurations survived in it.
+// The returned tally merges the shards' tallies in shard order, a lost
+// shard's sources counted skipped; procProg and stageProg tick once
+// per source of each returned shard.
+func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *contracts.Set, meta []Source, cr *corpusRun, stage telemetry.Stage, shards []shard, procProg, stageProg *progressCounter, convert func(i int, wr *shardrpc.Result) (int, error)) (corpusTally, error) {
+	var tally corpusTally
 	job, err := e.newShardJob(set, meta, cr)
 	if err != nil {
-		return err
+		return tally, err
 	}
 	command, err := e.shardWorkerCommand()
 	if err != nil {
-		return err
+		return tally, err
 	}
 	tasks := make([]shardrpc.Task, len(shards))
 	for i, sh := range shards {
@@ -90,9 +166,13 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 		}
 		tasks[i] = t
 	}
+	workers := e.opts.ShardWorkers
+	if workers == 0 {
+		workers = e.opts.Parallelism
+	}
 	popts := shardrpc.PoolOptions{
 		Command:    command,
-		Workers:    e.shardWorkers(),
+		Workers:    workers,
 		MaxRetries: -1,
 		FailFast:   e.opts.Strict,
 		Telemetry:  e.opts.Telemetry,
@@ -104,11 +184,10 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 	}
 	wres, failures, err := shardrpc.Run(ctx, job, tasks, popts)
 	if err != nil {
-		return err
+		return tally, err
 	}
-	// lose drops shard i whole: strict aborts, lenient takes the PR 8
-	// containment path (diagnostic, nil result, sources counted skipped
-	// in the merge).
+	// lose drops shard i whole: strict aborts, lenient records a
+	// diagnostic and counts the shard's sources skipped.
 	lose := func(i int, msg string, cause error) error {
 		label := shardLabel(shards[i])
 		if e.opts.Strict {
@@ -121,12 +200,13 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 			Message:  "shard lost: " + msg,
 			Cause:    cause,
 		})
+		tally.skipped += len(shards[i].sources)
 		return nil
 	}
 	// Transport failures with the retry budget exhausted.
 	for _, f := range failures {
 		if err := lose(f.Task, fmt.Sprintf("worker failed after %d attempts", f.Attempts), f.Err); err != nil {
-			return err
+			return tally, err
 		}
 	}
 	for i, wr := range wres {
@@ -140,31 +220,32 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 			// Deterministic in-band abort: the worker runs in the same
 			// strict mode as the parent, so this is a strict fault
 			// re-raised across the boundary.
-			return errors.New(wr.Err)
+			return tally, errors.New(wr.Err)
 		}
 		if wr.Lost {
 			// Worker-contained whole-shard panic (lenient): diagnostics
-			// are already merged; drop the shard as the in-process pool
-			// would.
+			// are already merged; drop the shard's sources.
 			e.opts.Telemetry.Add("diag.panics", 1)
+			tally.skipped += len(shards[i].sources)
 			continue
 		}
-		tally, err := convert(i, wr)
+		configs, err := convert(i, wr)
 		if err != nil {
 			if err := lose(i, "malformed worker result", err); err != nil {
-				return err
+				return tally, err
 			}
 			continue
 		}
+		tally.merge(&corpusTally{configs: configs, skipped: wr.Skipped, lines: wr.Lines, patterns: wr.Patterns})
 		// Progress is exact and global: the worker processed every
 		// source in its slice, so tick both stage counters once per
 		// source.
-		for j := 0; j < tally.configs+tally.skipped; j++ {
+		for range configs + wr.Skipped {
 			procProg.tick()
 			stageProg.tick()
 		}
 	}
-	return nil
+	return tally, nil
 }
 
 // newShardJob serializes the run for worker processes: the options
@@ -207,18 +288,11 @@ func (e *Engine) shardWorkerCommand() ([]string, error) {
 	return []string{exe, "shard-worker"}, nil
 }
 
-// wireShardResult rebuilds the in-process shardResult from a worker's
-// Result frame: each config's entry becomes its row's outcome, in shard
-// order, and the content hashes re-parse.
-func (e *Engine) wireShardResult(wr *shardrpc.Result) (*shardResult, error) {
-	sr := &shardResult{
-		tally: corpusTally{
-			configs:  len(wr.Configs),
-			skipped:  wr.Skipped,
-			lines:    wr.Lines,
-			patterns: wr.Patterns,
-		},
-	}
+// wireRows rebuilds a check shard's rows from its worker's Result:
+// each config's entry becomes its row's outcome, in shard order, and
+// the content hashes re-parse.
+func wireRows(wr *shardrpc.Result) ([]checkRow, error) {
+	rows := make([]checkRow, 0, len(wr.Configs))
 	for i := range wr.Configs {
 		c := &wr.Configs[i]
 		row := checkRow{
@@ -231,28 +305,9 @@ func (e *Engine) wireShardResult(wr *shardrpc.Result) (*shardResult, error) {
 				return nil, fmt.Errorf("core: bad content hash for %q: %w", c.Name, err)
 			}
 		}
-		sr.rows = append(sr.rows, row)
+		rows = append(rows, row)
 	}
-	return sr, nil
-}
-
-// wireLearnShardResult rebuilds the in-process learnShardResult from a
-// worker's Result by importing its exported accumulator state against
-// the parent's intern table and miner.
-func (e *Engine) wireLearnShardResult(wr *shardrpc.Result, m *mining.Miner, cr *corpusRun) (*learnShardResult, error) {
-	if wr.State == nil {
-		return nil, errors.New("core: worker learn result carries no accumulator state")
-	}
-	acc, err := m.ImportAccumulator(wr.State, cr.interns)
-	if err != nil {
-		return nil, err
-	}
-	return &learnShardResult{acc: acc, tally: corpusTally{
-		configs:  acc.NConfigs(),
-		skipped:  wr.Skipped,
-		lines:    wr.Lines,
-		patterns: wr.Patterns,
-	}}, nil
+	return rows, nil
 }
 
 // --- worker side ---
@@ -298,11 +353,11 @@ type shardWorker struct {
 	eng *Engine
 	dc  *diag.Collector
 	cr  *corpusRun
-	// stage labels contained faults; body runs one shard of the job's
-	// kind (checkShard or learnShard), filling the Result's payload and
-	// returning the shard's corpus tally.
+	// stage labels contained faults; body streams one shard of the
+	// job's kind (checkShard or learnShard), filling the Result's
+	// payload and returning the shard's corpus tally.
 	stage   telemetry.Stage
-	body    func(sh shard, res *shardrpc.Result) (*corpusTally, error)
+	body    func(sources []Source, res *shardrpc.Result) (corpusTally, error)
 	checker *contracts.Checker
 	miner   *mining.Miner
 	warm    bool
@@ -358,11 +413,10 @@ func newShardWorker(job *shardrpc.Job) (*shardWorker, error) {
 	return wk, nil
 }
 
-// run executes one shard Task to a Result, containing faults the way
-// the in-process shard pools do: strict faults become in-band Err
-// (never retried by the parent), a lenient whole-shard panic becomes
-// Lost plus the same containment diagnostic the in-process pool would
-// record.
+// run executes one shard Task to a Result. Per-source faults are
+// contained by the stream as in the parent; strict faults become
+// in-band Err (never retried by the parent), and a lenient panic that
+// escapes the stream loses the shard (Lost plus its diagnostic).
 func (wk *shardWorker) run(t *shardrpc.Task) (res *shardrpc.Result) {
 	sh := shard{index: t.Shard}
 	for _, s := range t.Sources {
@@ -382,7 +436,7 @@ func (wk *shardWorker) run(t *shardrpc.Task) (res *shardrpc.Result) {
 		}
 		res.Diags = append(wk.takeDiags(), res.Diags...)
 	}()
-	tally, err := wk.body(sh, res)
+	tally, err := wk.body(sh.sources, res)
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -395,16 +449,16 @@ func (wk *shardWorker) run(t *shardrpc.Task) (res *shardrpc.Result) {
 	return res
 }
 
-// checkShard is a check job's shard body: runShard, with each row
-// shipped as its wire ConfigResult in shard order.
-func (wk *shardWorker) checkShard(sh shard, res *shardrpc.Result) (*corpusTally, error) {
-	prog := &progressCounter{e: wk.eng} // Progress is parent-side: ticks are no-ops here
-	sr, err := wk.eng.runShard(context.Background(), wk.dc, wk.cr, wk.checker, wk.warm, wk.checkFP, sh, prog, prog)
+// checkShard is a check job's shard body: the check stream on one
+// worker, with each row shipped as its wire ConfigResult in shard
+// order. Progress is reported by the parent.
+func (wk *shardWorker) checkShard(sources []Source, res *shardrpc.Result) (corpusTally, error) {
+	rows, tally, err := wk.eng.checkStream(context.Background(), wk.dc, wk.cr, wk.checker, wk.warm, wk.checkFP, sources, 1, nil, nil)
 	if err != nil {
-		return nil, err
+		return tally, err
 	}
-	for j := range sr.rows {
-		row := &sr.rows[j]
+	for j := range rows {
+		row := &rows[j]
 		c := shardrpc.ConfigResult{
 			Name:        row.name,
 			LexHit:      row.art.lexHit,
@@ -417,19 +471,19 @@ func (wk *shardWorker) checkShard(sh shard, res *shardrpc.Result) (*corpusTally,
 		}
 		res.Configs = append(res.Configs, c)
 	}
-	return &sr.tally, nil
+	return tally, nil
 }
 
-// learnShard is a learn job's shard body: runLearnShard, shipping the
-// shard's exported accumulator as the Result's State.
-func (wk *shardWorker) learnShard(sh shard, res *shardrpc.Result) (*corpusTally, error) {
-	prog := &progressCounter{e: wk.eng} // Progress is parent-side: ticks are no-ops here
-	sr, err := wk.eng.runLearnShard(context.Background(), wk.dc, wk.cr, wk.miner, sh, prog, prog)
+// learnShard is a learn job's shard body: the learn stream on one
+// worker, shipping the shard's exported accumulator as the Result's
+// State. Progress is reported by the parent.
+func (wk *shardWorker) learnShard(sources []Source, res *shardrpc.Result) (corpusTally, error) {
+	acc, tally, err := wk.eng.learnStream(context.Background(), wk.dc, wk.cr, wk.miner, sources, 1, nil, nil)
 	if err != nil {
-		return nil, err
+		return tally, err
 	}
-	res.State = sr.acc.Export()
-	return &sr.tally, nil
+	res.State = acc.Export()
+	return tally, nil
 }
 
 // takeDiags drains the diagnostics recorded since the previous shard.

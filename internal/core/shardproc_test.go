@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -108,6 +109,102 @@ func TestDistProcessMatchesInProcess(t *testing.T) {
 				t.Errorf("%d shards / %d workers: %d dist.shard spans, want %d", shards, workers, spans, wantShards)
 			}
 		}
+	}
+}
+
+// TestShardedEmptyAndTinyCorpus exercises the process backend's
+// partition edges: fewer sources than shards, a single source, and an
+// empty corpus.
+func TestShardedEmptyAndTinyCorpus(t *testing.T) {
+	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 3} {
+		test := chaosSources(n)
+		base, err := MustNew(DefaultOptions()).Check(lr.Set, test, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := distEngine(t, 16, 4, nil).Check(lr.Set, test, nil)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if gj, want := checkJSON(t, got), checkJSON(t, base); gj != want {
+			t.Errorf("n=%d: output diverges:\n got %s\nwant %s", n, gj, want)
+		}
+	}
+}
+
+// TestShardedWarmReplayMatchesCold composes the process backend with
+// the artifact cache: a sharded incremental run over a cache populated
+// by the in-process stream replays every lex and check artifact in its
+// workers and still produces identical output — shard boundaries and
+// the process boundary are invisible to the cache. Worker counters
+// never reach this process, so the manifest's hit flags are the proof.
+func TestShardedWarmReplayMatchesCold(t *testing.T) {
+	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := shardCorpus(24)
+	cold, err := MustNew(DefaultOptions()).Check(lr.Set, test, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := openTestCache(t)
+	popEng, _ := warmEngine(t, cache, true)
+	populate, err := popEng.Check(lr.Set, test, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCheck(t, "populate", populate, cold)
+
+	warm, err := distEngine(t, 5, 3, func(o *Options) { o.Artifacts, o.Incremental = cache, true }).Check(lr.Set, test, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gj, want := checkJSON(t, warm), checkJSON(t, cold); gj != want {
+		t.Errorf("sharded warm output diverges:\n got %s\nwant %s", gj, want)
+	}
+	m, err := cache.ReadManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Configs) != len(test) {
+		t.Fatalf("manifest has %d configs, want %d", len(m.Configs), len(test))
+	}
+	for i, mc := range m.Configs {
+		if mc.Name != test[i].Name {
+			t.Fatalf("manifest entry %d = %s, want corpus order (%s)", i, mc.Name, test[i].Name)
+		}
+		if !mc.LexHit || !mc.CheckHit {
+			t.Errorf("manifest entry %s: lex_hit=%v check_hit=%v, want both true", mc.Name, mc.LexHit, mc.CheckHit)
+		}
+	}
+}
+
+// TestShardedProgressMonotonic asserts a process-backend check reports
+// one global monotonic (done, total) stream per stage — not per-shard
+// restarts — on a cold and on a warm run.
+func TestShardedProgressMonotonic(t *testing.T) {
+	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := shardCorpus(60)
+	cache := openTestCache(t)
+	for _, pass := range []string{"cold", "warm"} {
+		plog := newProgressLog()
+		eng := distEngine(t, 7, 3, func(o *Options) {
+			o.Artifacts, o.Incremental = cache, true
+			o.Progress = plog.record
+		})
+		if _, err := eng.Check(lr.Set, test, nil); err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		plog.assertMonotonic(t, telemetry.StageProcess, len(test))
+		plog.assertMonotonic(t, telemetry.StageCheck, len(test))
 	}
 }
 
@@ -472,5 +569,102 @@ func TestProcessBackendOptionValidation(t *testing.T) {
 	opts.UserTokens = []lexer.TokenSpec{{Name: "esi", Pattern: `esi-[0-9]+`}}
 	if _, err := New(opts); err != nil {
 		t.Errorf("New rejected a declarative user token on the process backend: %v", err)
+	}
+}
+
+// TestShardOptionsValidate covers the shard options' validation — in
+// process they are a no-op, not an error — and the partition helper's
+// edges.
+func TestShardOptionsValidate(t *testing.T) {
+	for _, bad := range []func(*Options){
+		func(o *Options) { o.Shards = -1 },
+		func(o *Options) { o.ShardWorkers = -2 },
+	} {
+		opts := DefaultOptions()
+		bad(&opts)
+		if _, err := New(opts); err == nil {
+			t.Error("New accepted negative shard options")
+		}
+	}
+	for _, backend := range []string{"", ShardBackendInProcess} {
+		opts := DefaultOptions()
+		opts.Shards, opts.ShardWorkers, opts.ShardBackend = 4, 2, backend
+		if _, err := New(opts); err != nil {
+			t.Errorf("New rejected in-process shard options (backend %q): %v", backend, err)
+		}
+		if opts.shardingActive() {
+			t.Errorf("in-process shard options (backend %q) leave the stream", backend)
+		}
+	}
+	srcs := chaosSources(10)
+	for _, tc := range []struct{ n, wantShards int }{
+		{1, 1}, {3, 3}, {10, 10}, {16, 10}, {0, 1},
+	} {
+		shards := makeShards(srcs, tc.n)
+		if len(shards) != tc.wantShards {
+			t.Errorf("makeShards(10, %d) = %d shards, want %d", tc.n, len(shards), tc.wantShards)
+		}
+		total := 0
+		last := ""
+		for _, sh := range shards {
+			total += len(sh.sources)
+			for _, s := range sh.sources {
+				if s.Name <= last {
+					t.Fatalf("makeShards(10, %d): corpus order broken at %s", tc.n, s.Name)
+				}
+				last = s.Name
+			}
+		}
+		if total != len(srcs) {
+			t.Errorf("makeShards(10, %d) covers %d sources, want %d", tc.n, total, len(srcs))
+		}
+	}
+}
+
+// TestMakeShardsProperty checks the partition invariants over a
+// randomized corpus-length/shard-count grid: shards are contiguous
+// corpus slices, cover every source exactly once, never exceed the
+// requested count, and never differ in size by more than one.
+func TestMakeShardsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	type dims struct{ sources, shards int }
+	cases := []dims{
+		{0, 1}, {0, 5}, {1, 1}, {1, 8}, {2, 3}, {7, 7}, {8, 3}, {40, 16},
+	}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, dims{rng.Intn(300), 1 + rng.Intn(40)})
+	}
+	for _, tc := range cases {
+		srcs := chaosSources(tc.sources)
+		shards := makeShards(srcs, tc.shards)
+		if len(shards) > tc.shards {
+			t.Fatalf("makeShards(%d, %d) produced %d shards", tc.sources, tc.shards, len(shards))
+		}
+		seen, minSize, maxSize := 0, len(srcs)+1, 0
+		for _, sh := range shards {
+			n := len(sh.sources)
+			if n == 0 {
+				t.Fatalf("makeShards(%d, %d): empty shard %d", tc.sources, tc.shards, sh.index)
+			}
+			// Contiguity and no overlap: each shard must start exactly
+			// where the previous one ended (aliasing the corpus slice).
+			if &sh.sources[0] != &srcs[seen] {
+				t.Fatalf("makeShards(%d, %d): shard %d is not the contiguous continuation at offset %d",
+					tc.sources, tc.shards, sh.index, seen)
+			}
+			seen += n
+			if n < minSize {
+				minSize = n
+			}
+			if n > maxSize {
+				maxSize = n
+			}
+		}
+		if seen != len(srcs) {
+			t.Fatalf("makeShards(%d, %d) covers %d sources", tc.sources, tc.shards, seen)
+		}
+		if len(shards) > 0 && maxSize-minSize > 1 {
+			t.Fatalf("makeShards(%d, %d): size skew %d..%d exceeds 1", tc.sources, tc.shards, minSize, maxSize)
+		}
 	}
 }

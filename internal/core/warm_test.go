@@ -377,42 +377,52 @@ func TestChaosCachePoisoningFallsBackCold(t *testing.T) {
 }
 
 // TestWarmRunStrictModeAbortsOnPoison documents the strict-mode
-// policy: a poisoned cache entry is a diagnostic, and strict runs
-// abort on any diagnostic.
+// policy: a poisoned cache entry is a diagnostic, and a strict run
+// aborts on any diagnostic — whether the entry is a lex or a check
+// artifact, and on the in-process stream and the process backend alike.
 func TestWarmRunStrictModeAbortsOnPoison(t *testing.T) {
-	train := chaosSources(20)
-	test := chaosSources(6)
-	lr, err := MustNew(DefaultOptions()).Learn(train, nil)
+	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := openTestCache(t)
-	popEng, _ := warmEngine(t, cache, true)
-	if _, err := popEng.Check(lr.Set, test, nil); err != nil {
-		t.Fatal(err)
-	}
-	files := cacheEntryFiles(t, cache)
-	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Artifacts = cache
-	opts.Incremental = true
-	opts.Strict = true
-	if _, err := MustNew(opts).Check(lr.Set, test, nil); err == nil {
-		// The poisoned entry may be a check artifact (read after the
-		// strict process-stage gate), in which case the run completes;
-		// only a poisoned lex artifact aborts the strict process stage.
-		// Either way the diagnostic must have been recorded.
-		dc := diag.New()
-		o := opts
-		o.Diagnostics = dc
-		o.Strict = false
-		if _, err := MustNew(o).Check(lr.Set, test, nil); err != nil {
-			t.Fatal(err)
-		}
-		if dc.Len() != 0 {
-			t.Errorf("repair run after strict completion still sees diagnostics: %d", dc.Len())
+	test := chaosSources(6)
+	for _, kind := range []artifact.Kind{artifact.KindLex, artifact.KindCheck} {
+		for _, backend := range []string{ShardBackendInProcess, ShardBackendProcess} {
+			t.Run(string(kind)+"/"+backend, func(t *testing.T) {
+				cache := openTestCache(t)
+				popEng, _ := warmEngine(t, cache, true)
+				if _, err := popEng.Check(lr.Set, test, nil); err != nil {
+					t.Fatal(err)
+				}
+				poisoned := false
+				for _, f := range cacheEntryFiles(t, cache) {
+					if strings.Contains(f, string(os.PathSeparator)+string(kind)+string(os.PathSeparator)) {
+						if err := os.WriteFile(f, []byte("garbage"), 0o644); err != nil {
+							t.Fatal(err)
+						}
+						poisoned = true
+						break
+					}
+				}
+				if !poisoned {
+					t.Fatalf("the populated cache holds no %s artifact", kind)
+				}
+				strict := func(o *Options) {
+					o.Artifacts, o.Incremental, o.Strict = cache, true, true
+				}
+				var eng *Engine
+				if backend == ShardBackendProcess {
+					eng = distEngine(t, 3, 2, strict)
+				} else {
+					opts := DefaultOptions()
+					strict(&opts)
+					eng = MustNew(opts)
+				}
+				_, err := eng.Check(lr.Set, test, nil)
+				if err == nil || !strings.Contains(err.Error(), "strict mode") || !strings.Contains(err.Error(), "cache entry unusable") {
+					t.Errorf("strict check over a poisoned %s artifact = %v, want a strict-mode abort naming the entry", kind, err)
+				}
+			})
 		}
 	}
 }

@@ -5,9 +5,11 @@ package mining
 // scans into accumulator-local state, so the lexed configuration can be
 // released immediately afterwards. Accumulators then Merge and
 // MineAccumulated runs the category miners and relational acceptance
-// over the merged evidence. Every learn takes this path: a shard of the
-// sharded learn folds into one accumulator per shard, and the unsharded
-// MineContext folds into one per worker (relationalPass).
+// over the merged evidence. Every learn takes this path: the engine's
+// learn from sources folds each configuration into its worker's
+// accumulator as it streams (one per worker process on the process
+// backend), and MineContext over held configurations folds into one
+// per worker (relationalPass).
 //
 // Merge laws. Every aggregate is either additive (counts: configCount,
 // lineCount, holdConfigs, firstOccs, type/sequence/unique tallies) or
@@ -69,8 +71,8 @@ func (a *StatsAccumulator) Candidates() int { return len(a.candI) }
 // fold followed by the relational scan, each under per-config
 // containment and its fault-injection site. The configuration is not
 // retained — callers may release it immediately, which is the whole
-// point: sharded learn's peak heap holds one config per in-flight
-// shard, not the corpus.
+// point: a streaming learn's peak heap holds one config per worker in
+// flight, not the corpus.
 func (a *StatsAccumulator) Fold(cfg *lexer.Config) error {
 	m := a.m
 	a.sti.nConfigs++

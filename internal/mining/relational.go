@@ -113,11 +113,11 @@ func (m *Miner) acceptRelational(global map[candKeyI]*candState, st *stats, tab 
 	return out
 }
 
-// relationalPass is the unsharded fold driver: it folds every
-// configuration (statistics and relational scan, see
-// StatsAccumulator.Fold) into per-worker accumulators, scheduling
-// configurations dynamically, and merges the accumulators in worker
-// order. The merge laws make the result independent of which worker
+// relationalPass is MineContext's fold driver over held
+// configurations: it folds every configuration (statistics and
+// relational scan, see StatsAccumulator.Fold) into per-worker
+// accumulators, scheduling configurations dynamically, and merges the
+// accumulators in worker order. The merge laws make the result independent of which worker
 // folded which configuration, so it equals a sequential fold. A strict
 // fault or cancellation stops workers from starting new configurations.
 // An empty corpus yields one empty accumulator.

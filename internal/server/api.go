@@ -56,21 +56,21 @@ type CheckRequest struct {
 	Configs []SourceJSON `json:"configs"`
 	// Metadata optionally supplies metadata/outside-information files.
 	Metadata []SourceJSON `json:"metadata,omitempty"`
-	// Shards, when greater than one, runs the batch through the
-	// fleet-scale sharded driver: deterministic contiguous shards
-	// streamed on a bounded pool, byte-identical results. Use for
-	// large batches where holding every lexed configuration in memory
-	// at once is the bottleneck.
+	// Shards, with the "process" backend, splits the batch into that
+	// many deterministic contiguous shards, each checked in a
+	// shard-worker child process; results are byte-identical. Every
+	// batch already streams (each configuration is processed, checked,
+	// and released), so sharding adds only process isolation. Without
+	// the process backend it is validated and otherwise ignored.
 	Shards int `json:"shards,omitempty"`
-	// ShardWorkers bounds concurrently running shards; 0 selects the
-	// server engine's parallelism.
+	// ShardWorkers bounds concurrently running worker processes; 0
+	// selects the server engine's parallelism.
 	ShardWorkers int `json:"shard_workers,omitempty"`
-	// ShardBackend selects the shard execution backend: "" or
-	// "inprocess" runs shards on a goroutine pool inside the server,
-	// "process" dispatches each shard to a pool of shard-worker child
-	// processes (crash retries, straggler speculation, byte-identical
-	// results). With "process", a batch of shards <= 1 still executes
-	// out of process as a single shard.
+	// ShardBackend selects where the batch runs: "" or "inprocess"
+	// streams it inside the server, "process" dispatches its shards to
+	// a pool of shard-worker child processes (crash retries, straggler
+	// speculation, byte-identical results). With "process", a batch of
+	// shards <= 1 still executes out of process as a single shard.
 	ShardBackend string `json:"shard_backend,omitempty"`
 	// Telemetry requests this request's stage spans and counters in
 	// the response.

@@ -51,18 +51,21 @@ type LearnRequest struct {
 	Configs []SourceJSON `json:"configs"`
 	// Metadata optionally supplies metadata/outside-information files.
 	Metadata []SourceJSON `json:"metadata,omitempty"`
-	// Shards, when greater than one, runs the learn job through the
-	// fleet-scale sharded mine driver: shards stream configurations one
-	// at a time into per-shard accumulators that merge before mining,
-	// bounding peak memory by worker count instead of corpus size. The
-	// learned set is byte-identical at any shard count.
+	// Shards, with the "process" backend, splits the learn job into
+	// that many shards, each folded into a mining accumulator in a
+	// shard-worker child process; the accumulators merge before mining
+	// and the learned set is byte-identical at any shard count. Every
+	// learn already streams configurations into per-worker
+	// accumulators, so peak memory is bounded by the configurations in
+	// flight either way. Without the process backend it is validated
+	// and otherwise ignored.
 	Shards int `json:"shards,omitempty"`
-	// ShardWorkers bounds concurrently running shards; 0 selects the
-	// server engine's parallelism.
+	// ShardWorkers bounds concurrently running worker processes; 0
+	// selects the server engine's parallelism.
 	ShardWorkers int `json:"shard_workers,omitempty"`
-	// ShardBackend selects the shard execution backend, exactly as in
-	// CheckRequest: "" or "inprocess" runs shards inside the server,
-	// "process" dispatches them to shard-worker child processes.
+	// ShardBackend selects where the job runs, exactly as in
+	// CheckRequest: "" or "inprocess" streams it inside the server,
+	// "process" dispatches its shards to shard-worker child processes.
 	ShardBackend string `json:"shard_backend,omitempty"`
 	// Telemetry requests the learn run's stage spans in the job result.
 	Telemetry bool `json:"telemetry,omitempty"`

@@ -17,8 +17,9 @@
 // coverage counts, dictionary-encoded mining evidence — never
 // process-local state like intern IDs or compiled patterns, which is
 // what keeps a distributed run byte-identical to the in-process
-// driver: the parent merges worker Results through exactly the code
-// path that merges in-process shard results. The engine options ride
+// stream: the parent turns worker Results back into the per-config
+// rows and accumulators the stream produces, and reduces them through
+// the same code. The engine options ride
 // the Job as one opaque descriptor the engine encodes and decodes, so
 // this package names none of them.
 package shardrpc
@@ -112,8 +113,8 @@ type ConfigResult struct {
 	LexHit   bool
 	CheckHit bool
 	// HasCoverage is false when this configuration's check panicked and
-	// was contained (lenient mode), mirroring the in-process shard: Entry
-	// then carries only the recovered unique sites.
+	// was contained (lenient mode), mirroring the in-process stream:
+	// Entry then carries only the recovered unique sites.
 	HasCoverage bool
 	Entry       artifact.CheckEntry
 }
