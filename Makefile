@@ -86,8 +86,8 @@ dist-smoke:
 
 # learn-dist-smoke is the fleet-scale sharded learning gate under the
 # race detector: the process backend's partition edges for learning,
-# the sharded row of the learn golden test (3 in-process shards x 2
-# workers, a no-op, must hit W4's pinned digest), the process-backend
+# the sharded row of the learn golden test (3 process-backend shards
+# x 2 worker processes must hit W4's pinned digest), the process-backend
 # learn grid ({1,3,16} shards x {1,4} workers) and a binding MaxFanout
 # across the process boundary, the accumulator merge-law property
 # tests (associativity and shard-order insensitivity under randomized
@@ -112,13 +112,15 @@ vuln:
 # bench runs the Go benchmarks in bench_test.go: one per table and
 # figure of the paper's evaluation, plus per-role learn and check,
 # lexer, brute-force and Apriori miner, and minimization
-# micro-benchmarks. GOMAXPROCS is pinned and each runs one iteration,
+# micro-benchmarks; and the lexer's layer benchmark (BenchmarkLex in
+# internal/lexer: uncached Lex over the W4 and E2 lines, ns/line and
+# allocs/line). GOMAXPROCS is pinned and each runs one iteration,
 # so numbers are comparable across runs on one machine. The end-to-end
 # benchmark is perfbench (see perfbench/README.md and BENCHMARK.json).
 BENCH_GOMAXPROCS ?= 4
 
 bench:
-	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -bench=. -benchtime=1x -count=1 -run=^$$ .
+	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -bench=. -benchtime=1x -count=1 -run=^$$ . ./internal/lexer
 
 # perfbench-smoke is the ci gate on the repo benchmark: one short run of
 # each perfbench workload at the pinned seed. A run exits non-zero when

@@ -425,7 +425,9 @@ func (ch *Checker) checkLinear(v *view) []Violation {
 	for _, c := range ch.set.Contracts {
 		c := c
 		ch.contained(c, v.cfg.Name, func() {
-			faultinject.At("contracts.check.contract", c.ID())
+			if faultinject.Armed() {
+				faultinject.At("contracts.check.contract", c.ID())
+			}
 			switch c := c.(type) {
 			case *Present:
 				out = append(out, ch.checkPresent(v, c)...)
@@ -454,7 +456,9 @@ func (ch *Checker) checkCompiled(v *view) []Violation {
 	eval := func(c Contract, fn func()) {
 		evaluated++
 		ch.contained(c, v.cfg.Name, func() {
-			faultinject.At("contracts.check.contract", c.ID())
+			if faultinject.Armed() {
+				faultinject.At("contracts.check.contract", c.ID())
+			}
 			fn()
 		})
 	}

@@ -7,6 +7,7 @@ package contracts
 
 import (
 	"fmt"
+	"strconv"
 
 	"concord/internal/lexer"
 	"concord/internal/relations"
@@ -222,10 +223,11 @@ type Relational struct {
 // Category implements Contract.
 func (c *Relational) Category() Category { return CatRelation }
 
-// ID implements Contract.
+// ID implements Contract. It is built by concatenation, not fmt: every
+// reported relational violation carries it.
 func (c *Relational) ID() string {
-	return fmt.Sprintf("relation|%s|%d|%s|%s|%s|%d|%s",
-		c.Pattern1, c.ParamIdx1, c.Transform1, c.Rel, c.Pattern2, c.ParamIdx2, c.Transform2)
+	return "relation|" + c.Pattern1 + "|" + strconv.Itoa(c.ParamIdx1) + "|" + c.Transform1 + "|" +
+		string(c.Rel) + "|" + c.Pattern2 + "|" + strconv.Itoa(c.ParamIdx2) + "|" + c.Transform2
 }
 
 // String implements Contract.

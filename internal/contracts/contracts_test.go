@@ -2,6 +2,7 @@ package contracts
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -72,6 +73,22 @@ func TestContractIDsDistinct(t *testing.T) {
 			t.Errorf("duplicate ID %q", c.ID())
 		}
 		seen[c.ID()] = true
+	}
+}
+
+// TestRelationalIDFormat pins Relational.ID to the fmt form it was
+// first written as: IDs are part of every report and contract set.
+func TestRelationalIDFormat(t *testing.T) {
+	for _, c := range []*Relational{
+		{Pattern1: "interface Port-Channel[num]", ParamIdx1: 0, Transform1: "hex", Rel: relations.Equals,
+			Pattern2: "route-target import [mac]", ParamIdx2: 12, Transform2: "segment6"},
+		{Pattern1: "", ParamIdx1: 63, Rel: relations.Contains, Pattern2: "a|b", ParamIdx2: -1},
+	} {
+		want := fmt.Sprintf("relation|%s|%d|%s|%s|%s|%d|%s",
+			c.Pattern1, c.ParamIdx1, c.Transform1, c.Rel, c.Pattern2, c.ParamIdx2, c.Transform2)
+		if got := c.ID(); got != want {
+			t.Errorf("ID = %q, want %q", got, want)
+		}
 	}
 }
 

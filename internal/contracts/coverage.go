@@ -95,7 +95,9 @@ func (ch *Checker) coverView(v *view) *CoverageResult {
 	}
 	cover := func(c Contract) {
 		ch.contained(c, cfg.Name, func() {
-			faultinject.At("contracts.coverage.contract", c.ID())
+			if faultinject.Armed() {
+				faultinject.At("contracts.coverage.contract", c.ID())
+			}
 			switch c := c.(type) {
 			case *Present:
 				if lines := v.matches(c); len(lines) == 1 {

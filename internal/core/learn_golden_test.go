@@ -25,9 +25,9 @@ var learnGoldens = []struct {
 	{"E2", 204, "71a8e85f2817935a0dc2b9ad84de4f66275536a81a925600fb2af3f5e8899cdd"},
 }
 
-// assertLearnGolden learns golden row i under opts and compares the
-// result with its pinned digest and contract count.
-func assertLearnGolden(t *testing.T, i int, opts Options) {
+// assertLearnGolden learns golden row i on eng and compares the result
+// with its pinned digest and contract count.
+func assertLearnGolden(t *testing.T, i int, eng *Engine) {
 	t.Helper()
 	g := learnGoldens[i]
 	role, ok := synth.RoleByName(g.role, 0.75)
@@ -38,7 +38,7 @@ func assertLearnGolden(t *testing.T, i int, opts Options) {
 	for _, f := range synth.Generate(role).Configs {
 		srcs = append(srcs, Source{Name: f.Name, Text: f.Text})
 	}
-	lr, err := MustNew(opts).Learn(srcs[:min(40, len(srcs))], nil)
+	lr, err := eng.Learn(srcs[:min(40, len(srcs))], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,18 +62,16 @@ func TestLearnGolden(t *testing.T) {
 		t.Skip("multi-second corpora; skipped in -short mode")
 	}
 	for i, g := range learnGoldens {
-		t.Run(g.role, func(t *testing.T) { assertLearnGolden(t, i, DefaultOptions()) })
+		t.Run(g.role, func(t *testing.T) { assertLearnGolden(t, i, MustNew(DefaultOptions())) })
 	}
 }
 
 // TestShardedLearnGolden is the golden test's sharded row: W4 learned
-// on 3 in-process shards by 2 workers must hit the unsharded digest.
+// on the process backend, 3 shards over 2 worker processes (this test
+// binary, see distEngine), must hit the unsharded digest.
 func TestShardedLearnGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second corpus; skipped in -short mode")
 	}
-	opts := DefaultOptions()
-	opts.Shards = 3
-	opts.ShardWorkers = 2
-	assertLearnGolden(t, 0, opts)
+	assertLearnGolden(t, 0, distEngine(t, 3, 2, nil))
 }

@@ -9,7 +9,13 @@
 // Points are named "package.stage.unit", e.g. "core.process.source".
 // The key passed to At identifies the unit instance (a source name, a
 // configuration name, a contract ID), so hooks can target specific
-// inputs deterministically.
+// inputs deterministically. Where building the key costs more than the
+// load (a contract ID is formatted), the caller guards the call with
+// Armed, which is also one atomic load, so production never builds it:
+//
+//	if faultinject.Armed() {
+//		faultinject.At("contracts.check.contract", c.ID())
+//	}
 package faultinject
 
 import (
@@ -56,10 +62,14 @@ func Reset() {
 	active.Store(0)
 }
 
+// Armed reports whether any hook is registered. It is one atomic load;
+// callers use it to skip building an expensive key for At.
+func Armed() bool { return active.Load() != 0 }
+
 // At invokes the hook registered at point, if any, with the unit key.
 // The fast path (no hooks registered anywhere) is one atomic load.
 func At(point, key string) {
-	if active.Load() == 0 {
+	if !Armed() {
 		return
 	}
 	mu.RLock()

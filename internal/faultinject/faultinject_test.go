@@ -80,3 +80,19 @@ func TestConcurrentAt(t *testing.T) {
 		t.Errorf("hook fired %d times, want 800", n)
 	}
 }
+
+func TestArmedTracksRegisteredHooks(t *testing.T) {
+	defer Reset()
+	Reset()
+	if Armed() {
+		t.Fatal("Armed with no hooks")
+	}
+	Set("p", func(string) {})
+	if !Armed() {
+		t.Fatal("not Armed with a hook set")
+	}
+	Set("p", nil)
+	if Armed() {
+		t.Fatal("Armed after the only hook was removed")
+	}
+}

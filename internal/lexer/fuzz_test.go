@@ -9,9 +9,10 @@ import (
 // FuzzLex cross-checks the three lexing entry points against each
 // other and validates the placeholder structure of the output:
 //
-//   - Lex (single-pass prefiltered scan) must agree exactly with
-//     LexLinear (the eager find-all + sort fallback) — this is the
-//     differential oracle for the PR 4 scan rewrite.
+//   - Lex (the single-pass scan, built-ins probed by hand-written
+//     matchers) must agree exactly with LexLinear (every spec's regexp
+//     find-all + sort) — the differential oracle for the scan and for
+//     the matchers against the Builtin regexps they replace.
 //   - LexCached must agree with Lex on both the filling call (miss)
 //     and the repeat call (hit), so cached results are
 //     indistinguishable from fresh ones.
@@ -35,6 +36,18 @@ func FuzzLex(f *testing.F) {
 		"num 18446744073709551615 -42 3.14",
 		"\x00\xff\xfe broken \x80 utf8",
 		strings.Repeat("10.0.0.1 ", 40),
+		// Backtracking edges of the built-in patterns: runs longer than
+		// a group admits, too many groups, a prefix length too long, a
+		// mandatory part missing, adjacent keywords.
+		"12345:6",
+		"1.2.3.4567",
+		"1.2.3.4/123",
+		"a:b.1.2.3.4/5",
+		"::1.2.3.4/64",
+		"aa:bb:cc:dd:ee:ff:1",
+		"0x",
+		"0xg",
+		"truefalse",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -10,15 +10,19 @@
 // expressions for domain objects such as interface names; user tokens
 // take precedence over built-ins.
 //
-// Two matching strategies produce identical results. Lex is the default
-// single left-to-right scan: each spec carries a byte-class prefilter
-// (the conservative set of bytes a match can start with) and an
-// anchored form of its regex, so at most positions most specs are
-// dismissed with a bitmap test and no regex runs at all. The tests keep
-// the pre-optimization strategy — every spec's FindAllStringIndex over
-// the whole line followed by a global sort — as LexLinear, the
-// reference FuzzLex compares Lex against. The memoization Cache (see
-// LexCached) sits above Lex.
+// Lex is a single left-to-right scan that merges one lazy cursor per
+// spec. Each spec carries a byte-class prefilter (the conservative set
+// of bytes a match can start with), so at most positions most specs are
+// dismissed with a bitmap test; a plausible position is probed for a
+// match starting exactly there. The eight built-in tokens are probed by
+// hand-written matchers (match.go) that return the span Go's
+// leftmost-first regexp would; their regexps in Builtin remain the
+// specification and the reference the tests compare the matchers with.
+// User tokens keep their regexp, probed in an anchored form behind the
+// same prefilter. The tests keep the find-all strategy — every spec's
+// regexp FindAllStringIndex over the whole line followed by a global
+// sort — as LexLinear, the reference FuzzLex compares Lex against. The
+// memoization Cache (see LexCached) sits above Lex.
 package lexer
 
 import (
@@ -55,12 +59,28 @@ type TokenSpec struct {
 type compiledSpec struct {
 	TokenSpec
 	re *regexp.Regexp
-	// anchored is the pattern wrapped in \A(?:...), used by the scan's
-	// per-position probes; a probe at offset p answers "does a match
-	// start exactly here" without letting the engine retry later
+	// match is the hand-written matcher of a built-in spec New appended
+	// itself; such a spec has no anchored regexp.
+	match matcher
+	// anchored is a user pattern wrapped in \A(?:...), used by the
+	// scan's per-position probes; a probe at offset p answers "does a
+	// match start exactly here" without letting the engine retry later
 	// positions the prefilter already dismissed.
 	anchored *regexp.Regexp
 	pf       prefilter
+}
+
+// probe returns the end of the spec's match starting exactly at
+// line[from], or -1.
+func (cs *compiledSpec) probe(line string, from int) int {
+	if cs.match != nil {
+		return cs.match(line, from)
+	}
+	loc := cs.anchored.FindStringIndex(line[from:])
+	if loc == nil {
+		return -1
+	}
+	return from + loc[1]
 }
 
 // Lexer extracts typed patterns and parameter values from configuration
@@ -124,31 +144,46 @@ func Builtin() []TokenSpec {
 }
 
 // New compiles a lexer with the given user token specifications, which
-// take precedence over the built-ins.
+// take precedence over the built-ins. User specs are matched with their
+// regexps; the built-in tail appended here is matched by hand-written
+// matchers equivalent to Builtin's patterns.
 func New(user ...TokenSpec) (*Lexer, error) {
 	lx := &Lexer{}
-	for _, spec := range append(append([]TokenSpec{}, user...), Builtin()...) {
-		if spec.Name == "" {
-			return nil, fmt.Errorf("lexer: token spec with empty name")
-		}
-		re, err := regexp.Compile(spec.Pattern)
+	for _, spec := range user {
+		cs, err := compileSpec(spec)
 		if err != nil {
-			return nil, fmt.Errorf("lexer: token %s: %w", spec.Name, err)
+			return nil, err
 		}
-		anchored, err := regexp.Compile(`\A(?:` + spec.Pattern + `)`)
+		cs.anchored, err = regexp.Compile(`\A(?:` + spec.Pattern + `)`)
 		if err != nil {
 			// A pattern that compiles alone but not inside a group (never
 			// the case for valid RE2) falls back to the pre-scan strategy.
-			anchored = nil
-		}
-		cs := compiledSpec{TokenSpec: spec, re: re, anchored: anchored, pf: buildPrefilter(spec.Pattern)}
-		if cs.anchored == nil {
 			cs.pf.usable = false
 			cs.pf.sliceSafe = false
 		}
 		lx.specs = append(lx.specs, cs)
 	}
+	for _, spec := range Builtin() {
+		cs, err := compileSpec(spec)
+		if err != nil {
+			return nil, err
+		}
+		cs.match = builtinMatchers[spec.Name]
+		lx.specs = append(lx.specs, cs)
+	}
 	return lx, nil
+}
+
+// compileSpec validates a spec and compiles its regexp and prefilter.
+func compileSpec(spec TokenSpec) (compiledSpec, error) {
+	if spec.Name == "" {
+		return compiledSpec{}, fmt.Errorf("lexer: token spec with empty name")
+	}
+	re, err := regexp.Compile(spec.Pattern)
+	if err != nil {
+		return compiledSpec{}, fmt.Errorf("lexer: token %s: %w", spec.Name, err)
+	}
+	return compiledSpec{TokenSpec: spec, re: re, pf: buildPrefilter(spec.Pattern)}, nil
 }
 
 // MustNew is New for known-good specs; it panics on error.
@@ -314,12 +349,11 @@ func (lx *Lexer) advanceCursor(c *cursor, si int, line string) {
 			if from >= len(line) {
 				break
 			}
-			loc := spec.anchored.FindStringIndex(line[from:])
-			if loc == nil {
+			start, end = from, spec.probe(line, from)
+			if end < 0 {
 				from++
 				continue
 			}
-			start, end = from, from+loc[1]
 		} else {
 			loc := spec.re.FindStringIndex(line[from:])
 			if loc == nil {

@@ -26,7 +26,7 @@ func (s *byteSet) count() int {
 // single-pass scan: a conservative superset of the bytes any match of
 // the spec's pattern can start with. Positions whose byte is outside
 // the set are skipped with zero regex work; plausible positions are
-// probed with the spec's anchored regex.
+// probed with the spec's matcher (built-ins) or anchored regex.
 type prefilter struct {
 	first byteSet
 	// usable reports whether the first-byte set is sound and selective

@@ -1,0 +1,6 @@
+//go:build race
+
+package lexer
+
+// raceBuild reports a -race test binary.
+const raceBuild = true

@@ -129,7 +129,13 @@ func (ip IP) Key() string { return ip.Kind().String() + ":" + ip.String() }
 // lower-case form with the longest zero run compressed.
 func (ip IP) String() string {
 	if !ip.v6 {
-		return fmt.Sprintf("%d.%d.%d.%d", ip.b[0], ip.b[1], ip.b[2], ip.b[3])
+		var buf [len("255.255.255.255")]byte
+		out := strconv.AppendUint(buf[:0], uint64(ip.b[0]), 10)
+		for _, o := range ip.b[1:4] {
+			out = append(out, '.')
+			out = strconv.AppendUint(out, uint64(o), 10)
+		}
+		return string(out)
 	}
 	groups := make([]uint16, 8)
 	for i := range groups {

@@ -1,6 +1,7 @@
 package netdata
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -258,5 +259,28 @@ func TestByteAccessors(t *testing.T) {
 	b[0] = 99
 	if ip4.String() != "1.2.3.4" {
 		t.Error("Bytes aliases internal state")
+	}
+}
+
+// TestIP4StringMatchesFmt pins IPv4 rendering to the dotted-quad fmt
+// form: every value in every octet position, then random addresses.
+func TestIP4StringMatchesFmt(t *testing.T) {
+	check := func(a, b, c, d byte) {
+		t.Helper()
+		ip := IP{b: [16]byte{a, b, c, d}}
+		if got, want := ip.String(), fmt.Sprintf("%d.%d.%d.%d", a, b, c, d); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+	for v := 0; v < 256; v++ {
+		o := byte(v)
+		check(o, 1, 2, 3)
+		check(4, o, 5, 6)
+		check(7, 8, o, 9)
+		check(10, 11, 12, o)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		check(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 	}
 }
