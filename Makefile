@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench perfbench-smoke chaos serve-smoke reload-smoke fleet-smoke dist-smoke learn-dist-smoke vuln
+.PHONY: ci fmt vet build test race bench perfbench-smoke chaos serve-smoke reload-smoke fleet-smoke dist-smoke vuln
 
 # ci is the full verification gate: formatting, static checks, build,
 # the race-enabled test suite, the fault-injection suite, a smoke run
 # of the repo benchmark (perfbench), a smoke run of the HTTP service, the
 # crash-recovery/hot-reload smoke, the fleet-scale streaming
-# smoke, the worker-process shard backend smoke, the sharded
-# map-reduce learning smoke, and a best-effort vulnerability scan.
-ci: fmt vet build race chaos perfbench-smoke serve-smoke reload-smoke fleet-smoke dist-smoke learn-dist-smoke vuln
+# smoke, the worker-process shard backend smoke, and a best-effort
+# vulnerability scan.
+ci: fmt vet build race chaos perfbench-smoke serve-smoke reload-smoke fleet-smoke dist-smoke vuln
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -78,26 +78,14 @@ fleet-smoke:
 # process boundary, worker-crash chaos (SIGKILL mid-shard, retry then
 # containment; corrupt result frames rejected by checksum and retried),
 # straggler speculation, no-orphan/no-leak drain, non-default options
-# (a binding MaxFanout included) across the process boundary, the
-# wire-frame fuzz corpus, and the server/CLI process-backend paths
-# (shard-selection validation on both endpoints included).
+# across the process boundary, the wire-frame fuzz corpus, the
+# server/CLI process-backend check paths (the check endpoint's
+# shard-selection validation included), and the check-only scope of
+# the shard options: a learn under a process-backend selection never
+# leaves the process (engine, server body, journaled job) and the CLI
+# registers the shard flags on check alone.
 dist-smoke:
-	$(GO) test -race -timeout 10m -count=1 -run 'TestDist|TestChaosDist|TestProcessBackend|TestWire|TestReadFrame|TestFrame|FuzzShardFrame|TestMakeShardsProperty|TestServeProcessBackendBatch|TestServeLearnShardValidation|TestCheckShardBackendProcess' ./internal/core ./internal/shardrpc ./internal/artifact ./internal/server ./cmd/concord
-
-# learn-dist-smoke is the fleet-scale sharded learning gate under the
-# race detector: the process backend's partition edges for learning,
-# the sharded row of the learn golden test (3 process-backend shards
-# x 2 worker processes must hit W4's pinned digest), the process-backend
-# learn grid ({1,3,16} shards x {1,4} workers) and a binding MaxFanout
-# across the process boundary, the accumulator merge-law property
-# tests (associativity and shard-order insensitivity under randomized
-# splits), the learn-result wire round-trip and the frame fuzz seeds,
-# learn chaos (lost shards in lenient and strict modes, corrupt result
-# frames, crash-retry, straggler speculation), global learn progress
-# monotonicity, and the server's sharded learn-job validation and
-# equivalence paths.
-learn-dist-smoke:
-	$(GO) test -race -timeout 10m -count=1 -run 'TestShardedLearn|TestDistLearn|TestChaosDistLearn|TestAccumulator|TestImportAccumulator|TestLearnWire|TestLearnResult|FuzzLearnFrame|FuzzShardFrame|TestServeLearnShardValidation|TestServeShardedLearn' ./internal/core ./internal/mining ./internal/shardrpc ./internal/server
+	$(GO) test -race -timeout 10m -count=1 -run 'TestDist|TestChaosDist|TestProcessBackend|TestWire|TestReadFrame|TestFrame|FuzzShardFrame|TestMakeShardsProperty|TestServeProcessBackendBatch|TestServeCheckShardValidation|TestCheckShardBackendProcess|TestLearnStaysInProcess|TestServeShardedLearn|TestShardFlagsCheckOnly' ./internal/core ./internal/shardrpc ./internal/artifact ./internal/server ./cmd/concord
 
 # vuln scans dependencies with govulncheck when it is installed; the
 # scan is best-effort and never fails the build (the tool may be

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"concord"
@@ -14,13 +15,21 @@ import (
 
 // TestMain doubles as the shard-worker trampoline: `-shard-backend
 // process` re-launches this test binary as a worker (via the
-// CONCORD_SHARD_WORKER_CMD fallback) with CONCORD_SHARD_WORKER=1.
+// CONCORD_SHARD_WORKER_CMD fallback) with CONCORD_SHARD_WORKER=1. With
+// CONCORD_CLI_ARGS set it runs the CLI's main on those
+// (whitespace-split) arguments instead, so a test can observe the real
+// exit status and stderr of a command line.
 func TestMain(m *testing.M) {
 	if os.Getenv("CONCORD_SHARD_WORKER") == "1" {
 		if err := concord.RunShardWorker(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		os.Exit(0)
+	}
+	if args := os.Getenv("CONCORD_CLI_ARGS"); args != "" {
+		os.Args = append([]string{"concord"}, strings.Fields(args)...)
+		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())

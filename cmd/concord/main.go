@@ -133,18 +133,19 @@ warm runs:
   -incremental         replay cached per-config check results for unchanged
                        configs (requires -cache-dir)
 
-fleet-scale checking and learning:
+fleet-scale checking (check only):
   (every check and learn streams: each config is processed, checked or
   folded into a mergeable statistics accumulator, and released, so peak
-  memory is bounded by the configs in flight, not by fleet size)
-  -shards N            with -shard-backend process, partition a check or
-                       learn run into N deterministic contiguous shards,
-                       each streamed in a worker child process; output is
-                       byte-identical to an unsharded run (no effect
+  memory is bounded by the configs in flight, not by fleet size; learn
+  always runs in this process, parallel over -parallel workers)
+  -shards N            with -shard-backend process, partition a check
+                       into N deterministic contiguous shards, each
+                       streamed in a worker child process; output is
+                       byte-identical to an unsharded check (no effect
                        in process)
   -shard-workers N     max worker processes at once (default -parallel)
   -shard-backend B     shard execution backend: "inprocess" (default) or
-                       "process", which runs each shard in a pool of
+                       "process", which checks each shard in a pool of
                        worker child processes over checksummed pipes —
                        crashed workers are retried, stragglers re-run
                        speculatively, and output stays byte-identical
@@ -299,9 +300,6 @@ func sharedFlags(fs *flag.FlagSet) *runConfig {
 	tokens := fs.String("tokens", "", "JSON file of user lexer token specs")
 	cacheDir := fs.String("cache-dir", "", "content-addressed artifact cache directory for warm runs")
 	incremental := fs.Bool("incremental", false, "replay cached check results for unchanged configs (requires -cache-dir)")
-	shards := fs.Int("shards", 0, "with -shard-backend process, run check and learn as N shards in worker processes (no effect in process)")
-	shardWorkers := fs.Int("shard-workers", 0, "max worker processes at once (0 = -parallel)")
-	shardBackend := fs.String("shard-backend", "", "shard execution backend: inprocess (default) or process")
 	rc := &runConfig{
 		metricsJSON: fs.String("metrics-json", "", "write a per-stage telemetry report to this file"),
 		cpuProfile:  fs.String("cpuprofile", "", "write a pprof CPU profile to this file"),
@@ -323,9 +321,6 @@ func sharedFlags(fs *flag.FlagSet) *runConfig {
 		opts.Confidence = *confidence
 		opts.ScoreThreshold = *threshold
 		opts.Parallelism = *parallel
-		opts.Shards = *shards
-		opts.ShardWorkers = *shardWorkers
-		opts.ShardBackend = *shardBackend
 		opts.ContextEmbedding = !*noEmbed
 		opts.ConstantLearning = *constants
 		opts.Minimize = !*noMinimize
@@ -480,6 +475,9 @@ func runCheck(args []string, w io.Writer) (int, error) {
 	jsonOut := fs.String("out", "", "write JSON report to this file")
 	htmlOut := fs.String("html", "", "write HTML report to this file")
 	suppress := fs.String("suppress", "", "JSON file of contract IDs to suppress (operator feedback)")
+	shards := fs.Int("shards", 0, "with -shard-backend process, check as N shards in worker processes (no effect in process)")
+	shardWorkers := fs.Int("shard-workers", 0, "max worker processes at once (0 = -parallel)")
+	shardBackend := fs.String("shard-backend", "", "shard execution backend: inprocess (default) or process")
 	rc := sharedFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 0, err
@@ -488,6 +486,7 @@ func runCheck(args []string, w io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	opts.Shards, opts.ShardWorkers, opts.ShardBackend = *shards, *shardWorkers, *shardBackend
 	if *contractsPath == "" {
 		return 0, fmt.Errorf("-contracts is required")
 	}

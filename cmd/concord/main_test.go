@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -630,6 +631,36 @@ func TestCheckUniqueMissingFileLevel(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "r1.cfg: [unique]") {
 		t.Errorf("expected file-level unique violation for r1.cfg:\n%s", out.String())
+	}
+}
+
+// TestShardFlagsCheckOnly: -shards, -shard-workers and -shard-backend
+// are registered on `concord check` only. Learn always runs in process,
+// so learn (and coverage and serve, which never shard) reject them as
+// undefined flags — exit status 2 — before reading any input.
+func TestShardFlagsCheckOnly(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range []string{
+		"learn -shards 2",
+		"learn -shard-workers 2",
+		"learn -shard-backend process",
+		"coverage -shards 2",
+		"serve -shards 2",
+	} {
+		cmd := exec.Command(exe)
+		cmd.Env = append(os.Environ(), "CONCORD_CLI_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("concord %s: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		flagName := strings.Fields(args)[1]
+		if !strings.Contains(string(out), "flag provided but not defined: "+flagName) {
+			t.Errorf("concord %s: output does not report %s as undefined:\n%s", args, flagName, out)
+		}
 	}
 }
 

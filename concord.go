@@ -274,11 +274,12 @@ const (
 	CatRelation = contracts.CatRelation
 )
 
-// The shard execution backends (Options.ShardBackend): in process (the
-// default), where every run streams on the engine's worker pool and
-// Shards has no effect, or a pool of shard-worker child processes, each
-// streaming one shard, with crash retries and straggler speculation.
-// Results are byte-identical across backends.
+// The shard execution backends (Options.ShardBackend) of a check: in
+// process (the default), where every run streams on the engine's worker
+// pool and Shards has no effect, or a pool of shard-worker child
+// processes, each checking one shard, with crash retries and straggler
+// speculation. Results are byte-identical across backends. Learn always
+// streams in process.
 const (
 	ShardBackendInProcess = core.ShardBackendInProcess
 	ShardBackendProcess   = core.ShardBackendProcess

@@ -121,30 +121,32 @@ type Options struct {
 	// cached and fresh configs). Requires Artifacts.
 	Incremental bool
 	// Shards, with ShardBackendProcess, partitions the corpus of
-	// Check/CheckContext and Learn/LearnContext into that many
-	// deterministic contiguous shards and runs each in a worker child
-	// process (a single shard still leaves this process). Every run from
-	// sources already streams — each configuration is processed, checked
-	// into its row or folded into its worker's mining accumulator, and
+	// Check/CheckContext into that many deterministic contiguous shards
+	// and checks each in a worker child process (a single shard still
+	// leaves this process). Every check from sources already streams —
+	// each configuration is processed, checked into its row, and
 	// released — so peak memory is bounded by the configurations in
 	// flight, not corpus size, and sharding adds only process isolation.
 	// With the in-process backend Shards is accepted and has no effect.
 	// Results are byte-identical either way, warm artifact replay
-	// included. See DESIGN.md §11 and §13.
+	// included. The shard options are check-only: Learn/LearnContext
+	// validates them and always streams in this process. See DESIGN.md
+	// §12 and §13.
 	Shards int
-	// ShardWorkers bounds how many worker processes run shards at once;
-	// 0 selects Parallelism. A worker streams its shard sequentially, so
-	// ShardWorkers is the effective parallelism of a process-backend run.
-	// Like Shards, it has no effect on the in-process backend.
+	// ShardWorkers bounds how many worker processes check shards at
+	// once; 0 selects Parallelism. A worker streams its shard
+	// sequentially, so ShardWorkers is the effective parallelism of a
+	// process-backend check. Like Shards, it has no effect on the
+	// in-process backend. Check-only.
 	ShardWorkers int
-	// ShardBackend selects where a sharded check or learn runs. Empty or
+	// ShardBackend selects where a check runs. Empty or
 	// ShardBackendInProcess streams the corpus on this process's worker
 	// pool (the default), ignoring Shards. ShardBackendProcess dispatches
 	// each shard to a pool of worker child processes over the shardrpc
 	// wire protocol, with bounded crash retries and straggler
 	// speculation; each worker runs the same stream over its slice. It
 	// cannot serialize ExtraTransforms, ExtraRelations, or UserTokens
-	// with custom Parse funcs — such options are rejected.
+	// with custom Parse funcs — such options are rejected. Check-only.
 	ShardBackend string
 	// ShardWorkerCommand is the worker argv for ShardBackendProcess;
 	// element 0 is the executable. Empty selects the
@@ -161,9 +163,8 @@ const (
 	ShardBackendProcess   = "process"
 )
 
-// shardingActive reports whether Check/CheckContext and
-// Learn/LearnContext dispatch their shards to the process backend
-// rather than streaming in this process.
+// shardingActive reports whether Check/CheckContext dispatches its
+// shards to the process backend rather than streaming in this process.
 func (o Options) shardingActive() bool {
 	return o.ShardBackend == ShardBackendProcess && o.Shards >= 1
 }
@@ -229,11 +230,9 @@ func (o Options) ValidateSharding() error {
 }
 
 // resolvedOptions is the plain-data part of a resolved Options that a
-// shard worker needs, and nothing process-local (no funcs, recorders,
-// caches, or sinks). A learn worker only folds statistics
-// (mining.StatsAccumulator.Fold reads MaxFanout and Categories); the
-// mining thresholds apply where the parent mines the merged evidence,
-// so they stay out. Its JSON encoding is canonical — fixed field
+// check shard worker needs, and nothing process-local (no funcs,
+// recorders, caches, or sinks); the mining options stay out, since a
+// worker never learns. Its JSON encoding is canonical — fixed field
 // order, no maps — so the process backend's Job carries it as bytes, a
 // worker rebuilds its Options from it (options), and procFingerprint
 // hashes its processing part.
@@ -242,8 +241,6 @@ type resolvedOptions struct {
 	Strict       bool
 	Incremental  bool
 	LexCacheSize int
-	MaxFanout    int
-	Categories   []contracts.Category
 }
 
 // procOptions is the processing part of resolvedOptions: every option
@@ -273,8 +270,6 @@ func (o Options) resolved() resolvedOptions {
 		Strict:       o.Strict,
 		Incremental:  o.Incremental,
 		LexCacheSize: o.LexCacheSize,
-		MaxFanout:    o.MaxFanout,
-		Categories:   o.Categories,
 	}
 	for _, t := range o.UserTokens {
 		ro.Proc.UserTokens = append(ro.Proc.UserTokens, tokenSpec{
@@ -286,7 +281,7 @@ func (o Options) resolved() resolvedOptions {
 }
 
 // options rebuilds the Options a shard worker runs under; New fills
-// the mining thresholds the worker never reads with their defaults.
+// the mining options the worker never reads with their defaults.
 // Parallelism is 1: a worker runs one shard at a time, sequentially.
 // The caller attaches the artifact cache.
 func (ro *resolvedOptions) options() Options {
@@ -297,8 +292,6 @@ func (ro *resolvedOptions) options() Options {
 		Strict:           ro.Strict,
 		Incremental:      ro.Incremental,
 		LexCacheSize:     ro.LexCacheSize,
-		MaxFanout:        ro.MaxFanout,
-		Categories:       ro.Categories,
 	}
 	for _, t := range ro.Proc.UserTokens {
 		opts.UserTokens = append(opts.UserTokens, lexer.TokenSpec{

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -108,6 +110,9 @@ func TestCheckAllDeterministic(t *testing.T) {
 //   - On the edge roles (E1, E2; W4 is too costly under -race), renaming
 //     every file in place changes neither the learned set nor, once the
 //     names are mapped back, any violation or the coverage.
+//   - On the edge roles, inserting empty lines changes neither the
+//     learned set nor, once line numbers are mapped back, any violation
+//     or the coverage.
 func TestMetamorphicInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("learns four corpora several times; skipped in -short mode")
@@ -251,15 +256,123 @@ func TestMetamorphicInvariance(t *testing.T) {
 			if got, want := checkAll(renamed, unname), checkAll(dupCorpus, strings.NewReplacer()); !bytes.Equal(got, want) {
 				t.Errorf("renamed corpus checks differently once names are mapped back (%d vs %d bytes)", len(got), len(want))
 			}
+
+			// Insert an empty line before every configuration's first line
+			// and after every third line: the learned set must not change,
+			// and once every configuration line number (violation lines and
+			// the file:line witnesses of Unique duplicates) is mapped back
+			// to the original file, neither must any violation or the
+			// coverage. A violation on a metadata line (its contract's
+			// first pattern is an @meta one) carries that line's number in
+			// the unchanged metadata document, so it keeps its number.
+			blanked, toOrig := insertBlankLines(dupCorpus)
+			blankSrcs, _ := insertBlankLines(srcs)
+			if _, got := marshal(eng.Learn(blankSrcs, meta)); !bytes.Equal(got, want) {
+				t.Errorf("corpus with blank lines learned a different set (%d vs %d bytes)", len(got), len(want))
+			}
+			unblank := func(cr *CheckResult) {
+				for i := range cr.Violations {
+					v := &cr.Violations[i]
+					if v.Line > 0 && !metaViolation(v) {
+						v.Line = toOrig(v.File, v.Line)
+					}
+					v.Detail = witnessLine.ReplaceAllStringFunc(v.Detail, func(w string) string {
+						m := witnessLine.FindStringSubmatch(w)
+						n, _ := strconv.Atoi(m[2])
+						return fmt.Sprintf(" %s:%d", m[1], toOrig(m[1], n))
+					})
+				}
+			}
+			if got, want := checkMapped(t, eng, set, blanked, meta, unblank), checkMapped(t, eng, set, dupCorpus, meta, nil); !bytes.Equal(got, want) {
+				t.Errorf("corpus with blank lines checks differently once lines are mapped back:\n got %s\nwant %s", got, want)
+			}
 		})
 	}
+}
+
+// witnessLine matches the file:line witness a Unique violation's
+// detail names ("value X duplicates FILE:LINE").
+var witnessLine = regexp.MustCompile(` (\S+):(\d+)$`)
+
+// metaViolation reports whether v sits on a metadata line: the first
+// pattern of its contract ID, the one a violation is reported at, is
+// an @meta pattern.
+func metaViolation(v *contracts.Violation) bool {
+	parts := strings.SplitN(v.ContractID, "|", 3)
+	return len(parts) > 1 && strings.HasPrefix(parts[1], "@meta")
+}
+
+// insertBlankLines returns a copy of corpus with an empty line before
+// each configuration's first line and after every third line, and a
+// mapper from a line number of the copy back to the original file's
+// line (0 for an inserted line). A last line without a newline gains
+// one before its blank line.
+func insertBlankLines(corpus []Source) ([]Source, func(file string, line int) int) {
+	out := make([]Source, len(corpus))
+	orig := make(map[string][]int, len(corpus))
+	for i, s := range corpus {
+		var b strings.Builder
+		lines := []int{0, 0} // 1-based: index 0 unused, line 1 blank
+		b.WriteString("\n")
+		for j, l := range strings.SplitAfter(string(s.Text), "\n") {
+			if l == "" {
+				continue
+			}
+			b.WriteString(l)
+			lines = append(lines, j+1)
+			if j%3 == 2 {
+				if !strings.HasSuffix(l, "\n") {
+					b.WriteString("\n")
+				}
+				b.WriteString("\n")
+				lines = append(lines, 0)
+			}
+		}
+		out[i] = Source{Name: s.Name, Text: []byte(b.String())}
+		orig[s.Name] = lines
+	}
+	return out, func(file string, line int) int {
+		if lines := orig[file]; line < len(lines) {
+			return lines[line]
+		}
+		return -line
+	}
+}
+
+// checkMapped checks corpus, rewrites the result with mapBack (nil
+// leaves it as is), and renders the violations in canonical order, the
+// coverage with its per-config rows by name, and the corpus statistics.
+func checkMapped(t *testing.T, eng *Engine, set *contracts.Set, corpus, meta []Source, mapBack func(*CheckResult)) []byte {
+	t.Helper()
+	cr, err := eng.Check(set, corpus, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cr.Violations) == 0 {
+		t.Fatal("no violations; the comparison is vacuous")
+	}
+	if mapBack != nil {
+		mapBack(cr)
+	}
+	contracts.SortViolations(cr.Violations)
+	sort.Slice(cr.Coverage.PerConfig, func(i, j int) bool { return cr.Coverage.PerConfig[i].Name < cr.Coverage.PerConfig[j].Name })
+	data, err := json.MarshalIndent(struct {
+		Violations []contracts.Violation `json:"violations"`
+		Coverage   CoverageSummary       `json:"coverage"`
+		Stats      ProcessStats          `json:"stats"`
+	}{cr.Violations, cr.Coverage, cr.Stats}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestDiagnosticsDeterministicOrder: a run reports its diagnostics in
 // one canonical order, whichever worker, shard, or process recorded
 // them first — so check and learn results, diagnostics included, are
 // byte-identical across repeated parallel runs, a sequential run, and
-// the process backend. Every configuration of the corpus has lines past the
+// an engine selecting the process backend (which checks in worker
+// processes and learns in this one). Every configuration of the corpus has lines past the
 // 18-byte limit, so each one contributes a truncation diagnostic.
 func TestDiagnosticsDeterministicOrder(t *testing.T) {
 	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)

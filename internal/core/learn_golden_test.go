@@ -65,13 +65,3 @@ func TestLearnGolden(t *testing.T) {
 		t.Run(g.role, func(t *testing.T) { assertLearnGolden(t, i, MustNew(DefaultOptions())) })
 	}
 }
-
-// TestShardedLearnGolden is the golden test's sharded row: W4 learned
-// on the process backend, 3 shards over 2 worker processes (this test
-// binary, see distEngine), must hit the unsharded digest.
-func TestShardedLearnGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second corpus; skipped in -short mode")
-	}
-	assertLearnGolden(t, 0, distEngine(t, 3, 2, nil))
-}

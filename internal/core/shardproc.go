@@ -1,32 +1,27 @@
-// Process-per-shard execution backend (Options.ShardBackendProcess),
-// for the check and the learn pipeline alike.
+// Process-per-shard execution backend (Options.ShardBackendProcess)
+// for the check pipeline. Learn always streams in process (stream.go).
 //
 // The parent partitions the corpus into contiguous shards and
 // dispatches each to a worker child process, which runs the engine's
-// one stream (checkStream or learnStream, stream.go) over its slice
-// with one worker and ships back plain values: per config, its
-// artifact bookkeeping and the artifact.CheckEntry record (violations,
-// coverage counts, Unique value sites) for a check; the exported
-// mining.AccumulatorState for a learn; the shard's corpus tally and any
-// diagnostics for both. The parent turns those frames back into check
-// rows or accumulators and hands them to the same finishCheck or miner
-// the in-process stream feeds, which is the whole byte-identity
-// argument:
+// check stream (checkStream, stream.go) over its slice with one worker
+// and ships back plain values: per config, its artifact bookkeeping
+// and the artifact.CheckEntry record (violations, coverage counts,
+// Unique value sites), plus the shard's corpus tally and any
+// diagnostics. The parent turns those frames back into check rows and
+// hands them to the same finishCheck the in-process stream feeds,
+// which is the whole byte-identity argument:
 //
 //   - Shard partitioning is a pure function of (corpus length, N), and
 //     shards are merged in order, so rows concatenate to corpus order.
 //   - Nothing process-local crosses the wire — no intern IDs, no
-//     compiled patterns — only strings and counts (a learn state's
-//     strings travel in a dictionary the parent re-interns), which
-//     compare equal regardless of which process produced them.
+//     compiled patterns — only strings and counts, which compare equal
+//     regardless of which process produced them.
 //   - The worker rebuilds its engine from the Job's options descriptor
 //     (resolvedOptions) and the canonical contract-set JSON; the
 //     process backend rejects the options that cannot round-trip
 //     (func-valued extensions), so the worker's processing and check
 //     fingerprints equal the parent's and warm artifact replay
 //     addresses the same cache entries.
-//   - Accumulators merge under the merge laws of
-//     internal/mining/accumulator.go, so the split is invisible.
 //
 // Failure policy: transport failures (crashed worker, torn frame) are
 // retried by the pool and then lose the shard whole — a diagnostic,
@@ -50,7 +45,6 @@ import (
 	"concord/internal/artifact"
 	"concord/internal/contracts"
 	"concord/internal/diag"
-	"concord/internal/mining"
 	"concord/internal/shardrpc"
 	"concord/internal/telemetry"
 )
@@ -100,63 +94,22 @@ func shardLabel(sh shard) string {
 		sh.sources[0].Name, sh.sources[len(sh.sources)-1].Name)
 }
 
-// checkShardsProcess runs a check's corpus on the process backend and
-// returns the surviving configurations' rows in corpus order with the
-// corpus tally.
+// checkShardsProcess runs a check's corpus on the process backend: it
+// builds one Job for the run and one Task per shard, executes them on a
+// shardrpc worker pool, and returns the surviving configurations' rows
+// in corpus order with the corpus tally. The tally merges the shards'
+// tallies in shard order, a lost shard's sources counted skipped;
+// procProg and checkProg tick once per source of each returned shard.
 func (e *Engine) checkShardsProcess(ctx context.Context, dc *diag.Collector, set *contracts.Set, sources, meta []Source, cr *corpusRun, procProg, checkProg *progressCounter) ([]checkRow, corpusTally, error) {
-	shards := makeShards(sources, e.opts.Shards)
-	perShard := make([][]checkRow, len(shards))
-	tally, err := e.runShardsProcess(ctx, dc, set, meta, cr, telemetry.StageCheck, shards, procProg, checkProg,
-		func(i int, wr *shardrpc.Result) (int, error) {
-			rows, err := wireRows(wr)
-			perShard[i] = rows
-			return len(rows), err
-		})
-	return slices.Concat(perShard...), tally, err
-}
-
-// learnShardsProcess runs a learn's corpus on the process backend and
-// returns the workers' accumulators, imported against the parent's
-// intern table and merged in shard order, with the corpus tally.
-func (e *Engine) learnShardsProcess(ctx context.Context, dc *diag.Collector, m *mining.Miner, sources, meta []Source, cr *corpusRun, procProg, mineProg *progressCounter) (*mining.StatsAccumulator, corpusTally, error) {
-	shards := makeShards(sources, e.opts.Shards)
-	e.opts.Telemetry.Add("mine.shard_dispatches", int64(len(shards)))
-	accs := make([]*mining.StatsAccumulator, len(shards))
-	tally, err := e.runShardsProcess(ctx, dc, nil, meta, cr, telemetry.StageMine, shards, procProg, mineProg,
-		func(i int, wr *shardrpc.Result) (int, error) {
-			if wr.State == nil {
-				return 0, errors.New("core: worker learn result carries no accumulator state")
-			}
-			acc, err := m.ImportAccumulator(wr.State, cr.interns)
-			if err != nil {
-				return 0, err
-			}
-			accs[i] = acc
-			return acc.NConfigs(), nil
-		})
-	if err != nil {
-		return nil, corpusTally{}, err
-	}
-	return e.mergeAccumulators(m, cr.interns, accs), tally, nil
-}
-
-// runShardsProcess executes shards on a shardrpc worker pool, for check
-// and learn alike: it builds one Job for the run (a check job for a
-// non-nil set, else a learn job) and one Task per shard. stage labels
-// failures. convert takes shard i's worker Result into the caller's
-// per-shard state and returns how many configurations survived in it.
-// The returned tally merges the shards' tallies in shard order, a lost
-// shard's sources counted skipped; procProg and stageProg tick once
-// per source of each returned shard.
-func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *contracts.Set, meta []Source, cr *corpusRun, stage telemetry.Stage, shards []shard, procProg, stageProg *progressCounter, convert func(i int, wr *shardrpc.Result) (int, error)) (corpusTally, error) {
 	var tally corpusTally
+	shards := makeShards(sources, e.opts.Shards)
 	job, err := e.newShardJob(set, meta, cr)
 	if err != nil {
-		return tally, err
+		return nil, tally, err
 	}
 	command, err := e.shardWorkerCommand()
 	if err != nil {
-		return tally, err
+		return nil, tally, err
 	}
 	tasks := make([]shardrpc.Task, len(shards))
 	for i, sh := range shards {
@@ -184,18 +137,18 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 	}
 	wres, failures, err := shardrpc.Run(ctx, job, tasks, popts)
 	if err != nil {
-		return tally, err
+		return nil, tally, err
 	}
 	// lose drops shard i whole: strict aborts, lenient records a
 	// diagnostic and counts the shard's sources skipped.
 	lose := func(i int, msg string, cause error) error {
 		label := shardLabel(shards[i])
 		if e.opts.Strict {
-			return fmt.Errorf("core: %s stage aborted (strict): %s: %s: %w", stage, label, msg, cause)
+			return fmt.Errorf("core: %s stage aborted (strict): %s: %s: %w", telemetry.StageCheck, label, msg, cause)
 		}
 		dc.Add(diag.Diagnostic{
 			Severity: diag.SevError,
-			Stage:    string(stage),
+			Stage:    string(telemetry.StageCheck),
 			Source:   label,
 			Message:  "shard lost: " + msg,
 			Cause:    cause,
@@ -206,9 +159,10 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 	// Transport failures with the retry budget exhausted.
 	for _, f := range failures {
 		if err := lose(f.Task, fmt.Sprintf("worker failed after %d attempts", f.Attempts), f.Err); err != nil {
-			return tally, err
+			return nil, tally, err
 		}
 	}
+	perShard := make([][]checkRow, len(shards))
 	for i, wr := range wres {
 		if wr == nil {
 			continue // failed above, or abandoned by a strict fail-fast
@@ -220,7 +174,7 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 			// Deterministic in-band abort: the worker runs in the same
 			// strict mode as the parent, so this is a strict fault
 			// re-raised across the boundary.
-			return tally, errors.New(wr.Err)
+			return nil, tally, errors.New(wr.Err)
 		}
 		if wr.Lost {
 			// Worker-contained whole-shard panic (lenient): diagnostics
@@ -229,38 +183,37 @@ func (e *Engine) runShardsProcess(ctx context.Context, dc *diag.Collector, set *
 			tally.skipped += len(shards[i].sources)
 			continue
 		}
-		configs, err := convert(i, wr)
+		rows, err := wireRows(wr)
 		if err != nil {
 			if err := lose(i, "malformed worker result", err); err != nil {
-				return tally, err
+				return nil, tally, err
 			}
 			continue
 		}
-		tally.merge(&corpusTally{configs: configs, skipped: wr.Skipped, lines: wr.Lines, patterns: wr.Patterns})
+		perShard[i] = rows
+		tally.merge(&corpusTally{configs: len(rows), skipped: wr.Skipped, lines: wr.Lines, patterns: wr.Patterns})
 		// Progress is exact and global: the worker processed every
 		// source in its slice, so tick both stage counters once per
 		// source.
-		for range configs + wr.Skipped {
+		for range len(rows) + wr.Skipped {
 			procProg.tick()
-			stageProg.tick()
+			checkProg.tick()
 		}
 	}
-	return tally, nil
+	return slices.Concat(perShard...), tally, nil
 }
 
 // newShardJob serializes the run for worker processes: the options
-// descriptor, the metadata corpus, the artifact cache directory, and,
-// for a check job, the contract set. A nil set makes a learn job.
+// descriptor, the contract set, the metadata corpus, and the artifact
+// cache directory.
 func (e *Engine) newShardJob(set *contracts.Set, meta []Source, cr *corpusRun) (*shardrpc.Job, error) {
 	opts, err := json.Marshal(e.opts.resolved())
 	if err != nil {
 		return nil, fmt.Errorf("core: encode options for shard workers: %w", err)
 	}
-	job := &shardrpc.Job{Learn: set == nil, Options: opts}
-	if set != nil {
-		if job.SetJSON, err = json.Marshal(set); err != nil {
-			return nil, fmt.Errorf("core: serialize contract set: %w", err)
-		}
+	job := &shardrpc.Job{Options: opts}
+	if job.SetJSON, err = json.Marshal(set); err != nil {
+		return nil, fmt.Errorf("core: serialize contract set: %w", err)
 	}
 	if cr.artOn {
 		job.CacheDir = e.opts.Artifacts.BaseDir()
@@ -313,10 +266,10 @@ func wireRows(wr *shardrpc.Result) ([]checkRow, error) {
 // --- worker side ---
 
 // RunShardWorker is the hidden `concord shard-worker` mode: it reads
-// one Job frame from r, rebuilds the check or learn pipeline, then
-// serves one shard per Task frame until r reaches EOF (the parent
-// closed the pipe). Results stream to w. Worker processes share the
-// parent's artifact cache directory (atomic temp+rename stores are
+// one Job frame from r, rebuilds the check pipeline, then serves one
+// shard per Task frame until r reaches EOF (the parent closed the
+// pipe). Results stream to w. Worker processes share the parent's
+// artifact cache directory (atomic temp+rename stores are
 // multi-process safe), so warm replay works unchanged; metadata
 // diagnostics are dropped here because the parent already reported
 // them once.
@@ -346,20 +299,14 @@ func RunShardWorker(r io.Reader, w io.Writer) error {
 	}
 }
 
-// shardWorker is one worker process's resident pipeline state: engine,
-// corpus run, and either the compiled checker (check jobs) or the
-// miner (learn jobs), built once per Job and reused for every Task.
+// shardWorker is one worker process's resident check pipeline: engine,
+// corpus run, and compiled checker, built once per Job and reused for
+// every Task.
 type shardWorker struct {
-	eng *Engine
-	dc  *diag.Collector
-	cr  *corpusRun
-	// stage labels contained faults; body streams one shard of the
-	// job's kind (checkShard or learnShard), filling the Result's
-	// payload and returning the shard's corpus tally.
-	stage   telemetry.Stage
-	body    func(sources []Source, res *shardrpc.Result) (corpusTally, error)
+	eng     *Engine
+	dc      *diag.Collector
+	cr      *corpusRun
 	checker *contracts.Checker
-	miner   *mining.Miner
 	warm    bool
 	checkFP artifact.Key
 	// base is dc's length after metadata processing; per-shard result
@@ -394,29 +341,25 @@ func newShardWorker(job *shardrpc.Job) (*shardWorker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if job.Learn {
-		wk.stage, wk.body = telemetry.StageMine, wk.learnShard
-		wk.miner = eng.newLearnMiner(wk.dc, nil)
-	} else {
-		wk.stage, wk.body = telemetry.StageCheck, wk.checkShard
-		set := &contracts.Set{}
-		if err := json.Unmarshal(job.SetJSON, set); err != nil {
-			return nil, fmt.Errorf("decode contract set: %w", err)
-		}
-		wk.checker = eng.newChecker(set, wk.dc, wk.cr.interns)
-		wk.warm = wk.cr.artOn && eng.opts.Incremental
-		if wk.warm {
-			wk.checkFP, wk.warm = eng.checkFingerprint(set, wk.cr.metaFP)
-		}
+	set := &contracts.Set{}
+	if err := json.Unmarshal(job.SetJSON, set); err != nil {
+		return nil, fmt.Errorf("decode contract set: %w", err)
+	}
+	wk.checker = eng.newChecker(set, wk.dc, wk.cr.interns)
+	wk.warm = wk.cr.artOn && eng.opts.Incremental
+	if wk.warm {
+		wk.checkFP, wk.warm = eng.checkFingerprint(set, wk.cr.metaFP)
 	}
 	wk.base = wk.dc.Len()
 	return wk, nil
 }
 
-// run executes one shard Task to a Result. Per-source faults are
-// contained by the stream as in the parent; strict faults become
-// in-band Err (never retried by the parent), and a lenient panic that
-// escapes the stream loses the shard (Lost plus its diagnostic).
+// run checks one shard Task on one worker and ships each row as its
+// wire ConfigResult, in shard order; the parent reports progress.
+// Per-source faults are contained by the stream as in the parent;
+// strict faults become in-band Err (never retried by the parent), and
+// a lenient panic that escapes the stream loses the shard (Lost plus
+// its diagnostic).
 func (wk *shardWorker) run(t *shardrpc.Task) (res *shardrpc.Result) {
 	sh := shard{index: t.Shard}
 	for _, s := range t.Sources {
@@ -425,10 +368,10 @@ func (wk *shardWorker) run(t *shardrpc.Task) (res *shardrpc.Result) {
 	res = &shardrpc.Result{Shard: t.Shard}
 	defer func() {
 		if r := recover(); r != nil {
-			d := diag.FromPanic(string(wk.stage), shardLabel(sh), r)
+			d := diag.FromPanic(string(telemetry.StageCheck), shardLabel(sh), r)
 			if wk.eng.opts.Strict {
 				*res = shardrpc.Result{Shard: t.Shard,
-					Err:   fmt.Sprintf("core: %s stage aborted (strict): %v", wk.stage, d.AsError()),
+					Err:   fmt.Sprintf("core: %s stage aborted (strict): %v", telemetry.StageCheck, d.AsError()),
 					Stack: d.Stack}
 				return
 			}
@@ -436,26 +379,10 @@ func (wk *shardWorker) run(t *shardrpc.Task) (res *shardrpc.Result) {
 		}
 		res.Diags = append(wk.takeDiags(), res.Diags...)
 	}()
-	tally, err := wk.body(sh.sources, res)
+	rows, tally, err := wk.eng.checkStream(context.Background(), wk.dc, wk.cr, wk.checker, wk.warm, wk.checkFP, sh.sources, 1, nil, nil)
 	if err != nil {
 		res.Err = err.Error()
 		return res
-	}
-	res.Skipped = tally.skipped
-	res.Lines = tally.lines
-	if len(tally.patterns) > 0 {
-		res.Patterns = tally.patterns
-	}
-	return res
-}
-
-// checkShard is a check job's shard body: the check stream on one
-// worker, with each row shipped as its wire ConfigResult in shard
-// order. Progress is reported by the parent.
-func (wk *shardWorker) checkShard(sources []Source, res *shardrpc.Result) (corpusTally, error) {
-	rows, tally, err := wk.eng.checkStream(context.Background(), wk.dc, wk.cr, wk.checker, wk.warm, wk.checkFP, sources, 1, nil, nil)
-	if err != nil {
-		return tally, err
 	}
 	for j := range rows {
 		row := &rows[j]
@@ -471,19 +398,12 @@ func (wk *shardWorker) checkShard(sources []Source, res *shardrpc.Result) (corpu
 		}
 		res.Configs = append(res.Configs, c)
 	}
-	return tally, nil
-}
-
-// learnShard is a learn job's shard body: the learn stream on one
-// worker, shipping the shard's exported accumulator as the Result's
-// State. Progress is reported by the parent.
-func (wk *shardWorker) learnShard(sources []Source, res *shardrpc.Result) (corpusTally, error) {
-	acc, tally, err := wk.eng.learnStream(context.Background(), wk.dc, wk.cr, wk.miner, sources, 1, nil, nil)
-	if err != nil {
-		return tally, err
+	res.Skipped = tally.skipped
+	res.Lines = tally.lines
+	if len(tally.patterns) > 0 {
+		res.Patterns = tally.patterns
 	}
-	res.State = acc.Export()
-	return tally, nil
+	return res
 }
 
 // takeDiags drains the diagnostics recorded since the previous shard.
@@ -565,8 +485,7 @@ func (c workerChaos) maybeStall(t *shardrpc.Task) {
 
 // writeResult ships a Result, corrupting the frame's last payload byte
 // on the configured shard's first attempt — a torn write the parent's
-// checksum must catch and retry, never half-apply (or half-import, for
-// a learn job's accumulator state).
+// checksum must catch and retry, never half-apply.
 func (c workerChaos) writeResult(w io.Writer, t *shardrpc.Task, res *shardrpc.Result) error {
 	if t.Shard != c.corruptShard || t.Attempt != 0 {
 		return shardrpc.WriteResult(w, res)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -257,11 +256,12 @@ func TestDistProcessWarmReplay(t *testing.T) {
 
 // TestDistNonDefaultOptions carries a non-default value of every
 // option in the process backend's options descriptor across the
-// process boundary: learn and check on 3 process shards must equal the
-// in-process run as full JSON, diagnostics included, and a
-// distributed cold run must populate the shared cache for an
-// in-process warm run under the same options — which only hits if the
-// worker's processing fingerprint equals the parent's.
+// process boundary: a check on 3 process shards must equal the
+// in-process check, and a distributed cold run must populate the
+// shared cache for an in-process warm run under the same options —
+// which only hits if the worker's processing fingerprint equals the
+// parent's. The mining options are set too; the descriptor leaves them
+// out, because a worker never learns.
 func TestDistNonDefaultOptions(t *testing.T) {
 	custom := func(o *Options) {
 		o.ContextEmbedding = false
@@ -283,32 +283,12 @@ func TestDistNonDefaultOptions(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		test = append(test, Source{Name: fmt.Sprintf("s%d.cfg", i), Text: []byte(fmt.Sprintf("hostname s%d\nvlan %d\n", i, 10+i))})
 	}
-	fullJSON := func(v any) string {
-		b, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
 	base, err := MustNew(opts).Learn(train, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Set.Len() == 0 || len(base.Diagnostics) == 0 {
-		t.Fatalf("baseline learned %d contracts with %d diagnostics; the corpus does not exercise the options",
-			base.Set.Len(), len(base.Diagnostics))
-	}
-	rec := telemetry.NewRecorder()
-	dist, err := distEngine(t, 3, 2, func(o *Options) { custom(o); o.Telemetry = rec }).Learn(train, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fullJSON(dist), fullJSON(base); got != want {
-		t.Errorf("process-backend learn diverges:\n got %s\nwant %s", got, want)
-	}
-	if n := rec.Counter("mine.shard_dispatches"); n != 3 {
-		t.Errorf("mine.shard_dispatches = %d, want 3", n)
+	if base.Set.Len() == 0 {
+		t.Fatal("baseline learned no contracts; the corpus does not exercise the checker")
 	}
 
 	want, err := MustNew(opts).Check(base.Set, test, nil)
@@ -331,6 +311,34 @@ func TestDistNonDefaultOptions(t *testing.T) {
 	}
 	if hits := warmRec.Counter("artifact.cache_hits"); hits == 0 {
 		t.Error("in-process warm run hit no artifacts the workers wrote; the processing fingerprints differ across the process boundary")
+	}
+}
+
+// TestLearnStaysInProcess: the shard options are check-only. A learn
+// under a process-backend selection streams in this process — no
+// worker spawned, no shard dispatched — and learns the default
+// engine's set with the same corpus statistics.
+func TestLearnStaysInProcess(t *testing.T) {
+	train := chaosSources(12)
+	base, err := MustNew(DefaultOptions()).Learn(train, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.NewRecorder()
+	got, err := distEngine(t, 3, 2, func(o *Options) { o.Telemetry = rec }).Learn(train, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gj, want := learnJSON(t, got), learnJSON(t, base); gj != want {
+		t.Errorf("learn under a process-backend selection diverges:\n got %s\nwant %s", gj, want)
+	}
+	if got.Stats != base.Stats {
+		t.Errorf("stats diverge: got %+v, want %+v", got.Stats, base.Stats)
+	}
+	for _, c := range []string{"worker.spawns", "shard.dispatches"} {
+		if n := rec.Counter(c); n != 0 {
+			t.Errorf("%s = %d, want 0: a learn left this process", c, n)
+		}
 	}
 }
 

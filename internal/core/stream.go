@@ -11,11 +11,12 @@
 // tallies and accumulators, merged once the pool drains.
 //
 // Each pipeline has one front (checkSources, learnSources) that builds
-// the run's shared state, then either streams in this process or
-// dispatches the corpus to the process backend, whose workers run the
-// same stream over their slices (shardproc.go). Either way the front
-// hands the rows to finishCheck, or the merged accumulator to the miner
-// and finishLearn.
+// the run's shared state and streams the corpus. Learn always streams in
+// this process and hands the merged accumulator to the miner and
+// finishLearn. Check either streams in this process or dispatches the
+// corpus to the process backend, whose workers run the same stream over
+// their slices (shardproc.go); either way the front hands the rows to
+// finishCheck.
 package core
 
 import (
@@ -109,7 +110,7 @@ func (e *Engine) learnStream(ctx context.Context, dc *diag.Collector, cr *corpus
 }
 
 // mergeAccumulators merges accumulators in slice order into the first
-// one, skipping nil entries (an idle worker, a lost shard), and records
+// one, skipping nil entries (an idle worker), and records
 // the merge wall time as mine.merge_ns. Merging into an existing
 // accumulator rather than a fresh one keeps the largest tables from
 // being copied whole. The merge laws make the result independent of
@@ -198,9 +199,9 @@ func (e *Engine) checkSources(ctx context.Context, dc *diag.Collector, set *cont
 
 // learnSources is the learn pipeline's front from sources, behind
 // LearnContext: it builds the run's corpus state and miner, streams the
-// corpus into per-worker accumulators (or dispatches it to the process
-// backend), applies the strict gate, mines the merged evidence, and
-// minimizes in finishLearn.
+// corpus into per-worker accumulators, applies the strict gate, mines
+// the merged evidence, and minimizes in finishLearn. The shard options
+// are check-only: a learn never leaves this process.
 func (e *Engine) learnSources(ctx context.Context, dc *diag.Collector, sources, meta []Source) (*LearnResult, error) {
 	spProc := e.opts.Telemetry.StartSpan(string(telemetry.StageProcess))
 	cr, err := e.newCorpusRun(dc, meta)
@@ -215,13 +216,7 @@ func (e *Engine) learnSources(ctx context.Context, dc *diag.Collector, sources, 
 	spStats := e.opts.Telemetry.StartSpan("mine/stats")
 	procProg := &progressCounter{e: e, stage: telemetry.StageProcess, total: len(sources)}
 	mineProg := &progressCounter{e: e, stage: telemetry.StageMine, total: len(sources)}
-	var acc *mining.StatsAccumulator
-	var tally corpusTally
-	if e.opts.shardingActive() {
-		acc, tally, err = e.learnShardsProcess(ctx, dc, m, sources, meta, cr, procProg, mineProg)
-	} else {
-		acc, tally, err = e.learnStream(ctx, dc, cr, m, sources, e.opts.Parallelism, procProg, mineProg)
-	}
+	acc, tally, err := e.learnStream(ctx, dc, cr, m, sources, e.opts.Parallelism, procProg, mineProg)
 	cr.emitCacheStats(e)
 	spProc.EndCount(len(sources))
 	spStats.EndCount(len(sources))

@@ -18,10 +18,7 @@
 // byte-identical across runs regardless of interning order.
 package intern
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // nShards is the shard count of the forward (string -> ID) map; a
 // power of two so shard selection is a mask.
@@ -115,47 +112,4 @@ func (t *Table) Len() int {
 	n := len(t.strs) - 1
 	t.mu.RUnlock()
 	return n
-}
-
-// Translator maps the dense IDs of a foreign Table — received across a
-// process boundary as its ordered string slice, foreign ID i naming
-// foreign[i-1] — onto a local Table. Worker processes intern into
-// private tables whose ID assignment never matches the parent's, so
-// serialized mining state carries its string table and the parent
-// rebinds every ID on import. Foreign IDs are untrusted wire data:
-// out-of-range IDs return errors, never panics, so a corrupted frame
-// cannot take down the parent. Local IDs are memoized per foreign ID;
-// a Translator is not safe for concurrent use.
-type Translator struct {
-	local   *Table
-	foreign []string
-	ids     []int32 // memoized local IDs, 0 = not yet translated
-}
-
-// NewTranslator builds a translator from the foreign table's ordered
-// strings onto local.
-func NewTranslator(local *Table, foreign []string) *Translator {
-	return &Translator{local: local, foreign: foreign, ids: make([]int32, len(foreign))}
-}
-
-// String returns the foreign string with the given foreign ID.
-func (tr *Translator) String(id int32) (string, error) {
-	if id < 1 || int(id) > len(tr.foreign) {
-		return "", fmt.Errorf("intern: foreign ID %d out of range (table has %d strings)", id, len(tr.foreign))
-	}
-	return tr.foreign[id-1], nil
-}
-
-// ID translates a foreign ID to the local table's ID for the same
-// string, interning it locally on first use.
-func (tr *Translator) ID(id int32) (int32, error) {
-	if id < 1 || int(id) > len(tr.foreign) {
-		return 0, fmt.Errorf("intern: foreign ID %d out of range (table has %d strings)", id, len(tr.foreign))
-	}
-	if lid := tr.ids[id-1]; lid != 0 {
-		return lid, nil
-	}
-	lid := tr.local.ID(tr.foreign[id-1])
-	tr.ids[id-1] = lid
-	return lid, nil
 }

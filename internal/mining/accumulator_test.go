@@ -15,8 +15,8 @@ import (
 )
 
 // accCorpus renders figure-1-style devices lo+1..hi, optionally
-// interned into tab — the shape the sharded learn driver's processing
-// stage hands to Fold.
+// interned into tab — the shape the engine's learn stream hands to
+// Fold.
 func accCorpus(t *testing.T, lo, hi int, tab *intern.Table) []*lexer.Config {
 	t.Helper()
 	lx := lexer.MustNew()
@@ -57,9 +57,9 @@ func mineJSON(t *testing.T, m *Miner, acc *StatsAccumulator) string {
 }
 
 // TestAccumulatorMergeProperty is the merge-law property test behind
-// sharded learning: for randomized contiguous corpus splits, merging
-// the per-split accumulators under a random association and a random
-// shard order mines a learned set byte-identical to folding the whole
+// the streaming learn's per-worker accumulators: for randomized
+// contiguous corpus splits, merging the per-split accumulators under a
+// random association and a random order mines a learned set byte-identical to folding the whole
 // corpus into one accumulator, which in turn matches MineContext over
 // the same corpus uninterned (folded into a fresh table).
 func TestAccumulatorMergeProperty(t *testing.T) {
@@ -71,9 +71,9 @@ func TestAccumulatorMergeProperty(t *testing.T) {
 		cfgs := accCorpus(t, 0, corpus, tab)
 		m := New(opts)
 		whole := foldAll(t, m, tab, cfgs)
-		if whole.NConfigs() != corpus || whole.Candidates() == 0 {
+		if whole.sti.nConfigs != corpus || whole.Candidates() == 0 {
 			t.Fatalf("whole-corpus accumulator: %d configs, %d candidates; corpus does not exercise the relational fold",
-				whole.NConfigs(), whole.Candidates())
+				whole.sti.nConfigs, whole.Candidates())
 		}
 		want := mineJSON(t, m, whole)
 		ref, err := m.MineContext(context.Background(), accCorpus(t, 0, corpus, nil))
@@ -86,7 +86,7 @@ func TestAccumulatorMergeProperty(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(41))
 		for trial := 0; trial < 8; trial++ {
-			// Random contiguous split into 1..8 shards (empty shards
+			// Random contiguous split into 1..8 parts (empty parts
 			// included: cuts may coincide).
 			k := 1 + rng.Intn(8)
 			cuts := []int{0, corpus}
@@ -109,8 +109,8 @@ func TestAccumulatorMergeProperty(t *testing.T) {
 				accs[i].Merge(accs[j])
 				accs = append(accs[:j], accs[j+1:]...)
 			}
-			if accs[0].NConfigs() != corpus {
-				t.Fatalf("trial %d (cuts %v): merged NConfigs = %d, want %d", trial, cuts, accs[0].NConfigs(), corpus)
+			if accs[0].sti.nConfigs != corpus {
+				t.Fatalf("trial %d (cuts %v): merged NConfigs = %d, want %d", trial, cuts, accs[0].sti.nConfigs, corpus)
 			}
 			if got := mineJSON(t, m, accs[0]); got != want {
 				t.Fatalf("trial %d (cuts %v): merged learned set diverges from whole-corpus fold:\n got %s\nwant %s",
@@ -118,62 +118,6 @@ func TestAccumulatorMergeProperty(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestAccumulatorExportImportRoundtrip simulates the process backend's
-// wire round-trip without the wire: worker-private intern tables, an
-// exported AccumulatorState per shard, imports against the parent's
-// table, a shard-order merge — the mined set must be byte-identical to
-// a single-table whole-corpus fold.
-func TestAccumulatorExportImportRoundtrip(t *testing.T) {
-	const corpus = 18
-	opts := DefaultOptions()
-	opts.ConstantLearning = true
-	parentTab := intern.NewTable()
-	parentCfgs := accCorpus(t, 0, corpus, parentTab)
-	m := New(opts)
-	want := mineJSON(t, m, foldAll(t, m, parentTab, parentCfgs))
-
-	merged := m.NewStatsAccumulator(parentTab)
-	for _, span := range [][2]int{{0, 7}, {7, 12}, {12, corpus}} {
-		// Each "worker" lexes only its slice against its own fresh table,
-		// so its intern IDs are meaningless to the parent.
-		wtab := intern.NewTable()
-		wm := New(opts)
-		acc := foldAll(t, wm, wtab, accCorpus(t, span[0], span[1], wtab))
-		state := acc.Export()
-		if state == nil || len(state.Strings) == 0 {
-			t.Fatalf("shard %v exported an empty state", span)
-		}
-		imp, err := m.ImportAccumulator(state, parentTab)
-		if err != nil {
-			t.Fatalf("import shard %v: %v", span, err)
-		}
-		merged.Merge(imp)
-	}
-	if merged.NConfigs() != corpus {
-		t.Fatalf("merged NConfigs = %d, want %d", merged.NConfigs(), corpus)
-	}
-	if got := mineJSON(t, m, merged); got != want {
-		t.Fatalf("imported merge diverges from local fold:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestImportAccumulatorRejectsForeignIDs: a state referencing string
-// IDs outside its own dictionary must error, never panic or misbind.
-func TestImportAccumulatorRejectsForeignIDs(t *testing.T) {
-	opts := DefaultOptions()
-	tab := intern.NewTable()
-	m := New(opts)
-	acc := foldAll(t, m, tab, accCorpus(t, 0, 4, tab))
-	state := acc.Export()
-	if len(state.Patterns) == 0 {
-		t.Fatal("exported state has no patterns to corrupt")
-	}
-	state.Patterns[0].Pattern = StrID(len(state.Strings) + 7)
-	if _, err := m.ImportAccumulator(state, intern.NewTable()); err == nil {
-		t.Error("ImportAccumulator accepted an out-of-range string ID")
-	}
 }
 
 // TestMineContextTableRule pins which corpora the fold accepts: one

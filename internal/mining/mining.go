@@ -140,8 +140,8 @@ func (m *Miner) Mine(cfgs []*lexer.Config) *contracts.Set {
 // returning ctx.Err() when cancelled. Per-category timings and counters
 // go to Options.Telemetry when set.
 //
-// It is the sharded learn's Fold → Merge → MineAccumulated path run on
-// one machine: relationalPass folds the configurations into per-worker
+// It is the engine's streaming Fold → Merge → MineAccumulated path over
+// held configurations: relationalPass folds the configurations into per-worker
 // StatsAccumulators over the corpus's intern table (see corpusTable),
 // merges them, and MineAccumulated mines the merged evidence.
 //

@@ -53,7 +53,7 @@ type candState struct {
 // confidence, and score, materializing the accepted contracts; pattern
 // strings are materialized only for candidates clearing the filters.
 // The table must hold the whole corpus's evidence (a merged table from
-// sharded accumulators is fine; a partial one is not, since echo
+// per-worker accumulators is fine; a partial one is not, since echo
 // suppression compares candidates against each other).
 func (m *Miner) acceptRelational(global map[candKeyI]*candState, st *stats, tab *intern.Table) []contracts.Contract {
 	m.opts.Telemetry.Add("mine.relation.candidates", int64(len(global)))

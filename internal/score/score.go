@@ -139,25 +139,6 @@ func (a *Aggregator) Total() float64 {
 // Distinct returns the number of distinct values scored.
 func (a *Aggregator) Distinct() int { return len(a.scores) }
 
-// Entry is one (value key, score) contribution of an aggregator.
-type Entry struct {
-	Key   string
-	Score float64
-}
-
-// Entries returns the aggregator's contributions sorted by key: the
-// canonical serialized form, deterministic regardless of insertion
-// order. An aggregator rebuilt by AddInstance over the entries is
-// equivalent to the original.
-func (a *Aggregator) Entries() []Entry {
-	out := make([]Entry, 0, len(a.scores))
-	for k, s := range a.scores {
-		out = append(out, Entry{Key: k, Score: s})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
 // Merge folds another aggregator's instances into a. Keys present in
 // both keep the larger score so merging is commutative.
 func (a *Aggregator) Merge(b *Aggregator) {

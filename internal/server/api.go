@@ -162,21 +162,6 @@ func requestRecorder() *telemetry.Recorder {
 	return rec
 }
 
-// validShardSelection answers 400 unless a request's shard selection
-// is valid under this server's engine options — core's one rule,
-// Options.ValidateSharding, which also refuses the process backend for
-// options that cannot cross a process boundary — and reports whether
-// it was.
-func (s *Server) validShardSelection(w http.ResponseWriter, shards, shardWorkers int, backend string) bool {
-	opts := s.engineOpts
-	opts.Shards, opts.ShardWorkers, opts.ShardBackend = shards, shardWorkers, backend
-	if err := opts.ValidateSharding(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return false
-	}
-	return true
-}
-
 // handleCheck answers POST /v1/check: resolve the contract set, run the
 // shared compiled checker over the request's configurations under the
 // per-request deadline, and report violations, coverage, stats, and
@@ -190,7 +175,14 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: request carries no configs", core.ErrNoSources))
 		return
 	}
-	if !s.validShardSelection(w, req.Shards, req.ShardWorkers, req.ShardBackend) {
+	// A shard selection the engine would refuse — core's one rule,
+	// Options.ValidateSharding, which also refuses the process backend
+	// for options that cannot cross a process boundary — is a 400
+	// before any work starts.
+	opts := s.engineOpts
+	opts.Shards, opts.ShardWorkers, opts.ShardBackend = req.Shards, req.ShardWorkers, req.ShardBackend
+	if err := opts.ValidateSharding(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	en, ok := s.resolveEntry(w, r, req.Contracts, req.Fingerprint)

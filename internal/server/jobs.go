@@ -45,28 +45,15 @@ const (
 	JobFailed  = "failed"
 )
 
-// LearnRequest is the body of POST /v1/learn.
+// LearnRequest is the body of POST /v1/learn. A learn job always
+// streams inside the server, so it has none of CheckRequest's shard
+// fields; a body, or a job journaled by an older server, that still
+// carries them learns the same set.
 type LearnRequest struct {
 	// Configs is the training corpus.
 	Configs []SourceJSON `json:"configs"`
 	// Metadata optionally supplies metadata/outside-information files.
 	Metadata []SourceJSON `json:"metadata,omitempty"`
-	// Shards, with the "process" backend, splits the learn job into
-	// that many shards, each folded into a mining accumulator in a
-	// shard-worker child process; the accumulators merge before mining
-	// and the learned set is byte-identical at any shard count. Every
-	// learn already streams configurations into per-worker
-	// accumulators, so peak memory is bounded by the configurations in
-	// flight either way. Without the process backend it is validated
-	// and otherwise ignored.
-	Shards int `json:"shards,omitempty"`
-	// ShardWorkers bounds concurrently running worker processes; 0
-	// selects the server engine's parallelism.
-	ShardWorkers int `json:"shard_workers,omitempty"`
-	// ShardBackend selects where the job runs, exactly as in
-	// CheckRequest: "" or "inprocess" streams it inside the server,
-	// "process" dispatches its shards to shard-worker child processes.
-	ShardBackend string `json:"shard_backend,omitempty"`
 	// Telemetry requests the learn run's stage spans in the job result.
 	Telemetry bool `json:"telemetry,omitempty"`
 }
@@ -279,12 +266,6 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: learn request carries no configs", core.ErrNoSources))
 		return
 	}
-	// A selection the engine would refuse (including the process
-	// backend over func-valued options) is refused at submit time with
-	// a 400, rather than accepted as a job doomed to fail.
-	if !s.validShardSelection(w, req.Shards, req.ShardWorkers, req.ShardBackend) {
-		return
-	}
 	j := s.jobs.create()
 	s.rec.Add("server.learn_jobs", 1)
 	if s.store != nil {
@@ -363,12 +344,6 @@ func (s *Server) runLearnJob(j *job, req LearnRequest) {
 	opts.Telemetry = rec
 	opts.Diagnostics = nil
 	opts.Progress = nil
-	// Shard selection rides the journaled request, so a job recovered
-	// after a restart re-runs under the same backend it was submitted
-	// with.
-	opts.Shards = req.Shards
-	opts.ShardWorkers = req.ShardWorkers
-	opts.ShardBackend = req.ShardBackend
 	eng, err := core.New(opts)
 	if err != nil {
 		s.failJob(j, err)

@@ -29,8 +29,8 @@ func frameSeeds(magic [4]byte, payload []byte) [][]byte {
 // Result readers and the raw payload decoders, seeded with every
 // message kind: a Job, a Task, a check Result (one of its configs a
 // contained check panic without coverage), a check Result whose
-// violation line exceeds math.MaxInt32, and a learn Result carrying
-// accumulator state. The contract mirrors FuzzBundleManifest:
+// violation line exceeds math.MaxInt32, and a lost shard's Result
+// carrying only its diagnostic. The contract mirrors FuzzBundleManifest:
 // truncated, bit-flipped, or version-skewed frames must decode to an
 // error — never a panic, and never a partial value.
 func FuzzShardFrame(f *testing.F) {
@@ -38,7 +38,7 @@ func FuzzShardFrame(f *testing.F) {
 		{Name: "r0.cfg", Text: []byte("hostname r0\nrouter-id 10.0.0.1\n")},
 	}})
 	payloads := [][]byte{task, EncodeResult(testResult()), EncodeResult(implausibleLineResult()),
-		EncodeResult(testLearnResult()), EncodeJob(testJob())}
+		EncodeResult(failedResults()[0]), EncodeJob(testJob())}
 	for _, payload := range payloads {
 		for _, magic := range [][4]byte{TaskMagic, ResultMagic, JobMagic} {
 			for _, seed := range frameSeeds(magic, payload) {

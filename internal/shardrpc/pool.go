@@ -72,8 +72,7 @@ type PoolOptions struct {
 	// Telemetry receives the scheduler counters (shard.dispatches,
 	// shard.retries, shard.speculative_wins, worker.spawns,
 	// worker.crashes) and per-shard wall-time spans, named
-	// dist.shard[N] for check jobs and dist.learn[N] for learn jobs.
-	// Nil is free.
+	// dist.shard[N]. Nil is free.
 	Telemetry *telemetry.Recorder
 }
 
@@ -97,7 +96,7 @@ type ShardFailure struct {
 	Attempts int
 }
 
-// Run executes every task of a check or learn job and returns results
+// Run executes every task of a job and returns results
 // indexed like tasks. results[i] is nil exactly when tasks[i] appears
 // in failures. The returned error is non-nil only for run-level aborts:
 // context cancellation, or the first failure under FailFast.
@@ -124,16 +123,12 @@ func Run(ctx context.Context, job *Job, tasks []Task, opts PoolOptions) ([]*Resu
 		opts.SpeculativeFloor = defaultSpecFloor
 	}
 	s := &scheduler{
-		opts:       opts,
-		job:        job,
-		spanPrefix: "dist.shard",
-		tasks:      tasks,
-		results:    make([]*Result, len(tasks)),
-		state:      make([]taskState, len(tasks)),
-		events:     make(chan event, opts.Workers),
-	}
-	if job.Learn {
-		s.spanPrefix = "dist.learn"
+		opts:    opts,
+		job:     job,
+		tasks:   tasks,
+		results: make([]*Result, len(tasks)),
+		state:   make([]taskState, len(tasks)),
+		events:  make(chan event, opts.Workers),
 	}
 	return s.run(ctx)
 }
@@ -169,13 +164,11 @@ type taskState struct {
 }
 
 type scheduler struct {
-	opts PoolOptions
-	job  *Job
-	// spanPrefix names the per-shard spans: dist.shard or dist.learn.
-	spanPrefix string
-	tasks      []Task
-	results    []*Result
-	state      []taskState
+	opts    PoolOptions
+	job     *Job
+	tasks   []Task
+	results []*Result
+	state   []taskState
 
 	events chan event
 	slots  []*slot
@@ -306,7 +299,7 @@ func (s *scheduler) feed() {
 func (s *scheduler) dispatch(task, slotID int, spec bool) {
 	st := &s.state[task]
 	if st.dispatch == 0 {
-		st.span = s.opts.Telemetry.StartSpan(fmt.Sprintf("%s[%d]", s.spanPrefix, s.tasks[task].Shard))
+		st.span = s.opts.Telemetry.StartSpan(fmt.Sprintf("dist.shard[%d]", s.tasks[task].Shard))
 		st.started = time.Now()
 	}
 	a := attempt{task: task, attempt: st.dispatch, spec: spec}

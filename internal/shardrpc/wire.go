@@ -1,5 +1,5 @@
-// Package shardrpc is the wire protocol between a sharded check or
-// learn run and its worker processes. The parent serializes the run's
+// Package shardrpc is the wire protocol between a sharded check run
+// and its worker processes. The parent serializes the run's
 // configuration once as a Job, then streams one Task per shard over
 // the worker's stdin and reads one Result per Task from its stdout.
 // Every message travels inside an artifact frame (magic, schema,
@@ -14,14 +14,13 @@
 // record the check-artifact cache stores, so one encoder and one
 // decoder, bounds checks included, serve both. Everything that crosses
 // the wire is plain values — names, violation fields, site lists,
-// coverage counts, dictionary-encoded mining evidence — never
-// process-local state like intern IDs or compiled patterns, which is
-// what keeps a distributed run byte-identical to the in-process
-// stream: the parent turns worker Results back into the per-config
-// rows and accumulators the stream produces, and reduces them through
-// the same code. The engine options ride
-// the Job as one opaque descriptor the engine encodes and decodes, so
-// this package names none of them.
+// coverage counts — never process-local state like intern IDs or
+// compiled patterns, which is what keeps a distributed run
+// byte-identical to the in-process stream: the parent turns worker
+// Results back into the per-config rows the stream produces, and
+// reduces them through the same code. The engine options ride the Job
+// as one opaque descriptor the engine encodes and decodes, so this
+// package names none of them.
 package shardrpc
 
 import (
@@ -32,7 +31,6 @@ import (
 
 	"concord/internal/artifact"
 	"concord/internal/diag"
-	"concord/internal/mining"
 )
 
 // Frame magics for the three message kinds. CCS = Concord Shard.
@@ -49,12 +47,12 @@ var (
 // Version 4 folded the learn-result frame into Result (an optional
 // State beside Configs) and replaced the Job's option fields with the
 // engine's options descriptor. Version 5 carries each configuration's
-// check outcome as an artifact.CheckEntry record.
-const SchemaVersion = 5
+// check outcome as an artifact.CheckEntry record. Version 6 dropped the
+// learn job kind: the Job's Learn flag and the Result's State.
+const SchemaVersion = 6
 
 // Frame payload ceilings. Tasks carry raw config text and results can
-// carry a fleet shard's violations or serialized mining evidence, so
-// all are generous; the limits exist to bound what a corrupt length
+// carry a fleet shard's violations, so all are generous; the limits exist to bound what a corrupt length
 // field can make ReadFrame allocate.
 const (
 	MaxJobBytes    uint64 = 1 << 30
@@ -70,14 +68,10 @@ type NamedBlob struct {
 }
 
 // Job carries everything a worker needs to reconstruct the parent's
-// pipeline: the job kind, the engine options, the contract set, the
-// metadata corpus, and the shared artifact cache directory. One Job is
-// written per worker process, immediately after spawn.
+// check pipeline: the engine options, the contract set, the metadata
+// corpus, and the shared artifact cache directory. One Job is written
+// per worker process, immediately after spawn.
 type Job struct {
-	// Learn selects the learn job kind: the worker folds each Task's
-	// sources into a mining accumulator and answers with Results that
-	// carry State instead of Configs (SetJSON is empty).
-	Learn bool
 	// Options is the engine's canonical options descriptor, opaque to
 	// the wire protocol: the parent's engine encodes it and the
 	// worker's engine decodes it.
@@ -90,8 +84,7 @@ type Job struct {
 	Meta     []NamedBlob
 }
 
-// Task is one shard dispatch: the contiguous corpus slice to check or
-// learn from. Attempt counts prior dispatches of the same shard
+// Task is one shard dispatch: the contiguous corpus slice to check. Attempt counts prior dispatches of the same shard
 // (retries and speculative re-runs), so test fault hooks can fire on
 // the first attempt only.
 type Task struct {
@@ -119,7 +112,7 @@ type ConfigResult struct {
 	Entry       artifact.CheckEntry
 }
 
-// Result is one shard's complete outcome, for either job kind. A
+// Result is one shard's complete outcome. A
 // non-empty Err reports a deterministic in-band failure (a contained
 // whole-shard panic or a strict-mode abort inside the worker); the
 // parent maps it onto the shard-containment path and never retries it
@@ -132,12 +125,8 @@ type Result struct {
 	// mode: Diags carries the containment diagnostic and the parent
 	// drops the shard exactly as the in-process driver would.
 	Lost bool
-	// Configs answers a check job, in shard order.
+	// Configs is the shard's per-configuration outcomes, in shard order.
 	Configs []ConfigResult
-	// State answers a learn job: the shard's exported mining evidence.
-	// It is nil when the shard produced none (Err or Lost), and decodes
-	// as nil, never as an empty accumulator.
-	State *mining.AccumulatorState
 	// Skipped, Lines, and Patterns are the shard's corpus statistics
 	// (ProcessStats inputs).
 	Skipped  int
@@ -151,7 +140,6 @@ type Result struct {
 // EncodeJob serializes a Job payload (frame not included).
 func EncodeJob(j *Job) []byte {
 	w := &artifact.Writer{}
-	w.Bool(j.Learn)
 	w.Bytes(j.Options)
 	w.Str(j.CacheDir)
 	w.Bytes(j.SetJSON)
@@ -167,7 +155,6 @@ func EncodeJob(j *Job) []byte {
 func DecodeJob(payload []byte) (*Job, error) {
 	r := artifact.NewReader(payload)
 	j := &Job{}
-	j.Learn = r.Bool()
 	j.Options = r.Bytes()
 	j.CacheDir = r.Str()
 	j.SetJSON = r.Bytes()
@@ -256,10 +243,6 @@ func EncodeResult(res *Result) []byte {
 	for i := range res.Configs {
 		encodeConfigResult(w, &res.Configs[i])
 	}
-	w.Bool(res.State != nil)
-	if res.State != nil {
-		encodeAccState(w, res.State)
-	}
 	w.Uvarint(uint64(res.Skipped))
 	w.Uvarint(uint64(res.Lines))
 	encodePatternCounts(w, res.Patterns)
@@ -334,9 +317,6 @@ func DecodeResult(payload []byte) (*Result, error) {
 	res.Lost = r.Bool()
 	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
 		res.Configs = append(res.Configs, decodeConfigResult(r))
-	}
-	if r.Bool() {
-		res.State = decodeAccState(r)
 	}
 	res.Skipped = int(r.Uvarint())
 	res.Lines = int(r.Uvarint())

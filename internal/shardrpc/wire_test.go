@@ -126,6 +126,36 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// failedResults are the two payload-free Result shapes: a shard whose
+// worker contained a whole-shard panic (Lost, with its diagnostic) and
+// a strict in-band abort (Err, with the panic's stack).
+func failedResults() []*Result {
+	return []*Result{
+		{Shard: 1, Lost: true, Diags: []diag.Diagnostic{{Severity: diag.SevError, Stage: "check", Source: "shard 1", Message: "recovered panic"}}},
+		{Shard: 4, Err: "core: check stage aborted (strict): boom", Stack: "stack..."},
+	}
+}
+
+// TestWireFailedResultRoundTrip: a lost shard and an in-band error
+// round-trip field for field and carry no configuration outcomes, so
+// the parent maps them onto shard loss and strict abort, never onto
+// an empty shard.
+func TestWireFailedResultRoundTrip(t *testing.T) {
+	for _, res := range failedResults() {
+		var buf bytes.Buffer
+		if err := WriteResult(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadResult(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Errorf("failed-shard round-trip diverged:\n got %+v\nwant %+v", got, res)
+		}
+	}
+}
+
 // implausibleLineResult is a check Result whose one violation sits on
 // a line no configuration can have; it encodes, but must not decode.
 func implausibleLineResult() *Result {

@@ -20,7 +20,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -75,13 +75,23 @@ type Span struct {
 	ended      bool
 }
 
-// heapAlloc returns the cumulative bytes allocated by the process.
-// ReadMemStats briefly stops the world, so spans are intended for
-// stage-granularity measurement, not per-line hot paths.
+// heapAllocMetric is the runtime/metrics name of the cumulative bytes
+// allocated to the heap, the counter runtime.MemStats.TotalAlloc also
+// reports.
+const heapAllocMetric = "/gc/heap/allocs:bytes"
+
+// heapAlloc returns the cumulative bytes allocated to the heap. It
+// reads runtime/metrics, which unlike runtime.ReadMemStats does not
+// stop the world, so a span costs the same whatever the other
+// goroutines are doing; spans are still meant for stage or request
+// granularity, not per-line hot paths.
 func heapAlloc() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc
+	sample := [1]metrics.Sample{{Name: heapAllocMetric}}
+	metrics.Read(sample[:])
+	if sample[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return sample[0].Value.Uint64()
 }
 
 // StartSpan begins a named span. Use hierarchical slash-separated names
