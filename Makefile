@@ -38,7 +38,7 @@ race:
 # the race detector: panic containment, strict-mode aborts, input
 # guards, and goroutine-leak checks.
 chaos:
-	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Panic|Pathological|Lenient|Diagnostics|Guard|Limits|Binary|Oversize|DepthCap|LineBudget|EmptyCorpus|Poison|Warm|Artifact|Incremental|Corrupt|Concurrent|Registry|Singleflight|Eviction|Bundle|Reload|Rollback|Journal|Recover|Shard|ReduceUnique|OnePass|Fleet|Worker|Dist|Frame|Accumulator|Straggler' ./...
+	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Panic|Pathological|Lenient|Diagnostics|Guard|Limits|Binary|Oversize|DepthCap|LineBudget|EmptyCorpus|Poison|Warm|Artifact|Incremental|Corrupt|Concurrent|Registry|Singleflight|Eviction|Bundle|Reload|Rollback|Journal|Recover|Shard|ReduceUnique|OnePass|Fleet|Worker|Dist|Frame|Accumulator' ./...
 
 # serve-smoke boots the resident HTTP service under the race detector
 # and drives it over real sockets: one-shot/served output identity, the
@@ -77,7 +77,7 @@ fleet-smoke:
 # at {1,3,16} shards × {1,4} workers), warm-cache replay across the
 # process boundary, worker-crash chaos (SIGKILL mid-shard, retry then
 # containment; corrupt result frames rejected by checksum and retried),
-# straggler speculation, no-orphan/no-leak drain, non-default options
+# mid-shard cancellation, no-orphan/no-leak drain, non-default options
 # across the process boundary, the wire-frame fuzz corpus, the
 # server/CLI process-backend check paths (the check endpoint's
 # shard-selection validation included), and the check-only scope of

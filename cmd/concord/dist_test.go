@@ -14,8 +14,9 @@ import (
 )
 
 // TestMain doubles as the shard-worker trampoline: `-shard-backend
-// process` re-launches this test binary as a worker (via the
-// CONCORD_SHARD_WORKER_CMD fallback) with CONCORD_SHARD_WORKER=1. With
+// process` re-launches the running executable — this test binary — as
+// its worker with CONCORD_SHARD_WORKER=1, which enters the worker loop
+// here before the test flags are parsed. With
 // CONCORD_CLI_ARGS set it runs the CLI's main on those
 // (whitespace-split) arguments instead, so a test can observe the real
 // exit status and stderr of a command line.
@@ -40,12 +41,6 @@ func TestMain(m *testing.M) {
 // violation count to match the in-process run, with the distributed
 // counters present in -metrics-json.
 func TestCheckShardBackendProcess(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("CONCORD_SHARD_WORKER_CMD", exe)
-
 	trainDir := t.TempDir()
 	writeDataset(t, trainDir, nil)
 	contractsPath := filepath.Join(trainDir, "contracts.json")

@@ -147,8 +147,8 @@ fleet-scale checking (check only):
   -shard-backend B     shard execution backend: "inprocess" (default) or
                        "process", which checks each shard in a pool of
                        worker child processes over checksummed pipes —
-                       crashed workers are retried, stragglers re-run
-                       speculatively, and output stays byte-identical
+                       a crashed worker is replaced and its shard
+                       retried, and output stays byte-identical
 
 robustness:
   -lenient             skip unreadable input files with diagnostics

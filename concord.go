@@ -277,9 +277,9 @@ const (
 // The shard execution backends (Options.ShardBackend) of a check: in
 // process (the default), where every run streams on the engine's worker
 // pool and Shards has no effect, or a pool of shard-worker child
-// processes, each checking one shard, with crash retries and straggler
-// speculation. Results are byte-identical across backends. Learn always
-// streams in process.
+// processes, each checking one shard, with a crashed worker replaced
+// and its shard retried in place. Results are byte-identical across
+// backends. Learn always streams in process.
 const (
 	ShardBackendInProcess = core.ShardBackendInProcess
 	ShardBackendProcess   = core.ShardBackendProcess

@@ -143,17 +143,17 @@ type Options struct {
 	// ShardBackendInProcess streams the corpus on this process's worker
 	// pool (the default), ignoring Shards. ShardBackendProcess dispatches
 	// each shard to a pool of worker child processes over the shardrpc
-	// wire protocol, with bounded crash retries and straggler
-	// speculation; each worker runs the same stream over its slice. It
-	// cannot serialize ExtraTransforms, ExtraRelations, or UserTokens
-	// with custom Parse funcs — such options are rejected. Check-only.
+	// wire protocol; a worker whose process dies mid-shard is replaced
+	// and the shard retried on it, at most twice. Each worker runs the
+	// same stream over its slice. It cannot serialize ExtraTransforms,
+	// ExtraRelations, or UserTokens with custom Parse funcs — such
+	// options are rejected. Check-only.
 	ShardBackend string
 	// ShardWorkerCommand is the worker argv for ShardBackendProcess;
-	// element 0 is the executable. Empty selects the
-	// CONCORD_SHARD_WORKER_CMD environment variable (whitespace-split)
-	// and, failing that, the running executable invoked with a single
-	// "shard-worker" argument — correct when the embedding binary is
-	// the concord CLI or a test binary with the worker trampoline.
+	// element 0 is the executable. Empty selects the running executable
+	// invoked with a single "shard-worker" argument — correct when the
+	// embedding binary is the concord CLI or a test binary with the
+	// worker trampoline.
 	ShardWorkerCommand []string
 }
 
@@ -333,11 +333,6 @@ type Engine struct {
 	// progressMu serializes Options.Progress callbacks issued from
 	// worker goroutines.
 	progressMu sync.Mutex
-	// dist overrides the process shard backend's scheduler policy
-	// (retry budget, speculation thresholds); nil selects the shardrpc
-	// defaults. It exists for tests that need deterministic fault and
-	// straggler behavior.
-	dist *distPolicy
 }
 
 // New builds an engine, compiling any user token specifications. Options

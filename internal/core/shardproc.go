@@ -39,7 +39,6 @@ import (
 	"os"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"concord/internal/artifact"
@@ -48,14 +47,6 @@ import (
 	"concord/internal/shardrpc"
 	"concord/internal/telemetry"
 )
-
-// distPolicy tunes the process backend's scheduler; the zero value is
-// never used directly — a nil *distPolicy selects shardrpc defaults.
-type distPolicy struct {
-	maxRetries   int // pool re-dispatch budget per shard
-	specMultiple float64
-	specFloor    time.Duration
-}
 
 // --- parent side ---
 
@@ -99,7 +90,8 @@ func shardLabel(sh shard) string {
 // shardrpc worker pool, and returns the surviving configurations' rows
 // in corpus order with the corpus tally. The tally merges the shards'
 // tallies in shard order, a lost shard's sources counted skipped;
-// procProg and checkProg tick once per source of each returned shard.
+// procProg and checkProg tick once per source of every shard, returned
+// or lost.
 func (e *Engine) checkShardsProcess(ctx context.Context, dc *diag.Collector, set *contracts.Set, sources, meta []Source, cr *corpusRun, procProg, checkProg *progressCounter) ([]checkRow, corpusTally, error) {
 	var tally corpusTally
 	shards := makeShards(sources, e.opts.Shards)
@@ -123,21 +115,23 @@ func (e *Engine) checkShardsProcess(ctx context.Context, dc *diag.Collector, set
 	if workers == 0 {
 		workers = e.opts.Parallelism
 	}
-	popts := shardrpc.PoolOptions{
-		Command:    command,
-		Workers:    workers,
-		MaxRetries: -1,
-		FailFast:   e.opts.Strict,
-		Telemetry:  e.opts.Telemetry,
-	}
-	if e.dist != nil {
-		popts.MaxRetries = e.dist.maxRetries
-		popts.SpeculativeMultiple = e.dist.specMultiple
-		popts.SpeculativeFloor = e.dist.specFloor
-	}
-	wres, failures, err := shardrpc.Run(ctx, job, tasks, popts)
+	wres, failures, err := shardrpc.Run(ctx, job, tasks, shardrpc.PoolOptions{
+		Command:   command,
+		Workers:   workers,
+		FailFast:  e.opts.Strict,
+		Telemetry: e.opts.Telemetry,
+	})
 	if err != nil {
 		return nil, tally, err
+	}
+	// settle ticks both stage counters once per source of shard i:
+	// progress is exact and global whether the shard's worker checked
+	// every source in its slice or the shard was lost whole.
+	settle := func(i int) {
+		for range shards[i].sources {
+			procProg.tick()
+			checkProg.tick()
+		}
 	}
 	// lose drops shard i whole: strict aborts, lenient records a
 	// diagnostic and counts the shard's sources skipped.
@@ -154,6 +148,7 @@ func (e *Engine) checkShardsProcess(ctx context.Context, dc *diag.Collector, set
 			Cause:    cause,
 		})
 		tally.skipped += len(shards[i].sources)
+		settle(i)
 		return nil
 	}
 	// Transport failures with the retry budget exhausted.
@@ -181,6 +176,7 @@ func (e *Engine) checkShardsProcess(ctx context.Context, dc *diag.Collector, set
 			// are already merged; drop the shard's sources.
 			e.opts.Telemetry.Add("diag.panics", 1)
 			tally.skipped += len(shards[i].sources)
+			settle(i)
 			continue
 		}
 		rows, err := wireRows(wr)
@@ -192,13 +188,7 @@ func (e *Engine) checkShardsProcess(ctx context.Context, dc *diag.Collector, set
 		}
 		perShard[i] = rows
 		tally.merge(&corpusTally{configs: len(rows), skipped: wr.Skipped, lines: wr.Lines, patterns: wr.Patterns})
-		// Progress is exact and global: the worker processed every
-		// source in its slice, so tick both stage counters once per
-		// source.
-		for range len(rows) + wr.Skipped {
-			procProg.tick()
-			checkProg.tick()
-		}
+		settle(i)
 	}
 	return slices.Concat(perShard...), tally, nil
 }
@@ -224,15 +214,11 @@ func (e *Engine) newShardJob(set *contracts.Set, meta []Source, cr *corpusRun) (
 	return job, nil
 }
 
-// shardWorkerCommand resolves the worker argv: explicit option, then
-// the CONCORD_SHARD_WORKER_CMD environment variable, then the running
-// executable's hidden shard-worker mode.
+// shardWorkerCommand resolves the worker argv: the explicit option,
+// else the running executable's hidden shard-worker mode.
 func (e *Engine) shardWorkerCommand() ([]string, error) {
 	if len(e.opts.ShardWorkerCommand) > 0 {
 		return e.opts.ShardWorkerCommand, nil
-	}
-	if env := os.Getenv("CONCORD_SHARD_WORKER_CMD"); env != "" {
-		return strings.Fields(env), nil
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -475,8 +461,9 @@ func (c workerChaos) maybeCrash(t *shardrpc.Task) {
 	select {} // unreachable once the signal lands
 }
 
-// maybeStall delays the first attempt of the configured shard, turning
-// it into a straggler the scheduler should speculate around.
+// maybeStall delays the first attempt of the configured shard, holding
+// its worker mid-shard so a test can cancel the run while a child is
+// busy and check that the drain kills and reaps it.
 func (c workerChaos) maybeStall(t *shardrpc.Task) {
 	if t.Shard == c.stallShard && t.Attempt == 0 {
 		time.Sleep(c.stall)

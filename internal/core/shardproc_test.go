@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -47,11 +49,7 @@ func distEngine(t *testing.T, shards, workers int, mutate func(*Options)) *Engin
 	if mutate != nil {
 		mutate(&opts)
 	}
-	eng := MustNew(opts)
-	// Speculation off by default: chaos tests below re-enable it with
-	// deliberate thresholds, everything else wants determinism.
-	eng.dist = &distPolicy{maxRetries: 2, specMultiple: -1}
-	return eng
+	return MustNew(opts)
 }
 
 // TestDistProcessMatchesInProcess is the cross-backend differential
@@ -343,8 +341,9 @@ func TestLearnStaysInProcess(t *testing.T) {
 }
 
 // TestDistWorkerCrashRetried SIGKILLs the worker holding shard 1 on
-// its first attempt: the scheduler must respawn and re-dispatch, and
-// the final report must be byte-identical to the in-process driver's.
+// its first attempt: the slot must respawn its worker and retry the
+// shard, and the final report must be byte-identical to the in-process
+// driver's.
 func TestDistWorkerCrashRetried(t *testing.T) {
 	t.Setenv("CONCORD_SHARDRPC_CRASH_SHARD", "1")
 	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
@@ -388,7 +387,8 @@ func TestChaosDistWorkerCrashExhausted(t *testing.T) {
 	}
 	test := shardCorpus(40)
 
-	got, err := distEngine(t, 4, 2, nil).Check(lr.Set, test, nil)
+	plog := newProgressLog()
+	got, err := distEngine(t, 4, 2, func(o *Options) { o.Progress = plog.record }).Check(lr.Set, test, nil)
 	if err != nil {
 		t.Fatalf("lenient distributed check = %v, want degradation", err)
 	}
@@ -397,13 +397,16 @@ func TestChaosDistWorkerCrashExhausted(t *testing.T) {
 	}
 	found := false
 	for _, d := range got.Diagnostics {
-		if strings.Contains(d.Message, "worker failed") && strings.Contains(d.Source, "shard 1") {
+		if strings.Contains(d.Message, "worker failed after 3 attempts") && strings.Contains(d.Source, "shard 1") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("diagnostics missing the lost shard: %+v", got.Diagnostics)
+		t.Errorf("diagnostics missing the lost shard after 3 attempts: %+v", got.Diagnostics)
 	}
+	// The lost shard's sources still count toward progress.
+	plog.assertMonotonic(t, telemetry.StageProcess, len(test))
+	plog.assertMonotonic(t, telemetry.StageCheck, len(test))
 
 	strict, err := distEngine(t, 4, 2, func(o *Options) { o.Strict = true }).Check(lr.Set, test, nil)
 	if err == nil {
@@ -439,40 +442,6 @@ func TestChaosDistCorruptResultFrame(t *testing.T) {
 	}
 	if n := rec.Counter("shard.retries"); n < 1 {
 		t.Errorf("shard.retries = %d, want >= 1 (corrupt frame must trigger a retry)", n)
-	}
-}
-
-// TestDistStragglerSpeculated stalls shard 0's first attempt well past
-// the speculation threshold: a twin attempt must win, the stalled
-// original must be killed, and the output must stay byte-identical.
-func TestDistStragglerSpeculated(t *testing.T) {
-	t.Setenv("CONCORD_SHARDRPC_STALL_SHARD", "0")
-	t.Setenv("CONCORD_SHARDRPC_STALL_MS", "20000")
-	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	test := shardCorpus(40)
-	base, err := MustNew(DefaultOptions()).Check(lr.Set, test, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := telemetry.NewRecorder()
-	eng := distEngine(t, 4, 2, func(o *Options) { o.Telemetry = rec })
-	eng.dist = &distPolicy{maxRetries: 2, specMultiple: 2, specFloor: 100 * time.Millisecond}
-	start := time.Now()
-	got, err := eng.Check(lr.Set, test, nil)
-	if err != nil {
-		t.Fatalf("check with one straggler = %v, want speculated success", err)
-	}
-	if elapsed := time.Since(start); elapsed > 15*time.Second {
-		t.Errorf("run took %v; speculation did not cut the 20s straggler short", elapsed)
-	}
-	if gotJSON, want := checkJSON(t, got), checkJSON(t, base); gotJSON != want {
-		t.Errorf("speculated run diverges:\n got %s\nwant %s", gotJSON, want)
-	}
-	if n := rec.Counter("shard.speculative_wins"); n != 1 {
-		t.Errorf("shard.speculative_wins = %d, want 1", n)
 	}
 }
 
@@ -515,7 +484,7 @@ func childWorkers(t *testing.T) []int {
 
 // TestDistNoOrphansNoLeaks runs the process backend twice (clean and
 // crashing) and requires every worker process reaped and every
-// scheduler goroutine joined once Check returns.
+// pool goroutine joined once Check returns.
 func TestDistNoOrphansNoLeaks(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("orphan scan reads /proc")
@@ -548,6 +517,38 @@ func TestDistNoOrphansNoLeaks(t *testing.T) {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestDistCancelMidShard cancels a process-backend check while shard
+// 0's worker is stalled mid-shard: the check must return the deadline
+// error promptly, with every worker killed and reaped and every pool
+// goroutine joined.
+func TestDistCancelMidShard(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("orphan scan reads /proc")
+	}
+	t.Setenv("CONCORD_SHARDRPC_STALL_SHARD", "0")
+	t.Setenv("CONCORD_SHARDRPC_STALL_MS", "20000")
+	lr, err := MustNew(DefaultOptions()).Learn(chaosSources(20), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := shardCorpus(40)
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = distEngine(t, 4, 2, nil).CheckContext(ctx, lr.Set, test, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("CheckContext = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("cancelled check took %v; the stalled worker was not killed", elapsed)
+	}
+	assertNoLeak(t, before)
+	if kids := childWorkers(t); len(kids) != 0 {
+		t.Errorf("worker processes left after a cancelled check: %v", kids)
 	}
 }
 

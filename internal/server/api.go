@@ -68,8 +68,8 @@ type CheckRequest struct {
 	ShardWorkers int `json:"shard_workers,omitempty"`
 	// ShardBackend selects where the batch runs: "" or "inprocess"
 	// streams it inside the server, "process" dispatches its shards to
-	// a pool of shard-worker child processes (crash retries, straggler
-	// speculation, byte-identical results). With "process", a batch of
+	// a pool of shard-worker child processes (crash retries,
+	// byte-identical results). With "process", a batch of
 	// shards <= 1 still executes out of process as a single shard.
 	ShardBackend string `json:"shard_backend,omitempty"`
 	// Telemetry requests this request's stage spans and counters in

@@ -1,30 +1,30 @@
-// Worker-process pool and straggler-tolerant shard scheduler.
+// Worker-process pool for shard Tasks.
 //
-// Run executes one shard Task per request against a bounded pool of
-// worker processes. Each worker is a child process speaking the
-// shardrpc wire protocol over its stdin/stdout; a goroutine per pool
-// slot owns the process and performs the synchronous Task→Result
-// round-trip, while the central scheduler assigns shards to idle
-// slots, re-dispatches shards whose worker crashed (bounded retries),
-// and speculatively re-runs stragglers past a latency multiple of the
-// median completed shard, first result wins.
+// Run executes one shard Task per request on a bounded pool of worker
+// processes. Each worker is a child process speaking the shardrpc wire
+// protocol over its stdin/stdout. The pool has the shape of the
+// engine's in-process worker pool: one goroutine per slot pulls the
+// next task index from a shared counter and performs the synchronous
+// Task→Result round-trip on the one child process it owns.
 //
 // The failure taxonomy drives the policy:
 //
 //   - Transport failures — spawn error, broken pipe, EOF mid-frame,
 //     corrupt or version-skewed frame — mean the *worker* failed, not
-//     the shard: the process is killed and reaped, the slot respawns
-//     lazily, and the shard is re-dispatched up to MaxRetries times
-//     before it is reported as a ShardFailure (the caller's
+//     the shard: the slot kills and reaps its process and retries the
+//     shard in place on a fresh one, up to maxRetries times, before the
+//     shard is reported as a ShardFailure (the caller's
 //     shard-containment path).
 //   - In-band failures — a Result carrying a non-empty Err — mean the
 //     *shard* failed deterministically (a contained panic, a strict
 //     abort inside the worker): retrying would repeat it, so the
 //     Result is returned as-is for the caller to interpret.
 //
-// Drain is unconditional: every spawned process is killed and reaped
-// and every slot goroutine joined before Run returns, so no orphan
-// processes or goroutines survive, whatever the exit path.
+// Drain is unconditional: cancellation — the caller's, or FailFast's on
+// the first failure — kills every live child, so a slot blocked
+// mid-round-trip errors out; each slot reaps its own process, and Run
+// joins every slot before it returns, so no orphan processes or
+// goroutines survive, whatever the exit path.
 package shardrpc
 
 import (
@@ -34,9 +34,8 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"concord/internal/artifact"
 	"concord/internal/telemetry"
@@ -45,42 +44,24 @@ import (
 // PoolOptions configures Run.
 type PoolOptions struct {
 	// Command is the worker argv; Command[0] is the executable. The
-	// child's environment is the parent's plus Env plus
-	// CONCORD_SHARD_WORKER=1 (the trampoline marker test binaries use
-	// to re-enter the worker loop).
+	// child's environment is the parent's plus CONCORD_SHARD_WORKER=1
+	// (the trampoline marker test binaries use to re-enter the worker
+	// loop).
 	Command []string
-	// Env is extra "KEY=value" entries appended to the child env.
-	Env []string
 	// Workers bounds concurrently live worker processes. Min 1.
 	Workers int
-	// MaxRetries bounds re-dispatches of one shard after transport
-	// failures; negative selects the default (2).
-	MaxRetries int
-	// SpeculativeMultiple: a shard still running after this multiple of
-	// the median completed-shard duration (and past SpeculativeFloor)
-	// is speculatively re-dispatched to an idle worker, first result
-	// wins. Zero selects the default (4); negative disables
-	// speculation.
-	SpeculativeMultiple float64
-	// SpeculativeFloor is the minimum age before any speculation; zero
-	// selects the default (2s).
-	SpeculativeFloor time.Duration
 	// FailFast aborts the whole run on the first shard failure —
 	// transport retries exhausted or an in-band Result.Err — killing
 	// all workers (the strict-mode contract).
 	FailFast bool
-	// Telemetry receives the scheduler counters (shard.dispatches,
-	// shard.retries, shard.speculative_wins, worker.spawns,
-	// worker.crashes) and per-shard wall-time spans, named
-	// dist.shard[N]. Nil is free.
+	// Telemetry receives the pool counters (shard.dispatches,
+	// shard.retries, worker.spawns, worker.crashes) and per-shard
+	// wall-time spans, named dist.shard[N]. Nil is free.
 	Telemetry *telemetry.Recorder
 }
 
-const (
-	defaultMaxRetries   = 2
-	defaultSpecMultiple = 4.0
-	defaultSpecFloor    = 2 * time.Second
-)
+// maxRetries bounds the re-runs of one shard after transport failures.
+const maxRetries = 2
 
 // ShardFailure reports one shard the pool could not complete: its
 // transport retries were exhausted. In-band worker failures are not
@@ -96,10 +77,12 @@ type ShardFailure struct {
 	Attempts int
 }
 
-// Run executes every task of a job and returns results
-// indexed like tasks. results[i] is nil exactly when tasks[i] appears
-// in failures. The returned error is non-nil only for run-level aborts:
-// context cancellation, or the first failure under FailFast.
+// Run executes every task of a job and returns results indexed like
+// tasks, and the failures in task order. results[i] is nil when
+// tasks[i] appears in failures, or when the run was aborted before
+// tasks[i] completed. The returned error is non-nil only when ctx is
+// cancelled; a FailFast abort returns its failure (or the in-band
+// Result.Err) with a nil error.
 func Run(ctx context.Context, job *Job, tasks []Task, opts PoolOptions) ([]*Result, []ShardFailure, error) {
 	if len(tasks) == 0 {
 		return nil, nil, nil
@@ -107,265 +90,67 @@ func Run(ctx context.Context, job *Job, tasks []Task, opts PoolOptions) ([]*Resu
 	if len(opts.Command) == 0 {
 		return nil, nil, errors.New("shardrpc: empty worker command")
 	}
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
-	if opts.Workers > len(tasks) {
-		opts.Workers = len(tasks)
-	}
-	if opts.MaxRetries < 0 {
-		opts.MaxRetries = defaultMaxRetries
-	}
-	if opts.SpeculativeMultiple == 0 {
-		opts.SpeculativeMultiple = defaultSpecMultiple
-	}
-	if opts.SpeculativeFloor <= 0 {
-		opts.SpeculativeFloor = defaultSpecFloor
-	}
-	s := &scheduler{
-		opts:    opts,
-		job:     job,
-		tasks:   tasks,
-		results: make([]*Result, len(tasks)),
-		state:   make([]taskState, len(tasks)),
-		events:  make(chan event, opts.Workers),
-	}
-	return s.run(ctx)
-}
-
-// event is one slot's report back to the scheduler: a result, or a
-// transport error.
-type event struct {
-	slot    int
-	task    int
-	spec    bool
-	res     *Result
-	err     error
-	elapsed time.Duration
-}
-
-// attempt is one dispatch order to a slot.
-type attempt struct {
-	task    int
-	attempt int
-	spec    bool
-}
-
-type taskState struct {
-	done     bool
-	failed   bool
-	dispatch int // total dispatches so far
-	retries  int // transport-failure re-dispatches consumed
-	running  int // attempts currently in flight
-	started  time.Time
-	spec     bool // a speculative attempt was issued
-	span     *telemetry.Span
-	slots    []int // slots currently running this task
-}
-
-type scheduler struct {
-	opts    PoolOptions
-	job     *Job
-	tasks   []Task
-	results []*Result
-	state   []taskState
-
-	events chan event
-	slots  []*slot
-
-	completed []time.Duration
-	pending   []int
-	idle      []int
-}
-
-func (s *scheduler) run(ctx context.Context) ([]*Result, []ShardFailure, error) {
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	jobFrame := artifact.EncodeFrame(JobMagic, SchemaVersion, EncodeJob(s.job))
-	var wg sync.WaitGroup
-	s.slots = make([]*slot, s.opts.Workers)
-	for i := range s.slots {
-		sl := &slot{
-			id:       i,
-			opts:     &s.opts,
-			tasks:    s.tasks,
-			jobFrame: jobFrame,
-			reqs:     make(chan attempt),
-			events:   s.events,
+	jobFrame := artifact.EncodeFrame(JobMagic, SchemaVersion, EncodeJob(job))
+	slots := make([]*slot, min(max(opts.Workers, 1), len(tasks)))
+	for i := range slots {
+		slots[i] = &slot{opts: &opts, jobFrame: jobFrame}
+	}
+	// Cancellation kills every live child; the slot blocked on it errors
+	// out of its round-trip and reaps the process itself.
+	killed := make(chan struct{})
+	stopKill := context.AfterFunc(ictx, func() {
+		defer close(killed)
+		for _, sl := range slots {
+			sl.kill()
 		}
-		s.slots[i] = sl
-		s.idle = append(s.idle, i)
+	})
+	defer func() {
+		if !stopKill() {
+			<-killed
+		}
+	}()
+
+	results := make([]*Result, len(tasks))
+	errs := make([]error, len(tasks))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, sl := range slots {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sl.loop(ictx)
+			defer sl.reap()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(tasks) || ictx.Err() != nil {
+					return
+				}
+				results[i], errs[i] = sl.runTask(ictx, tasks[i])
+				if opts.FailFast && (errs[i] != nil || results[i] != nil && results[i].Err != "") {
+					cancel()
+				}
+			}
 		}()
 	}
-	// Drain discipline: stop feeding, kill every live process so any
-	// slot blocked mid-round-trip errors out, close request channels,
-	// join the goroutines. Slot loops reap their own processes.
-	defer func() {
-		cancel()
-		for _, sl := range s.slots {
-			sl.killCurrent()
-			close(sl.reqs)
-		}
-		wg.Wait()
-	}()
-
-	for i := range s.tasks {
-		s.pending = append(s.pending, i)
-	}
+	wg.Wait()
 
 	var failures []ShardFailure
-	remaining := len(s.tasks)
-	specTick := s.opts.SpeculativeFloor / 4
-	if specTick < 10*time.Millisecond {
-		specTick = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(specTick)
-	defer ticker.Stop()
-
-	for remaining > 0 {
-		s.feed()
-		select {
-		case <-ctx.Done():
-			return s.results, failures, ctx.Err()
-		case <-ticker.C:
-			s.speculate()
-		case ev := <-s.events:
-			st := &s.state[ev.task]
-			st.running--
-			st.slots = removeSlot(st.slots, ev.slot)
-			s.idle = append(s.idle, ev.slot)
-			if st.done || st.failed {
-				break // a duplicate attempt resolving after the decision
-			}
-			if ev.err != nil {
-				if st.running > 0 {
-					break // a twin attempt is still in flight; let it decide
-				}
-				if st.retries < s.opts.MaxRetries {
-					st.retries++
-					s.opts.Telemetry.Add("shard.retries", 1)
-					s.pending = append([]int{ev.task}, s.pending...)
-					break
-				}
-				st.failed = true
-				st.span.EndCount(0)
-				remaining--
-				failures = append(failures, ShardFailure{
-					Task: ev.task, Shard: s.tasks[ev.task].Shard,
-					Err: ev.err, Attempts: st.dispatch,
-				})
-				if s.opts.FailFast {
-					return s.results, failures, nil
-				}
-				break
-			}
-			st.done = true
-			st.span.EndCount(len(s.tasks[ev.task].Sources))
-			s.results[ev.task] = ev.res
-			s.completed = append(s.completed, ev.elapsed)
-			remaining--
-			if ev.spec {
-				s.opts.Telemetry.Add("shard.speculative_wins", 1)
-			}
-			// Kill the losing twin attempts; their slots report a
-			// transport error that the done flag above neutralizes.
-			for _, other := range append([]int(nil), st.slots...) {
-				s.slots[other].killCurrent()
-			}
-			if s.opts.FailFast && ev.res.Err != "" {
-				return s.results, failures, nil
-			}
+	for i, err := range errs {
+		if err != nil {
+			failures = append(failures, ShardFailure{Task: i, Shard: tasks[i].Shard, Err: err, Attempts: maxRetries + 1})
 		}
 	}
-	return s.results, failures, nil
+	return results, failures, ctx.Err()
 }
 
-// feed assigns pending tasks to idle slots.
-func (s *scheduler) feed() {
-	for len(s.pending) > 0 && len(s.idle) > 0 {
-		task := s.pending[0]
-		s.pending = s.pending[1:]
-		sl := s.idle[0]
-		s.idle = s.idle[1:]
-		s.dispatch(task, sl, false)
-	}
-}
-
-func (s *scheduler) dispatch(task, slotID int, spec bool) {
-	st := &s.state[task]
-	if st.dispatch == 0 {
-		st.span = s.opts.Telemetry.StartSpan(fmt.Sprintf("dist.shard[%d]", s.tasks[task].Shard))
-		st.started = time.Now()
-	}
-	a := attempt{task: task, attempt: st.dispatch, spec: spec}
-	st.dispatch++
-	st.running++
-	st.slots = append(st.slots, slotID)
-	if spec {
-		st.spec = true
-	}
-	s.opts.Telemetry.Add("shard.dispatches", 1)
-	s.slots[slotID].reqs <- a
-}
-
-// speculate re-dispatches the oldest straggler when workers sit idle:
-// a task with exactly one attempt in flight, older than
-// max(floor, multiple × median completed duration), gets a duplicate
-// dispatch; whichever attempt returns first wins.
-func (s *scheduler) speculate() {
-	if s.opts.SpeculativeMultiple < 0 || len(s.idle) == 0 || len(s.pending) > 0 {
-		return
-	}
-	threshold := s.opts.SpeculativeFloor
-	if len(s.completed) > 0 {
-		durs := append([]time.Duration(nil), s.completed...)
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		med := time.Duration(float64(durs[len(durs)/2]) * s.opts.SpeculativeMultiple)
-		if med > threshold {
-			threshold = med
-		}
-	}
-	var oldest, oldestIdx = time.Duration(0), -1
-	for i := range s.state {
-		st := &s.state[i]
-		if st.done || st.failed || st.running != 1 || st.spec {
-			continue
-		}
-		if age := time.Since(st.started); age > threshold && age > oldest {
-			oldest, oldestIdx = age, i
-		}
-	}
-	if oldestIdx < 0 {
-		return
-	}
-	sl := s.idle[0]
-	s.idle = s.idle[1:]
-	s.dispatch(oldestIdx, sl, true)
-}
-
-func removeSlot(slots []int, id int) []int {
-	for i, s := range slots {
-		if s == id {
-			return append(slots[:i], slots[i+1:]...)
-		}
-	}
-	return slots
-}
-
-// --- worker slot: owns at most one child process at a time ---
-
+// slot owns at most one child process at a time. Only the slot's
+// goroutine spawns, replaces and reaps it; mu guards proc against the
+// cancellation kill.
 type slot struct {
-	id       int
 	opts     *PoolOptions
-	tasks    []Task
 	jobFrame []byte
-	reqs     chan attempt
-	events   chan<- event
 
 	mu   sync.Mutex
 	proc *workerProc
@@ -379,57 +164,57 @@ type workerProc struct {
 	stderr *tailBuffer
 }
 
-func (sl *slot) loop(ctx context.Context) {
-	defer sl.reapCurrent()
-	for a := range sl.reqs {
-		start := time.Now()
-		res, err := sl.roundTrip(ctx, a)
-		sl.events <- event{
-			slot: sl.id, task: a.task, spec: a.spec,
-			res: res, err: err, elapsed: time.Since(start),
+// runTask runs one shard on the slot's process, retrying in place on a
+// fresh process after each transport failure. It returns the shard's
+// Result, or its last transport error once the retries are spent, or
+// neither when the run was cancelled mid-shard.
+func (sl *slot) runTask(ctx context.Context, t Task) (*Result, error) {
+	tel := sl.opts.Telemetry
+	span := tel.StartSpan(fmt.Sprintf("dist.shard[%d]", t.Shard))
+	for t.Attempt = 0; ; t.Attempt++ {
+		tel.Add("shard.dispatches", 1)
+		res, err := sl.roundTrip(ctx, &t)
+		switch {
+		case err == nil:
+			span.EndCount(len(t.Sources))
+			return res, nil
+		case ctx.Err() != nil:
+			span.EndCount(0)
+			return nil, nil
+		case t.Attempt == maxRetries:
+			span.EndCount(0)
+			return nil, err
 		}
+		tel.Add("shard.retries", 1)
 	}
 }
 
-func (sl *slot) roundTrip(ctx context.Context, a attempt) (*Result, error) {
+func (sl *slot) roundTrip(ctx context.Context, t *Task) (*Result, error) {
 	proc, err := sl.ensureProc(ctx)
 	if err != nil {
 		return nil, err
 	}
-	t := sl.taskFor(a)
-	if err := WriteTask(proc.stdin, &t); err != nil {
-		return nil, sl.crash(proc, fmt.Errorf("shardrpc: write task: %w", err))
+	if err := WriteTask(proc.stdin, t); err != nil {
+		return nil, sl.crash(fmt.Errorf("shardrpc: write task: %w", err))
 	}
 	res, err := ReadResult(proc.stdout)
 	if err != nil {
-		return nil, sl.crash(proc, fmt.Errorf("shardrpc: read result: %w", err))
+		return nil, sl.crash(fmt.Errorf("shardrpc: read result: %w", err))
 	}
 	if res.Shard != t.Shard {
-		return nil, sl.crash(proc, fmt.Errorf("shardrpc: worker answered shard %d for task shard %d", res.Shard, t.Shard))
+		return nil, sl.crash(fmt.Errorf("shardrpc: worker answered shard %d for task shard %d", res.Shard, t.Shard))
 	}
 	return res, nil
-}
-
-func (sl *slot) taskFor(a attempt) Task {
-	t := sl.tasks[a.task]
-	t.Attempt = a.attempt
-	return t
 }
 
 // ensureProc returns the slot's live process, spawning one (and
 // writing the Job frame) if needed.
 func (sl *slot) ensureProc(ctx context.Context) (*workerProc, error) {
-	sl.mu.Lock()
 	if sl.proc != nil {
-		p := sl.proc
-		sl.mu.Unlock()
-		return p, nil
+		return sl.proc, nil
 	}
-	sl.mu.Unlock()
-
 	cmd := exec.Command(sl.opts.Command[0], sl.opts.Command[1:]...)
 	cmd.Env = append(os.Environ(), "CONCORD_SHARD_WORKER=1")
-	cmd.Env = append(cmd.Env, sl.opts.Env...)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, fmt.Errorf("shardrpc: worker stdin: %w", err)
@@ -445,61 +230,63 @@ func (sl *slot) ensureProc(ctx context.Context) (*workerProc, error) {
 	}
 	sl.opts.Telemetry.Add("worker.spawns", 1)
 	proc := &workerProc{cmd: cmd, stdin: stdin, stdout: stdout, stderr: stderr}
-	if ctx.Err() != nil {
-		sl.reap(proc)
+	// Publish the process under mu unless the run is already cancelled:
+	// the cancellation kill either finds it here or ran before, in which
+	// case ctx.Err() is already set and the process is reaped unused.
+	sl.mu.Lock()
+	cancelled := ctx.Err() != nil
+	if !cancelled {
+		sl.proc = proc
+	}
+	sl.mu.Unlock()
+	if cancelled {
+		reapProc(proc)
 		return nil, ctx.Err()
 	}
 	if _, err := stdin.Write(sl.jobFrame); err != nil {
-		return nil, sl.crash(proc, fmt.Errorf("shardrpc: write job: %w", err))
+		return nil, sl.crash(fmt.Errorf("shardrpc: write job: %w", err))
 	}
-	sl.mu.Lock()
-	sl.proc = proc
-	sl.mu.Unlock()
 	return proc, nil
 }
 
-// crash records a dead worker: the process is killed and reaped, the
-// slot left empty for a lazy respawn, and the error annotated with the
-// worker's final stderr.
-func (sl *slot) crash(proc *workerProc, err error) error {
+// crash records a dead worker: the slot's process is killed and
+// reaped, leaving the slot empty for a fresh spawn, and the error is
+// annotated with the worker's final stderr.
+func (sl *slot) crash(err error) error {
 	sl.opts.Telemetry.Add("worker.crashes", 1)
-	sl.reap(proc)
-	if tail := proc.stderr.String(); tail != "" {
+	stderr := sl.proc.stderr
+	sl.reap()
+	if tail := stderr.String(); tail != "" {
 		err = fmt.Errorf("%w (worker stderr: %q)", err, tail)
 	}
 	return err
 }
 
-// killCurrent kills the slot's live process, if any. The slot's
-// goroutine, if blocked mid-round-trip on that process, errors out of
-// the read and reports a transport failure.
-func (sl *slot) killCurrent() {
+// kill kills the slot's live process, if any: the cancellation path,
+// run from outside the slot's goroutine.
+func (sl *slot) kill() {
 	sl.mu.Lock()
-	proc := sl.proc
-	sl.mu.Unlock()
-	if proc != nil {
-		proc.cmd.Process.Kill()
+	defer sl.mu.Unlock()
+	if sl.proc != nil {
+		sl.proc.cmd.Process.Kill()
 	}
 }
 
-// reapCurrent kills and waits out the slot's live process, if any —
-// the slot goroutine's exit path, so no zombie survives the drain.
-func (sl *slot) reapCurrent() {
-	sl.mu.Lock()
+// reap kills and waits out the slot's live process, if any, and leaves
+// the slot empty.
+func (sl *slot) reap() {
 	proc := sl.proc
-	sl.mu.Unlock()
-	if proc != nil {
-		sl.reap(proc)
+	if proc == nil {
+		return
 	}
+	sl.mu.Lock()
+	sl.proc = nil
+	sl.mu.Unlock()
+	reapProc(proc)
 }
 
-// reap kills and waits out a process, releasing its pipes.
-func (sl *slot) reap(proc *workerProc) {
-	sl.mu.Lock()
-	if sl.proc == proc {
-		sl.proc = nil
-	}
-	sl.mu.Unlock()
+// reapProc kills and waits out a process, releasing its pipes.
+func reapProc(proc *workerProc) {
 	proc.cmd.Process.Kill()
 	proc.stdin.Close()
 	proc.cmd.Wait()

@@ -84,9 +84,10 @@ type Job struct {
 	Meta     []NamedBlob
 }
 
-// Task is one shard dispatch: the contiguous corpus slice to check. Attempt counts prior dispatches of the same shard
-// (retries and speculative re-runs), so test fault hooks can fire on
-// the first attempt only.
+// Task is one shard dispatch: the contiguous corpus slice to check.
+// Attempt counts prior dispatches of the same shard (its retries after
+// a crashed worker), so test fault hooks can fire on the first attempt
+// only.
 type Task struct {
 	Shard   int
 	Attempt int
