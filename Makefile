@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench perfbench-smoke chaos serve-smoke reload-smoke fleet-smoke dist-smoke vuln
+.PHONY: ci fmt vet build test race fuzz-smoke bench perfbench-smoke chaos serve-smoke reload-smoke fleet-smoke dist-smoke vuln
 
 # ci is the full verification gate: formatting, static checks, build,
-# the race-enabled test suite, the fault-injection suite, a smoke run
-# of the repo benchmark (perfbench), a smoke run of the HTTP service, the
-# crash-recovery/hot-reload smoke, the fleet-scale streaming
+# the race-enabled test suite, a 30 s run of the lexer fuzz test, the
+# fault-injection suite, a smoke run of the repo benchmark (perfbench),
+# a smoke run of the HTTP service, the crash-recovery/hot-reload smoke, the fleet-scale streaming
 # smoke, the worker-process shard backend smoke, and a best-effort
 # vulnerability scan.
-ci: fmt vet build race chaos perfbench-smoke serve-smoke reload-smoke fleet-smoke dist-smoke vuln
+ci: fmt vet build race fuzz-smoke chaos perfbench-smoke serve-smoke reload-smoke fleet-smoke dist-smoke vuln
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -33,6 +33,12 @@ test:
 
 race:
 	$(GO) test -race -timeout 20m ./...
+
+# fuzz-smoke fuzzes the lexer for 30 s beyond its seed corpus: FuzzLex
+# diffs the single-pass scan against the find-all reference, with the
+# built-in tokens alone and with user tokens ahead of them.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 30s ./internal/lexer
 
 # chaos runs the fault-injection and pathological-input suites under
 # the race detector: panic containment, strict-mode aborts, input
@@ -100,9 +106,10 @@ vuln:
 # bench runs the Go benchmarks in bench_test.go: one per table and
 # figure of the paper's evaluation, plus per-role learn and check,
 # lexer, brute-force and Apriori miner, and minimization
-# micro-benchmarks; and the lexer's layer benchmark (BenchmarkLex in
-# internal/lexer: uncached Lex over the W4 and E2 lines, ns/line and
-# allocs/line). GOMAXPROCS is pinned and each runs one iteration,
+# micro-benchmarks; and the lexer's layer benchmarks in internal/lexer
+# (BenchmarkLex: uncached Lex over the W4 and E2 lines, ns/line and
+# allocs/line; BenchmarkLexUserTokens: the same over the W4, E2 and W2
+# lines with a selective or an unselective user token, ns/line). GOMAXPROCS is pinned and each runs one iteration,
 # so numbers are comparable across runs on one machine. The end-to-end
 # benchmark is perfbench (see perfbench/README.md and BENCHMARK.json).
 BENCH_GOMAXPROCS ?= 4

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -376,9 +377,16 @@ func loadTokens(path string) ([]concord.TokenSpec, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Unknown keys are errors: a file carrying a field the format lacks
+	// (say "word_boundary") would otherwise lex without it, silently.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var tf tokenFile
-	if err := json.Unmarshal(data, &tf); err != nil {
+	if err := dec.Decode(&tf); err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("parsing %s: trailing data after the token list", path)
 	}
 	var out []concord.TokenSpec
 	for _, t := range tf {

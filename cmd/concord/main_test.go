@@ -266,6 +266,29 @@ func TestUserTokensFile(t *testing.T) {
 	}, &out); err == nil {
 		t.Error("malformed tokens file accepted")
 	}
+	// A key the format lacks is rejected by name, not silently dropped.
+	unknownKey := filepath.Join(dir, "unknown.json")
+	if err := os.WriteFile(unknownKey, []byte(`[{"name":"iface","pattern":"et-[0-9]+","word_boundary":true}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = runLearn([]string{
+		"-configs", filepath.Join(dir, "*.cfg"),
+		"-tokens", unknownKey,
+	}, &out)
+	if err == nil || !strings.Contains(err.Error(), "word_boundary") {
+		t.Errorf("tokens file with an unknown key: err = %v, want an error naming word_boundary", err)
+	}
+	// Trailing data after the list is rejected, as a single decode would.
+	trailing := filepath.Join(dir, "trailing.json")
+	if err := os.WriteFile(trailing, []byte(`[{"name":"iface","pattern":"et-[0-9]+"}] ]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runLearn([]string{
+		"-configs", filepath.Join(dir, "*.cfg"),
+		"-tokens", trailing,
+	}, &out); err == nil {
+		t.Error("tokens file with trailing data accepted")
+	}
 }
 
 func TestCoverageSubcommand(t *testing.T) {

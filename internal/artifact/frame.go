@@ -29,12 +29,17 @@ func (e *FrameError) Error() string { return "invalid frame: " + e.Reason }
 // under the given magic and schema version.
 func EncodeFrame(magic [4]byte, schema uint32, payload []byte) []byte {
 	buf := make([]byte, headerSize+len(payload))
+	putHeader(buf, magic, schema, payload)
+	copy(buf[headerSize:], payload)
+	return buf
+}
+
+// putHeader writes payload's frame header into buf[:headerSize].
+func putHeader(buf []byte, magic [4]byte, schema uint32, payload []byte) {
 	copy(buf, magic[:])
 	binary.LittleEndian.PutUint32(buf[4:8], schema)
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
 	binary.LittleEndian.PutUint64(buf[16:24], checksum(payload))
-	copy(buf[headerSize:], payload)
-	return buf
 }
 
 // DecodeFrame validates data's header against the expected magic and
@@ -64,9 +69,15 @@ func DecodeFrame(magic [4]byte, schema uint32, data []byte) ([]byte, error) {
 // WriteFrame writes one framed payload to w. It is the streaming
 // counterpart of EncodeFrame, used where frames travel over a pipe or
 // socket instead of sitting whole in a file (the shard-worker wire
-// protocol in internal/shardrpc).
+// protocol in internal/shardrpc). The header and the payload go out
+// as two writes, so a frame of any size costs no copy of its payload.
 func WriteFrame(w io.Writer, magic [4]byte, schema uint32, payload []byte) error {
-	_, err := w.Write(EncodeFrame(magic, schema, payload))
+	header := make([]byte, headerSize)
+	putHeader(header, magic, schema, payload)
+	if _, err := w.Write(header); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
 	return err
 }
 

@@ -9,6 +9,20 @@ import (
 
 var frameMagic = [4]byte{'T', 'E', 'S', 'T'}
 
+// TestWriteFrameMatchesEncodeFrame pins that the streaming writer puts
+// on the wire exactly the bytes EncodeFrame builds.
+func TestWriteFrameMatchesEncodeFrame(t *testing.T) {
+	for _, p := range [][]byte{{}, []byte("payload"), bytes.Repeat([]byte{0x5A}, 70000)} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, frameMagic, 3, p); err != nil {
+			t.Fatal(err)
+		}
+		if want := EncodeFrame(frameMagic, 3, p); !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%d-byte payload: WriteFrame wrote %d bytes that differ from EncodeFrame's %d", len(p), buf.Len(), len(want))
+		}
+	}
+}
+
 // TestFrameStreamRoundTrip writes several frames back to back and
 // reads them off the same stream; the stream must end with a clean
 // io.EOF, never a FrameError.

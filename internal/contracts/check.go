@@ -851,15 +851,18 @@ func (ch *Checker) uniqueSites(v *view) map[string][]UniqueSite {
 // the contract with a diagnostic, strict re-raises).
 func (ch *Checker) ReduceUnique(n int, at func(i int) (name string, sites map[string][]UniqueSite)) []Violation {
 	var out []Violation
+	type site struct {
+		file string
+		line int
+	}
+	// One map serves every contract: cleared, it keeps its buckets, so
+	// the reduce grows it once rather than once per contract.
+	seen := make(map[string]site)
 	for _, c := range ch.cs.uniques {
 		u, id := c.u, c.id
+		clear(seen)
 		ch.contained(u, "", func() {
 			faultinject.At("contracts.check.unique_global", id)
-			type site struct {
-				file string
-				line int
-			}
-			seen := make(map[string]site)
 			for i := 0; i < n; i++ {
 				name, sites := at(i)
 				for _, s := range sites[id] {

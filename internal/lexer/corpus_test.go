@@ -38,17 +38,19 @@ func roleLines(tb testing.TB, scale float64, names ...string) []string {
 // TestLexMatchesLinearOnSynthRoles runs every distinct line of every
 // synth role at small scale through the scan and the find-all
 // reference: the hand-written built-in matchers must lex the corpora
-// the engine is tested and benchmarked on exactly as the regexps do.
+// the engine is tested and benchmarked on exactly as the regexps do,
+// and so must a lexer carrying UserSpecs ahead of the built-ins.
 func TestLexMatchesLinearOnSynthRoles(t *testing.T) {
 	var names []string
 	for _, r := range synth.Roles(0.05) {
 		names = append(names, r.Name)
 	}
 	lines := roleLines(t, 0.05, names...)
-	lx := lexer.MustNew()
-	for _, line := range lines {
-		if got, want := lx.Lex(line), lx.LexLinear(line); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Lex != LexLinear for %q:\n scan:   %+v\n linear: %+v", line, got, want)
+	for _, lx := range []*lexer.Lexer{lexer.MustNew(), lexer.MustNew(lexer.UserSpecs()...)} {
+		for _, line := range lines {
+			if got, want := lx.Lex(line), lx.LexLinear(line); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Lex != LexLinear for %q:\n scan:   %+v\n linear: %+v", line, got, want)
+			}
 		}
 	}
 	if len(lines) < 1000 {
@@ -56,7 +58,7 @@ func TestLexMatchesLinearOnSynthRoles(t *testing.T) {
 	}
 }
 
-// lexSink keeps BenchmarkLex's results live.
+// lexSink keeps the benchmarks' results live.
 var lexSink lexer.Lexed
 
 // BenchmarkLex is the lexer's layer benchmark: uncached Lex over the
@@ -79,4 +81,29 @@ func BenchmarkLex(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/line")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/line")
 	b.ReportMetric(float64(len(lines)), "lines")
+}
+
+// BenchmarkLexUserTokens is the layer benchmark for user tokens:
+// uncached Lex over the distinct lines of W4, E2 and W2 at small scale
+// with one user token ahead of the built-ins, reported per line. The
+// selective token is the wan example's interface token; the
+// unselective one starts a match at every letter.
+func BenchmarkLexUserTokens(b *testing.B) {
+	lines := roleLines(b, 0.1, "W4", "E2", "W2")
+	specs := lexer.UserSpecs()
+	for _, bc := range []struct {
+		name string
+		spec lexer.TokenSpec
+	}{{"selective", specs[0]}, {"unselective", specs[1]}} {
+		b.Run(bc.name, func(b *testing.B) {
+			lx := lexer.MustNew(bc.spec)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, line := range lines {
+					lexSink = lx.Lex(line)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(lines))), "ns/line")
+		})
+	}
 }

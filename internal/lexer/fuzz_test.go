@@ -12,7 +12,9 @@ import (
 //   - Lex (the single-pass scan, built-ins probed by hand-written
 //     matchers) must agree exactly with LexLinear (every spec's regexp
 //     find-all + sort) — the differential oracle for the scan and for
-//     the matchers against the Builtin regexps they replace.
+//     the matchers against the Builtin regexps they replace. A second
+//     lexer carrying UserSpecs ahead of the built-ins is held to the
+//     same reference.
 //   - LexCached must agree with Lex on both the filling call (miss)
 //     and the repeat call (hit), so cached results are
 //     indistinguishable from fresh ones.
@@ -48,12 +50,21 @@ func FuzzLex(f *testing.F) {
 		"0x",
 		"0xg",
 		"truefalse",
+		// User-spec edges: the selective and unselective interface
+		// tokens, \b-bounded words, odd and even numbers, two-digit
+		// numbers inside and outside words.
+		"interface et-0/0/1 unit 11",
+		"set interfaces xe-1/2/3 ge-0/0/12/4",
+		"interface GigabitEthernet0/0/1.100",
+		"ipv6 null0 vlan251 a12 b13x",
+		"seq 13 permit 11.0.0.1/32 rd 12.3.4.5:77",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 
 	lx := MustNew()
+	ux := MustNew(UserSpecs()...)
 	cache := NewCache(1 << 12)
 
 	f.Fuzz(func(t *testing.T, line string) {
@@ -64,6 +75,9 @@ func FuzzLex(f *testing.F) {
 		lin := lx.LexLinear(line)
 		if !reflect.DeepEqual(got, lin) {
 			t.Fatalf("Lex != LexLinear for %q:\n scan:   %+v\n linear: %+v", line, got, lin)
+		}
+		if got, lin := ux.Lex(line), ux.LexLinear(line); !reflect.DeepEqual(got, lin) {
+			t.Fatalf("user specs: Lex != LexLinear for %q:\n scan:   %+v\n linear: %+v", line, got, lin)
 		}
 		miss := lx.LexCached(cache, line)
 		if !reflect.DeepEqual(got, miss) {

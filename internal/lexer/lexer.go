@@ -11,25 +11,23 @@
 // take precedence over built-ins.
 //
 // Lex is a single left-to-right scan that merges one lazy cursor per
-// spec. Each spec carries a byte-class prefilter (the conservative set
-// of bytes a match can start with), so at most positions most specs are
-// dismissed with a bitmap test; a plausible position is probed for a
-// match starting exactly there. The eight built-in tokens are probed by
-// hand-written matchers (match.go) that return the span Go's
-// leftmost-first regexp would; their regexps in Builtin remain the
-// specification and the reference the tests compare the matchers with.
-// User tokens keep their regexp, probed in an anchored form behind the
-// same prefilter. The tests keep the find-all strategy — every spec's
-// regexp FindAllStringIndex over the whole line followed by a global
-// sort — as LexLinear, the reference FuzzLex compares Lex against. The
-// memoization Cache (see LexCached) sits above Lex.
+// spec. A cursor yields its spec's raw spans in the order the spec's
+// regexp FindAllStringIndex over the whole line would. The eight
+// built-in tokens find theirs with hand-written matchers (match.go),
+// probed only at bytes in the token's first-byte class; their regexps
+// in Builtin remain the specification and the reference the tests
+// compare the matchers with. User tokens run their regexp's
+// FindAllStringIndex once per line. Guards and Parse run only on the
+// span the scan selects. The tests keep the find-all strategy — every
+// spec's regexp FindAllStringIndex over the whole line followed by a
+// global sort — as LexLinear, the reference FuzzLex compares Lex
+// against. The memoization Cache (see LexCached) sits above Lex.
 package lexer
 
 import (
 	"fmt"
 	"regexp"
 	"sync"
-	"unicode/utf8"
 
 	"concord/internal/netdata"
 )
@@ -59,28 +57,9 @@ type TokenSpec struct {
 type compiledSpec struct {
 	TokenSpec
 	re *regexp.Regexp
-	// match is the hand-written matcher of a built-in spec New appended
-	// itself; such a spec has no anchored regexp.
-	match matcher
-	// anchored is a user pattern wrapped in \A(?:...), used by the
-	// scan's per-position probes; a probe at offset p answers "does a
-	// match start exactly here" without letting the engine retry later
-	// positions the prefilter already dismissed.
-	anchored *regexp.Regexp
-	pf       prefilter
-}
-
-// probe returns the end of the spec's match starting exactly at
-// line[from], or -1.
-func (cs *compiledSpec) probe(line string, from int) int {
-	if cs.match != nil {
-		return cs.match(line, from)
-	}
-	loc := cs.anchored.FindStringIndex(line[from:])
-	if loc == nil {
-		return -1
-	}
-	return from + loc[1]
+	// builtinMatcher is set for the built-in specs New appends itself;
+	// user specs leave it zero and scan with re.
+	builtinMatcher
 }
 
 // Lexer extracts typed patterns and parameter values from configuration
@@ -154,13 +133,6 @@ func New(user ...TokenSpec) (*Lexer, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs.anchored, err = regexp.Compile(`\A(?:` + spec.Pattern + `)`)
-		if err != nil {
-			// A pattern that compiles alone but not inside a group (never
-			// the case for valid RE2) falls back to the pre-scan strategy.
-			cs.pf.usable = false
-			cs.pf.sliceSafe = false
-		}
 		lx.specs = append(lx.specs, cs)
 	}
 	for _, spec := range Builtin() {
@@ -168,13 +140,13 @@ func New(user ...TokenSpec) (*Lexer, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs.match = builtinMatchers[spec.Name]
+		cs.builtinMatcher = builtinMatchers[spec.Name]
 		lx.specs = append(lx.specs, cs)
 	}
 	return lx, nil
 }
 
-// compileSpec validates a spec and compiles its regexp and prefilter.
+// compileSpec validates a spec and compiles its regexp.
 func compileSpec(spec TokenSpec) (compiledSpec, error) {
 	if spec.Name == "" {
 		return compiledSpec{}, fmt.Errorf("lexer: token spec with empty name")
@@ -183,7 +155,7 @@ func compileSpec(spec TokenSpec) (compiledSpec, error) {
 	if err != nil {
 		return compiledSpec{}, fmt.Errorf("lexer: token %s: %w", spec.Name, err)
 	}
-	return compiledSpec{TokenSpec: spec, re: re, pf: buildPrefilter(spec.Pattern)}, nil
+	return compiledSpec{TokenSpec: spec, re: re}, nil
 }
 
 // MustNew is New for known-good specs; it panics on error.
@@ -257,21 +229,19 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
-// cursor is one spec's lazy match iterator over the line: it yields the
-// spec's guard-passing, parse-passing spans in exactly the order the
-// pre-scan FindAllStringIndex pass produced them, computing each on
-// demand.
+// cursor is one spec's lazy iterator over the line's raw spans, in
+// the order the spec's regexp FindAllStringIndex produces them. Spans
+// are neither guarded nor parsed here: Lex accepts only the span it
+// selects.
 type cursor struct {
 	start, end int
-	value      netdata.Value
 	done       bool
+	// searchFrom is where a built-in's matcher resumes probing.
 	searchFrom int
-	// Specs whose pattern carries position anchors (^, \b, ...) cannot
-	// be matched against line suffixes; they precompute the full match
-	// list instead.
-	eagerInit bool
-	eager     [][]int
-	eagerAt   int
+	// eager is a user spec's FindAllStringIndex, taken once per line;
+	// eagerAt indexes its next span.
+	eager   [][]int
+	eagerAt int
 }
 
 // Lex extracts the typed pattern and parameters from a single line of
@@ -293,8 +263,12 @@ func (lx *Lexer) Lex(line string) Lexed {
 	}
 	cursors := sc.cursors[:ns]
 	for si := range cursors {
-		cursors[si] = cursor{}
-		lx.advanceCursor(&cursors[si], si, line)
+		c := &cursors[si]
+		*c = cursor{}
+		if spec := &lx.specs[si]; spec.match == nil {
+			c.eager = spec.re.FindAllStringIndex(line, -1)
+		}
+		lx.advanceCursor(c, si, line)
 	}
 	chosen := sc.spans[:0]
 	pos := 0
@@ -302,10 +276,9 @@ func (lx *Lexer) Lex(line string) Lexed {
 		best := -1
 		for si := range cursors {
 			c := &cursors[si]
-			// Candidates overlapping already-chosen text are discarded
-			// per spec, preserving each spec's own non-overlapping match
-			// sequence (a skipped span still consumes its text for that
-			// spec, exactly as in the pre-scan strategy).
+			// Spans overlapping already-chosen text are discarded per
+			// spec, preserving each spec's own non-overlapping match
+			// sequence.
 			for !c.done && c.start < pos {
 				lx.advanceCursor(c, si, line)
 			}
@@ -319,9 +292,15 @@ func (lx *Lexer) Lex(line string) Lexed {
 		if best < 0 {
 			break
 		}
+		// Only the earliest span is guarded and parsed. A rejected span
+		// still consumes its text for its own spec (the cursor moves
+		// past it), exactly as the reference drops it from that spec's
+		// find-all list; the other specs select again.
 		c := &cursors[best]
-		chosen = append(chosen, span{start: c.start, end: c.end, spec: best, value: c.value})
-		pos = c.end
+		if v, ok := lx.accept(&lx.specs[best], line, c.start, c.end); ok {
+			chosen = append(chosen, span{start: c.start, end: c.end, spec: best, value: v})
+			pos = c.end
+		}
 		lx.advanceCursor(c, best, line)
 	}
 	res := lx.render(line, chosen, sc)
@@ -329,73 +308,30 @@ func (lx *Lexer) Lex(line string) Lexed {
 	return res
 }
 
-// advanceCursor moves a cursor to its spec's next accepted span, or
-// marks it done. Guard or parse failures discard the span but consume
-// its text (search resumes at the span's end), mirroring how the
-// reference's FindAllStringIndex never revisits a matched region.
+// advanceCursor moves a cursor to its spec's next non-empty span, or
+// marks it done. A built-in probes its matcher at each byte of its
+// first-byte class from where its last span ended; a user spec steps
+// through its find-all list.
 func (lx *Lexer) advanceCursor(c *cursor, si int, line string) {
 	spec := &lx.specs[si]
-	if !spec.pf.sliceSafe {
-		lx.advanceEager(c, spec, line)
+	if spec.match == nil {
+		for c.eagerAt < len(c.eager) {
+			loc := c.eager[c.eagerAt]
+			c.eagerAt++
+			if loc[0] < loc[1] {
+				c.start, c.end = loc[0], loc[1]
+				return
+			}
+		}
+		c.done = true
 		return
 	}
-	from := c.searchFrom
-	for from < len(line) {
-		var start, end int
-		if spec.pf.usable {
-			for from < len(line) && !spec.pf.first.has(line[from]) {
-				from++
-			}
-			if from >= len(line) {
-				break
-			}
-			start, end = from, spec.probe(line, from)
-			if end < 0 {
-				from++
-				continue
-			}
-		} else {
-			loc := spec.re.FindStringIndex(line[from:])
-			if loc == nil {
-				break
-			}
-			start, end = from+loc[0], from+loc[1]
-		}
-		if start == end {
-			// Empty match: never a candidate; advance one rune like the
-			// reference's FindAll does.
-			_, w := utf8.DecodeRuneInString(line[start:])
-			if w == 0 {
-				w = 1
-			}
-			from = start + w
+	for from := c.searchFrom; from < len(line); from++ {
+		if !spec.first[line[from]] {
 			continue
 		}
-		if v, ok := lx.accept(spec, line, start, end); ok {
-			c.start, c.end, c.value = start, end, v
-			c.searchFrom = end
-			return
-		}
-		from = end
-	}
-	c.done = true
-}
-
-// advanceEager drives a cursor for anchor-carrying specs from a
-// precomputed FindAllStringIndex match list.
-func (lx *Lexer) advanceEager(c *cursor, spec *compiledSpec, line string) {
-	if !c.eagerInit {
-		c.eagerInit = true
-		c.eager = spec.re.FindAllStringIndex(line, -1)
-	}
-	for c.eagerAt < len(c.eager) {
-		loc := c.eager[c.eagerAt]
-		c.eagerAt++
-		if loc[0] == loc[1] {
-			continue
-		}
-		if v, ok := lx.accept(spec, line, loc[0], loc[1]); ok {
-			c.start, c.end, c.value = loc[0], loc[1], v
+		if end := spec.match(line, from); end >= 0 {
+			c.start, c.end, c.searchFrom = from, end, end
 			return
 		}
 	}

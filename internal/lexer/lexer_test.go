@@ -167,16 +167,7 @@ func TestUserTokenParseFailureFallsThrough(t *testing.T) {
 	lx := MustNew(TokenSpec{
 		Name:    "even",
 		Pattern: `[0-9]+`,
-		Parse: func(s string) (netdata.Value, error) {
-			n, err := netdata.ParseNum(s)
-			if err != nil {
-				return nil, err
-			}
-			if i, ok := n.Int64(); !ok || i%2 != 0 {
-				return nil, errOdd
-			}
-			return n, nil
-		},
+		Parse:   parseEven,
 	})
 	got := lx.Lex("vlan 250")
 	if got.Untyped != "vlan [even]" {
@@ -185,6 +176,27 @@ func TestUserTokenParseFailureFallsThrough(t *testing.T) {
 	got = lx.Lex("vlan 251")
 	if got.Untyped != "vlan [num]" {
 		t.Errorf("odd should fall back to num: %q", got.Untyped)
+	}
+}
+
+// TestLexParsesOnlySelectedSpans pins that guards and Parse run only on
+// the span the scan selects: the user token's spans 0.0 and 0.1 lie
+// inside the ip4 span chosen first, so its Parse is never called.
+func TestLexParsesOnlySelectedSpans(t *testing.T) {
+	calls := 0
+	lx := MustNew(TokenSpec{
+		Name:    "dotted",
+		Pattern: `[0-9]\.[0-9]`,
+		Parse: func(s string) (netdata.Value, error) {
+			calls++
+			return netdata.Str(s), nil
+		},
+	})
+	if got := lx.Lex("ip address 10.0.0.1"); got.Untyped != "ip address [ip4]" {
+		t.Errorf("Untyped = %q", got.Untyped)
+	}
+	if calls != 0 {
+		t.Errorf("user Parse called %d times on spans inside the chosen ip4 span, want 0", calls)
 	}
 }
 

@@ -2,9 +2,9 @@ package lexer
 
 import "strings"
 
-// matcher is a built-in token's hand-written anchored matcher: it
-// returns the end offset of the match Go's leftmost-first
-// \A(?:Pattern) finds in line[at:], or -1 when there is none.
+// matcher is a built-in token's hand-written matcher: it returns the
+// end offset of the match Go's leftmost-first \A(?:Pattern) finds in
+// line[at:], or -1 when there is none.
 //
 // Each built-in pattern is literals (0x, true|false, whose alternatives
 // differ in their first byte) and runs over one byte class (hex or
@@ -18,33 +18,48 @@ import "strings"
 // and repetition greedily in one forward pass and check the mandatory
 // parts once. The regexps in Builtin stay the specification;
 // TestBuiltinMatchersMatchRegexp compares each matcher with its
-// anchored regexp.
+// \A-prefixed regexp.
 type matcher func(line string, at int) int
 
+// builtinMatcher is a built-in token's matcher and the class of bytes
+// a match can start with; the scan probes the matcher only at bytes in
+// the class.
+type builtinMatcher struct {
+	match matcher
+	first *byteClass
+}
+
 // builtinMatchers holds the matcher of each Builtin spec, by name.
-var builtinMatchers = map[string]matcher{
-	"pfx6": matchPfx6,
-	"ip6":  matchIP6,
-	"mac":  matchMAC,
-	"pfx4": matchPfx4,
-	"ip4":  matchIP4,
-	"hex":  matchHex,
-	"bool": matchBool,
-	"num":  matchNum,
+var builtinMatchers = map[string]builtinMatcher{
+	"pfx6": {matchPfx6, ip6First},
+	"ip6":  {matchIP6, ip6First},
+	"mac":  {matchMAC, hexDigits},
+	"pfx4": {matchPfx4, decDigits},
+	"ip4":  {matchIP4, decDigits},
+	"hex":  {matchHex, classOf("0")},
+	"bool": {matchBool, classOf("tf")},
+	"num":  {matchNum, decDigits},
 }
 
 // byteClass is a membership table over byte values.
 type byteClass [256]bool
 
-var hexDigits, decDigits = func() (h, d byteClass) {
-	for b := '0'; b <= '9'; b++ {
-		h[b], d[b] = true, true
+// The matchers' byte classes. ip6First is where an ip6 or pfx6 match
+// starts: a hex digit, or the ':' of an empty first group.
+var (
+	decDigits = classOf("0123456789")
+	hexDigits = classOf("0123456789abcdefABCDEF")
+	ip6First  = classOf("0123456789abcdefABCDEF:")
+)
+
+// classOf returns the class of the given bytes.
+func classOf(bytes string) *byteClass {
+	var c byteClass
+	for i := 0; i < len(bytes); i++ {
+		c[bytes[i]] = true
 	}
-	for b := 'a'; b <= 'f'; b++ {
-		h[b], h[b-'a'+'A'] = true, true
-	}
-	return h, d
-}()
+	return &c
+}
 
 // runEnd returns the end of the run of at most max bytes of cls
 // starting at line[i].
@@ -82,21 +97,21 @@ func slashEnd(line string, i, width int) int {
 	if i < 0 || i+1 >= len(line) || line[i] != '/' || !decDigits[line[i+1]] {
 		return -1
 	}
-	return runEnd(line, i+1, width, &decDigits)
+	return runEnd(line, i+1, width, decDigits)
 }
 
 // matchIP6 matches [0-9a-fA-F]{0,4}(?::[0-9a-fA-F]{0,4}){1,8}(?:\.[0-9]{1,3}){0,3}.
 func matchIP6(line string, at int) int {
-	i := runEnd(line, at, 4, &hexDigits)
+	i := runEnd(line, at, 4, hexDigits)
 	groups := 0
 	for ; groups < 8 && i < len(line) && line[i] == ':'; groups++ {
-		i = runEnd(line, i+1, 4, &hexDigits)
+		i = runEnd(line, i+1, 4, hexDigits)
 	}
 	if groups == 0 {
 		return -1
 	}
 	for dots := 0; dots < 3 && i+1 < len(line) && line[i] == '.' && decDigits[line[i+1]]; dots++ {
-		i = runEnd(line, i+1, 3, &decDigits)
+		i = runEnd(line, i+1, 3, decDigits)
 	}
 	return i
 }
@@ -105,10 +120,10 @@ func matchIP6(line string, at int) int {
 func matchPfx6(line string, at int) int { return slashEnd(line, matchIP6(line, at), 3) }
 
 // matchMAC matches [0-9a-fA-F]{1,2}(?::[0-9a-fA-F]{1,2}){5}.
-func matchMAC(line string, at int) int { return groupsEnd(line, at, 6, ':', 2, &hexDigits) }
+func matchMAC(line string, at int) int { return groupsEnd(line, at, 6, ':', 2, hexDigits) }
 
 // matchIP4 matches [0-9]{1,3}(?:\.[0-9]{1,3}){3}.
-func matchIP4(line string, at int) int { return groupsEnd(line, at, 4, '.', 3, &decDigits) }
+func matchIP4(line string, at int) int { return groupsEnd(line, at, 4, '.', 3, decDigits) }
 
 // matchPfx4 matches the ip4 pattern followed by /[0-9]{1,2}.
 func matchPfx4(line string, at int) int { return slashEnd(line, matchIP4(line, at), 2) }
@@ -118,7 +133,7 @@ func matchHex(line string, at int) int {
 	if at+2 >= len(line) || line[at] != '0' || (line[at+1] != 'x' && line[at+1] != 'X') {
 		return -1
 	}
-	if i := runEnd(line, at+2, len(line), &hexDigits); i > at+2 {
+	if i := runEnd(line, at+2, len(line), hexDigits); i > at+2 {
 		return i
 	}
 	return -1
@@ -137,7 +152,7 @@ func matchBool(line string, at int) int {
 
 // matchNum matches [0-9]+.
 func matchNum(line string, at int) int {
-	if i := runEnd(line, at, len(line), &decDigits); i > at {
+	if i := runEnd(line, at, len(line), decDigits); i > at {
 		return i
 	}
 	return -1

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// oracle pairs a built-in matcher with its spec's regexp, anchored the
-// way the scan probes a user spec.
+// oracle pairs a built-in matcher and first-byte class with its spec's
+// regexp, prefixed with \A so it matches only at the probed offset.
 type oracle struct {
 	name  string
 	match matcher
+	first *byteClass
 	re    *regexp.Regexp
 }
 
@@ -18,11 +19,11 @@ func builtinOracles(t *testing.T) []oracle {
 	t.Helper()
 	var out []oracle
 	for _, spec := range Builtin() {
-		m := builtinMatchers[spec.Name]
-		if m == nil {
+		m, ok := builtinMatchers[spec.Name]
+		if !ok {
 			t.Fatalf("built-in %s has no matcher", spec.Name)
 		}
-		out = append(out, oracle{spec.Name, m, regexp.MustCompile(`\A(?:` + spec.Pattern + `)`)})
+		out = append(out, oracle{spec.Name, m.match, m.first, regexp.MustCompile(`\A(?:` + spec.Pattern + `)`)})
 	}
 	if len(builtinMatchers) != len(out) {
 		t.Fatalf("%d matchers for %d built-ins", len(builtinMatchers), len(out))
@@ -46,7 +47,7 @@ func (o oracle) compareAt(t *testing.T, s string, at int) {
 // string up to length 6 over an alphabet that reaches each pattern's
 // separators, classes and literals, and on seeded random strings up to
 // length 40, each matcher must return exactly the end offset of Go's
-// leftmost-first anchored match of its Builtin pattern. Every suffix of
+// leftmost-first \A-prefixed match of its Builtin pattern. Every suffix of
 // an enumerated string is itself enumerated, so probing offset 0 covers
 // every offset; random strings are probed at a random offset or at 0.
 //
@@ -119,24 +120,56 @@ func TestBuiltinMatchersMatchRegexp(t *testing.T) {
 	}
 }
 
+// TestBuiltinFirstBytes shows that the scan's first-byte skip loses no
+// match: no string whose first byte is outside a built-in's first-byte
+// class is matched by its \A-prefixed Builtin regexp. It covers every
+// string up to length 5 over TestBuiltinMatchersMatchRegexp's alphabet,
+// and every byte value followed by each string up to length 2 over it.
+func TestBuiltinFirstBytes(t *testing.T) {
+	oracles := builtinOracles(t)
+	const exhaustive = "09aF:./xt"
+	check := func(s string) {
+		for _, o := range oracles {
+			if !o.first[s[0]] && o.re.MatchString(s) {
+				t.Fatalf("%s matches %q, whose first byte is outside its first-byte class", o.name, s)
+			}
+		}
+	}
+	var enumerate func(prefix string, depth int, visit func(string))
+	enumerate = func(prefix string, depth int, visit func(string)) {
+		visit(prefix)
+		if depth == 0 {
+			return
+		}
+		for i := 0; i < len(exhaustive); i++ {
+			enumerate(prefix+exhaustive[i:i+1], depth-1, visit)
+		}
+	}
+	for i := 0; i < len(exhaustive); i++ {
+		enumerate(exhaustive[i:i+1], 4, check)
+	}
+	for b := 0; b < 256; b++ {
+		enumerate(string([]byte{byte(b)}), 2, check)
+	}
+}
+
 // TestBuiltinSpecsUseMatchers pins how New compiles specs: the built-in
-// tail it appends is probed by matchers behind a usable first-byte
-// prefilter and compiles no anchored regexp, while user specs, a copy
-// of a Builtin spec included, keep their regexp probe.
+// tail it appends carries each built-in's matcher and first-byte
+// class, while user specs, a copy of a Builtin spec included, carry
+// neither and scan with their regexp.
 func TestBuiltinSpecsUseMatchers(t *testing.T) {
 	user := Builtin()[0]
 	user.Name = "v6net"
 	lx := MustNew(user)
 	for i, cs := range lx.specs {
 		if i == 0 {
-			if cs.match != nil || cs.anchored == nil {
-				t.Errorf("user spec %s: match set %v, anchored regexp %v", cs.Name, cs.match != nil, cs.anchored != nil)
+			if cs.match != nil || cs.first != nil {
+				t.Errorf("user spec %s: match set %v, first-byte class set %v", cs.Name, cs.match != nil, cs.first != nil)
 			}
 			continue
 		}
-		if cs.match == nil || cs.anchored != nil || !cs.pf.usable || !cs.pf.sliceSafe {
-			t.Errorf("built-in %s: match set %v, anchored regexp %v, prefilter usable %v slice-safe %v",
-				cs.Name, cs.match != nil, cs.anchored != nil, cs.pf.usable, cs.pf.sliceSafe)
+		if cs.match == nil || cs.first == nil {
+			t.Errorf("built-in %s: match set %v, first-byte class set %v", cs.Name, cs.match != nil, cs.first != nil)
 		}
 	}
 	line := "route 2001:db8::/32 via fe80::1"

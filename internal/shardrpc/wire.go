@@ -24,6 +24,7 @@
 package shardrpc
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -136,11 +137,22 @@ type Result struct {
 	Diags    []diag.Diagnostic
 }
 
+// blobSize bounds b's encoded size. Job and Task payloads carry whole
+// corpora, so their encoders size the buffer once instead of growing
+// it through a series of discarded copies.
+func blobSize(b NamedBlob) int {
+	return 2*binary.MaxVarintLen64 + len(b.Name) + len(b.Text)
+}
+
 // --- Job ---
 
 // EncodeJob serializes a Job payload (frame not included).
 func EncodeJob(j *Job) []byte {
-	w := &artifact.Writer{}
+	n := 3*binary.MaxVarintLen64 + len(j.Options) + len(j.CacheDir) + len(j.SetJSON)
+	for _, m := range j.Meta {
+		n += blobSize(m)
+	}
+	w := &artifact.Writer{Buf: make([]byte, 0, n)}
 	w.Bytes(j.Options)
 	w.Str(j.CacheDir)
 	w.Bytes(j.SetJSON)
@@ -187,7 +199,11 @@ func ReadJob(r io.Reader) (*Job, error) {
 
 // EncodeTask serializes a Task payload (frame not included).
 func EncodeTask(t *Task) []byte {
-	w := &artifact.Writer{}
+	n := 3 * binary.MaxVarintLen64
+	for _, s := range t.Sources {
+		n += blobSize(s)
+	}
+	w := &artifact.Writer{Buf: make([]byte, 0, n)}
 	w.Uvarint(uint64(t.Shard))
 	w.Uvarint(uint64(t.Attempt))
 	w.Uvarint(uint64(len(t.Sources)))

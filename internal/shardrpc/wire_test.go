@@ -224,3 +224,22 @@ func TestReadFrameDefects(t *testing.T) {
 		t.Errorf("empty stream = %v, want io.EOF", err)
 	}
 }
+
+// TestEncodeAllocatesOnce pins that the Job and Task encoders size
+// their buffer up front: a payload carrying a whole corpus is one
+// allocation, not a series of grown and discarded copies.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	task := &Task{Shard: 1}
+	job := testJob()
+	for i := 0; i < 200; i++ {
+		blob := NamedBlob{Name: strings.Repeat("n", i), Text: bytes.Repeat([]byte("interface et-0/0/1\n"), i)}
+		task.Sources = append(task.Sources, blob)
+		job.Meta = append(job.Meta, blob)
+	}
+	if n := testing.AllocsPerRun(10, func() { EncodeTask(task) }); n != 1 {
+		t.Errorf("EncodeTask made %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { EncodeJob(job) }); n != 1 {
+		t.Errorf("EncodeJob made %v allocations, want 1", n)
+	}
+}
