@@ -25,6 +25,7 @@ import (
 	"concord/internal/minimize"
 	"concord/internal/mining"
 	"concord/internal/synth"
+	"concord/internal/telemetry"
 )
 
 // benchScale reads the dataset scale for benchmarks.
@@ -176,10 +177,18 @@ func benchCorpus(b *testing.B, roleName string) ([]core.Source, []core.Source) {
 	return srcs, meta
 }
 
+// benchmarkLearn times Engine.Learn and reports, per op, the relational
+// candidates left after the fold's dead-candidate prune
+// (mine.relation.candidates), which depends on how the workers split
+// the corpus when GOMAXPROCS > 1.
 func benchmarkLearn(b *testing.B, roleName string) {
 	srcs, meta := benchCorpus(b, roleName)
-	eng := core.MustNew(core.DefaultOptions())
+	opts := core.DefaultOptions()
+	opts.Telemetry = telemetry.NewRecorder()
+	opts.Telemetry.SetSpanLimit(1) // only a counter is read; keep spans from piling up over b.N runs
+	eng := core.MustNew(opts)
 	lines := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lr, err := eng.Learn(srcs, meta)
@@ -189,6 +198,7 @@ func benchmarkLearn(b *testing.B, roleName string) {
 		lines = lr.Stats.Lines
 	}
 	b.ReportMetric(float64(lines), "lines")
+	b.ReportMetric(float64(opts.Telemetry.Counter("mine.relation.candidates"))/float64(b.N), "candidates")
 }
 
 func BenchmarkLearn_EdgeIndent(b *testing.B) { benchmarkLearn(b, "E2") }

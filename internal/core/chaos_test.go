@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"concord/internal/contracts"
 	"concord/internal/diag"
 	"concord/internal/faultinject"
 )
@@ -177,6 +179,59 @@ func TestChaosMiningFaultContained(t *testing.T) {
 			t.Errorf("parallelism %d: mine diagnostics = %+v, want one for r04.cfg",
 				parallelism, mineDiags)
 		}
+	}
+}
+
+// TestChaosMiningStatsFaultContained injects a panic into one
+// configuration's statistics fold. That configuration's relational scan
+// is dropped with it, so no relational candidate holds in more
+// configurations than its pattern was counted in: every learned
+// relational confidence stays at most 1 (before this rule, five read
+// 20/19), and the learned set is the same at any parallelism.
+func TestChaosMiningStatsFaultContained(t *testing.T) {
+	defer faultinject.Reset()
+	injected := errors.New("injected mining stats fault")
+	faultinject.Set("mining.stats.config", faultinject.PanicOn(injected, "r04.cfg"))
+
+	var sets []string
+	for _, parallelism := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Parallelism = parallelism
+		lr, err := MustNew(opts).Learn(chaosSources(20), nil)
+		if err != nil {
+			t.Fatalf("parallelism %d: Learn = %v", parallelism, err)
+		}
+		var mineDiags []diag.Diagnostic
+		for _, d := range lr.Diagnostics {
+			if d.Stage == "mine" {
+				mineDiags = append(mineDiags, d)
+			}
+		}
+		if len(mineDiags) != 1 || mineDiags[0].Source != "r04.cfg" {
+			t.Errorf("parallelism %d: mine diagnostics = %+v, want one for r04.cfg", parallelism, mineDiags)
+		}
+		relational := 0
+		for _, c := range lr.Set.Contracts {
+			r, ok := c.(*contracts.Relational)
+			if !ok {
+				continue
+			}
+			relational++
+			if r.Evidence.Confidence > 1 {
+				t.Errorf("parallelism %d: %s has confidence %v (support %d)", parallelism, r.ID(), r.Evidence.Confidence, r.Evidence.Support)
+			}
+		}
+		if relational == 0 {
+			t.Fatalf("parallelism %d: no relational contract learned; the corpus does not exercise the rule", parallelism)
+		}
+		b, err := json.Marshal(lr.Set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, string(b))
+	}
+	if sets[0] != sets[1] {
+		t.Errorf("learned sets differ between parallelism 1 and 4:\n%s\n%s", sets[0], sets[1])
 	}
 }
 

@@ -99,7 +99,7 @@ func (e *Engine) learnStream(ctx context.Context, dc *diag.Collector, cr *corpus
 	tally, err := e.streamSources(ctx, dc, cr, sources, workers, procProg, mineProg,
 		func(w, _ int, cfg *lexer.Config, _ sourceArt) error {
 			if accs[w] == nil {
-				accs[w] = m.NewStatsAccumulator(cr.interns)
+				accs[w] = m.NewStatsAccumulator(cr.interns, len(sources))
 			}
 			return accs[w].Fold(cfg)
 		})
@@ -128,7 +128,7 @@ func (e *Engine) mergeAccumulators(m *mining.Miner, interns *intern.Table, accs 
 		}
 	}
 	if acc == nil {
-		acc = m.NewStatsAccumulator(interns)
+		acc = m.NewStatsAccumulator(interns, 0)
 	}
 	e.opts.Telemetry.Add("mine.merge_ns", time.Since(start).Nanoseconds())
 	return acc

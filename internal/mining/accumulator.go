@@ -20,8 +20,29 @@ package mining
 // about a display by not having seen the pattern at all. The learned
 // set is therefore byte-identical at any split of the corpus and any
 // merge association — the property test in accumulator_test.go pins this.
+//
+// Dead-candidate prune. The laws above hold for the candidates that
+// can still be accepted; the rest are dropped during the fold. A
+// candidate's confidence is hold/supp(p1), where supp(p1) is at most N,
+// the corpus's configuration count the accumulator is built with. Its
+// misses in one accumulator (configCount(p1) - holdConfigs) are a lower
+// bound on its misses in any merge, so once (N-m)/N < C it fails
+// confidence in every merge and its state is deleted (see dead). The
+// prune is exact: the rounded division is monotone, so the rounded
+// bound is never below the rounded confidence; a dead candidate has no
+// score evidence left to lose, since it is never accepted; an accepted
+// candidate was never dead in any accumulator, so its evidence is
+// complete; and echo suppression only consults an identity form that
+// reaches confidence, which a dead one cannot. The bound needs every
+// hold to be counted in configCount, so a configuration whose
+// statistics fold was dropped by containment skips its relational scan
+// too. Which candidates die depends on the split, so the size of a
+// merged table (mine.relation.candidates) does, but the learned set
+// does not.
 
 import (
+	"math"
+
 	"concord/internal/contracts"
 	"concord/internal/faultinject"
 	"concord/internal/intern"
@@ -38,19 +59,63 @@ type StatsAccumulator struct {
 	tab   *intern.Table
 	sti   *statsI
 	candI map[candKeyI]*candState
+	// missBudget is the most misses a candidate can have and still
+	// reach the miner's confidence in a corpus of the run's size.
+	missBudget int
 
 	scratch *scanScratch
 }
 
 // NewStatsAccumulator returns an empty accumulator over tab, the
 // run-wide intern table every folded configuration must carry; tab
-// must be non-nil.
-func (m *Miner) NewStatsAccumulator(tab *intern.Table) *StatsAccumulator {
+// must be non-nil. n is the number of configurations in the run (all
+// accumulators merged together fold at most n); it bounds every
+// pattern's support, which lets the fold drop candidates that can no
+// longer reach confidence. n <= 0 disables that prune.
+func (m *Miner) NewStatsAccumulator(tab *intern.Table, n int) *StatsAccumulator {
 	return &StatsAccumulator{
-		m:     m,
-		tab:   tab,
-		sti:   newStatsI(0, tab),
-		candI: make(map[candKeyI]*candState),
+		m:          m,
+		tab:        tab,
+		sti:        newStatsI(0, tab),
+		candI:      make(map[candKeyI]*candState),
+		missBudget: missBudget(n, m.opts.Confidence),
+	}
+}
+
+// missBudget returns the largest m in [0, n] with (n-m)/n >= c,
+// computed with the division acceptRelational uses, or -1 when even a
+// candidate with no misses falls short of c; n <= 0 allows any number.
+func missBudget(n int, c float64) int {
+	if n <= 0 {
+		return math.MaxInt
+	}
+	m := 0
+	for m <= n && float64(n-m)/float64(n) >= c {
+		m++
+	}
+	return m - 1
+}
+
+// dead reports whether a candidate with the given misses can never
+// reach confidence, whatever the other accumulators hold.
+func (a *StatsAccumulator) dead(misses int) bool { return misses > a.missBudget }
+
+// configCount returns the number of folded configurations containing
+// the pattern.
+func (a *StatsAccumulator) configCount(pid int32) int {
+	if ps := a.sti.patterns[pid]; ps != nil {
+		return ps.configCount
+	}
+	return 0
+}
+
+// sweep deletes every dead candidate, including those whose misses grew
+// in configurations where they were not seen.
+func (a *StatsAccumulator) sweep() {
+	for k, cs := range a.candI {
+		if a.dead(a.configCount(k.p1) - cs.holdConfigs) {
+			delete(a.candI, k)
+		}
 	}
 }
 
@@ -66,11 +131,9 @@ func (a *StatsAccumulator) Candidates() int { return len(a.candI) }
 func (a *StatsAccumulator) Fold(cfg *lexer.Config) error {
 	m := a.m
 	a.sti.nConfigs++
-	if err := m.statsOneConfig(cfg, a.sti); err != nil {
+	counted, err := m.statsOneConfig(cfg, a.sti)
+	if err != nil || !counted || !m.opts.enabled(contracts.CatRelation) {
 		return err
-	}
-	if !m.opts.enabled(contracts.CatRelation) {
-		return nil
 	}
 	return m.contain(cfg.Name, func() {
 		faultinject.At("mining.relational.config", cfg.Name)
@@ -78,12 +141,13 @@ func (a *StatsAccumulator) Fold(cfg *lexer.Config) error {
 			a.scratch = newScanScratch(len(m.transforms))
 		}
 		m.scanRelationalConfig(cfg, a.tab, a.scratch)
-		m.foldScan(a.scratch, a.candI)
+		a.foldScan()
 	})
 }
 
 // Merge folds b into a. Both accumulators must share one intern table
-// and be built by miners with the same registries. Merge steals b's
+// and be built by miners with the same registries and run size. Merge
+// first sweeps both sides' dead candidates, then steals b's
 // sub-structures; b must not be used afterwards. When merging workers in
 // index order a sees lower-index evidence first, reproducing corpus
 // order for the first-wins display fields — though the merge laws above
@@ -92,6 +156,8 @@ func (a *StatsAccumulator) Merge(b *StatsAccumulator) {
 	if a.tab != b.tab {
 		panic("mining: merging accumulators over different intern tables")
 	}
+	a.sweep()
+	b.sweep()
 	mergeStats(a.sti, b.sti)
 	mergeCands(a.candI, b.candI)
 }
@@ -183,6 +249,6 @@ func mergeCands(dst, src map[candKeyI]*candState) {
 			continue
 		}
 		g.holdConfigs += cs.holdConfigs
-		g.agg.Merge(cs.agg)
+		g.agg.Merge(&cs.agg)
 	}
 }

@@ -29,11 +29,12 @@ func (m *Miner) MineRelationalBruteForce(ctx context.Context, cfgs []*lexer.Conf
 		return nil, err
 	}
 	sti := newStatsI(len(cfgs), tab)
-	for _, cfg := range cfgs {
+	counted := make([]bool, len(cfgs))
+	for ci, cfg := range cfgs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := m.statsOneConfig(cfg, sti); err != nil {
+		if counted[ci], err = m.statsOneConfig(cfg, sti); err != nil {
 			return nil, err
 		}
 	}
@@ -41,7 +42,10 @@ func (m *Miner) MineRelationalBruteForce(ctx context.Context, cfgs []*lexer.Conf
 	rels := []relations.Rel{relations.Equals, relations.Contains, relations.StartsWith, relations.EndsWith}
 
 	global := make(map[candKey]*candState)
-	for _, cfg := range cfgs {
+	for ci, cfg := range cfgs {
+		if !counted[ci] {
+			continue // the statistics fold dropped this configuration
+		}
 		// Materialize every (pattern, param, transform) source with its
 		// values and line indexes.
 		type source struct {
@@ -114,7 +118,7 @@ func (m *Miner) MineRelationalBruteForce(ctx context.Context, cfgs []*lexer.Conf
 					k := candKey{p1: s1.p, i1: s1.i, t1: s1.t, rel: rel, p2: s2.p, i2: s2.i, t2: s2.t}
 					cs := global[k]
 					if cs == nil {
-						cs = &candState{display1: displays[k.p1], display2: displays[k.p2], agg: score.NewAggregator()}
+						cs = &candState{display1: displays[k.p1], display2: displays[k.p2]}
 						global[k] = cs
 					}
 					cs.holdConfigs++
@@ -155,9 +159,6 @@ func (m *Miner) finishBrute(global map[candKey]*candState, st *stats, tab *inter
 	}
 	interned := make(map[candKeyI]*candState, len(global))
 	for k, cs := range global {
-		if st.patterns[k.p1] == nil {
-			continue // the pattern's config was dropped by stats containment
-		}
 		interned[candKeyI{
 			p1: tab.ID(k.p1), i1: int32(k.i1), t1: transforms[k.t1],
 			rel: rels[k.rel],

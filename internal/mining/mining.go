@@ -189,9 +189,11 @@ func corpusTable(cfgs []*lexer.Config) (*intern.Table, error) {
 
 // MineAccumulated produces the learned set from a (merged) accumulator:
 // the category miners and relational acceptance filters over evidence
-// collected by Fold. The output is byte-identical to MineContext over
-// the concatenation of every folded configuration.
+// collected by Fold, after a last sweep of its dead candidates. The
+// output is byte-identical to MineContext over the concatenation of
+// every folded configuration.
 func (m *Miner) MineAccumulated(ctx context.Context, acc *StatsAccumulator) (*contracts.Set, error) {
+	acc.sweep()
 	st := acc.sti.finalize()
 	rec := m.opts.Telemetry
 	set := &contracts.Set{}

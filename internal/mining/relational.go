@@ -46,7 +46,7 @@ type candKeyI struct {
 type candState struct {
 	display1, display2 string
 	holdConfigs        int
-	agg                *score.Aggregator
+	agg                score.Aggregator
 }
 
 // acceptRelational filters a complete candidate table by support,
@@ -76,7 +76,8 @@ func (m *Miner) acceptRelational(global map[candKeyI]*candState, st *stats, tab 
 		if conf < m.opts.Confidence {
 			continue
 		}
-		if cs.agg.Total() < m.opts.ScoreThreshold {
+		total := cs.agg.Total()
+		if total < m.opts.ScoreThreshold {
 			continue
 		}
 		// Transform echo suppression: if two parameters are equal under
@@ -105,7 +106,7 @@ func (m *Miner) acceptRelational(global map[candKeyI]*candState, st *stats, tab 
 			Evidence: contracts.Stats{
 				Support:    supp,
 				Confidence: conf,
-				Score:      cs.agg.Total(),
+				Score:      total,
 			},
 		})
 	}
@@ -125,7 +126,7 @@ func (m *Miner) relationalPass(ctx context.Context, cfgs []*lexer.Config, tab *i
 	workers := max(min(m.opts.Parallelism, len(cfgs)), 1)
 	accs := make([]*StatsAccumulator, workers)
 	for w := range accs {
-		accs[w] = m.NewStatsAccumulator(tab)
+		accs[w] = m.NewStatsAccumulator(tab, len(cfgs))
 	}
 	var done atomic.Int64
 	fold := func(acc *StatsAccumulator, cfg *lexer.Config) error {
@@ -290,8 +291,11 @@ type scanScratch struct {
 	density     []float64
 	locals      []candTracker
 	insts       []instNode
-	indexed     map[uint64]struct{}
-	localIdx    map[uint64]int32
+	// configCounts is foldScan's local pattern id -> configuration
+	// count in the folding accumulator.
+	configCounts []int
+	indexed      map[uint64]struct{}
+	localIdx     map[uint64]int32
 }
 
 func newScanScratch(nT int) *scanScratch {
@@ -340,10 +344,20 @@ func (ss *scanScratch) reset(nLines int) {
 	clear(ss.localIdx)
 }
 
-// foldScan folds one configuration's scan into the global
+// foldScan folds one configuration's scan into the accumulator's
 // candidate table: a candidate holds here iff every forall instance
-// found a witness.
-func (m *Miner) foldScan(ss *scanScratch, global map[candKeyI]*candState) {
+// found a witness. A candidate that holds but is dead (see
+// StatsAccumulator.dead) is skipped, or deleted if the table has it; a
+// deleted candidate seen again counts its earlier holds as zero, which
+// overstates its misses, so it stays dead.
+func (a *StatsAccumulator) foldScan() {
+	ss := a.scratch
+	// The configuration counts of this configuration's patterns, in the
+	// accumulator's statistics, which already include this configuration.
+	ss.configCounts = ss.configCounts[:0]
+	for _, gid := range ss.gids {
+		ss.configCounts = append(ss.configCounts, a.configCount(gid))
+	}
 	for i := range ss.locals {
 		c := &ss.locals[i]
 		if c.satisfied != ss.occurrences[c.lhs] {
@@ -356,16 +370,25 @@ func (m *Miner) foldScan(ss *scanScratch, global map[candKeyI]*candState) {
 			rel: c.rel,
 			p2:  ss.gids[ws.patternID], i2: ws.paramIdx, t2: ws.transform,
 		}
-		cs := global[k]
+		cs := a.candI[k]
+		hold := 1
+		if cs != nil {
+			hold += cs.holdConfigs
+		}
+		if a.dead(ss.configCounts[ls.patternID] - hold) {
+			if cs != nil {
+				delete(a.candI, k)
+			}
+			continue
+		}
 		if cs == nil {
 			cs = &candState{
 				display1: ss.displays[ls.patternID],
 				display2: ss.displays[ws.patternID],
-				agg:      score.NewAggregator(),
 			}
-			global[k] = cs
+			a.candI[k] = cs
 		}
-		cs.holdConfigs++
+		cs.holdConfigs = hold
 		for ni := c.instHead; ni >= 0; ni = ss.insts[ni].next {
 			n := &ss.insts[ni]
 			cs.agg.AddInstance(ss.wvKeys[n.vid], n.s)

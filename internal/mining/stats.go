@@ -59,12 +59,17 @@ func (st *statsI) pid(line *lexer.Line) int32 {
 	return st.tab.ID(line.Pattern)
 }
 
-// statsOneConfig folds one configuration into the statistics.
-// Containment is best-effort: the fault-injection point fires before
-// any mutation, but a genuine mid-fold panic can leave this
-// configuration partially counted (the diagnostic says which).
-func (m *Miner) statsOneConfig(cfg *lexer.Config, st *statsI) error {
-	return m.contain(cfg.Name, func() {
+// statsOneConfig folds one configuration into the statistics and
+// reports whether the fold completed; it did not when a panic was
+// contained, and the caller then drops the configuration's relational
+// evidence too, so no candidate holds in more configurations than its
+// pattern was counted in. Containment is best-effort: the
+// fault-injection point fires before any mutation, but a genuine
+// mid-fold panic can leave this configuration partially counted (the
+// diagnostic says which).
+func (m *Miner) statsOneConfig(cfg *lexer.Config, st *statsI) (bool, error) {
+	counted := false
+	err := m.contain(cfg.Name, func() {
 		faultinject.At("mining.stats.config", cfg.Name)
 		seenPatterns := make(map[int32]bool)
 		seenConstants := make(map[string]bool)
@@ -178,7 +183,9 @@ func (m *Miner) statsOneConfig(cfg *lexer.Config, st *statsI) error {
 				}
 			}
 		}
+		counted = true
 	})
+	return counted, err
 }
 
 // finalize converts the interned aggregates to the string-keyed stats

@@ -8,7 +8,9 @@ package score
 
 import (
 	"math/big"
+	"slices"
 	"sort"
+	"strings"
 
 	"concord/internal/netdata"
 )
@@ -94,13 +96,28 @@ func numScore(i *big.Int) float64 {
 // four contributions while one repeating 5 accumulates a single one.
 // Totals are summed in sorted key order so results are deterministic
 // regardless of insertion order.
+//
+// The zero value is an empty aggregator. Most candidates see one or a
+// few distinct values, so entries live in a small slice kept sorted by
+// key; past inlineMax entries they move to a map whose sorted key order
+// is cached for Total. Not safe for concurrent use, Total included.
 type Aggregator struct {
-	scores map[string]float64
+	small []entry  // every entry, sorted by key, while big is nil
+	big   *spilled // every entry once there are more than inlineMax
 }
 
-// NewAggregator returns an empty aggregator.
-func NewAggregator() *Aggregator {
-	return &Aggregator{scores: make(map[string]float64)}
+// inlineMax is the most entries an Aggregator keeps in its sorted
+// slice; an insert there shifts up to this many entries.
+const inlineMax = 32
+
+type entry struct {
+	key string
+	s   float64
+}
+
+type spilled struct {
+	scores map[string]float64
+	keys   []string // scores' keys in sorted order; nil once a key is added
 }
 
 // Add records one relation instance whose left-hand side value is v.
@@ -116,35 +133,75 @@ func (a *Aggregator) Add(v netdata.Value) {
 // pure function of the instance multiset, independent of the order
 // configurations are folded or how they are split across shards.
 func (a *Aggregator) AddInstance(key string, s float64) {
-	if cur, ok := a.scores[key]; ok && cur >= s {
+	if b := a.big; b != nil {
+		cur, ok := b.scores[key]
+		if !ok {
+			b.keys = nil
+		} else if cur >= s {
+			return
+		}
+		b.scores[key] = s
 		return
 	}
-	a.scores[key] = s
+	i, found := slices.BinarySearchFunc(a.small, key, func(e entry, k string) int { return strings.Compare(e.key, k) })
+	switch {
+	case found:
+		if s > a.small[i].s {
+			a.small[i].s = s
+		}
+	case len(a.small) < inlineMax:
+		a.small = slices.Insert(a.small, i, entry{key, s})
+	default:
+		scores := make(map[string]float64, 2*inlineMax)
+		for _, e := range a.small {
+			scores[e.key] = e.s
+		}
+		scores[key] = s
+		a.small, a.big = nil, &spilled{scores: scores}
+	}
 }
 
-// Total returns the cumulative diversity-weighted score.
+// Total returns the cumulative diversity-weighted score, summed in
+// byte-wise key order.
 func (a *Aggregator) Total() float64 {
-	keys := make([]string, 0, len(a.scores))
-	for k := range a.scores {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	total := 0.0
-	for _, k := range keys {
-		total += a.scores[k]
+	if b := a.big; b != nil {
+		if b.keys == nil {
+			b.keys = make([]string, 0, len(b.scores))
+			for k := range b.scores {
+				b.keys = append(b.keys, k)
+			}
+			sort.Strings(b.keys)
+		}
+		for _, k := range b.keys {
+			total += b.scores[k]
+		}
+		return total
+	}
+	for _, e := range a.small {
+		total += e.s
 	}
 	return total
 }
 
 // Distinct returns the number of distinct values scored.
-func (a *Aggregator) Distinct() int { return len(a.scores) }
+func (a *Aggregator) Distinct() int {
+	if a.big != nil {
+		return len(a.big.scores)
+	}
+	return len(a.small)
+}
 
 // Merge folds another aggregator's instances into a. Keys present in
 // both keep the larger score so merging is commutative.
 func (a *Aggregator) Merge(b *Aggregator) {
-	for k, s := range b.scores {
-		if cur, ok := a.scores[k]; !ok || s > cur {
-			a.scores[k] = s
+	if b.big != nil {
+		for k, s := range b.big.scores {
+			a.AddInstance(k, s)
 		}
+		return
+	}
+	for _, e := range b.small {
+		a.AddInstance(e.key, e.s)
 	}
 }
