@@ -109,16 +109,20 @@ vuln:
 # bench runs the Go benchmarks in bench_test.go: one per table and
 # figure of the paper's evaluation, plus per-role learn and check,
 # lexer, brute-force and Apriori miner, and minimization
-# micro-benchmarks; and the lexer's layer benchmarks in internal/lexer
+# micro-benchmarks; the lexer's layer benchmarks in internal/lexer
 # (BenchmarkLex: uncached Lex over the W4 and E2 lines, ns/line and
 # allocs/line; BenchmarkLexUserTokens: the same over the W4, E2 and W2
-# lines with a selective or an unselective user token, ns/line). GOMAXPROCS is pinned and each runs one iteration,
-# so numbers are comparable across runs on one machine. The end-to-end
-# benchmark is perfbench (see perfbench/README.md and BENCHMARK.json).
+# lines with a selective or an unselective user token, ns/line); and the
+# checker's layer benchmark in internal/contracts (BenchmarkCheckConfig:
+# the one pass per configuration over engine-processed E2 and W4
+# configurations, ns/config and allocs/config). GOMAXPROCS is pinned and
+# each runs one iteration, so numbers are comparable across runs on one
+# machine. The end-to-end benchmark is perfbench (see perfbench/README.md
+# and BENCHMARK.json).
 BENCH_GOMAXPROCS ?= 4
 
 bench:
-	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -bench=. -benchtime=1x -count=1 -run=^$$ . ./internal/lexer
+	GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -bench=. -benchtime=1x -count=1 -run=^$$ . ./internal/lexer ./internal/contracts
 
 # perfbench-smoke is the ci gate on the repo benchmark: one short run of
 # each perfbench workload at the pinned seed. A run exits non-zero when

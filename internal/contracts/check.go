@@ -54,8 +54,8 @@ type Checker struct {
 	rec        *telemetry.Recorder
 	dc         *diag.Collector
 	strict     bool
-	// linear selects the pre-compilation reference strategy
-	// (checkLinear and the linear branches of coverage and equals
+	// linear selects the pre-compilation reference strategy (evalView's
+	// set-order walk, the per-line type scan and pairwise equals
 	// matching). Only tests set it, to diff the compiled path against.
 	linear  bool
 	interns *intern.Table
@@ -373,13 +373,15 @@ type ConfigCheck struct {
 }
 
 // CheckConfig is the engine's one pass over a configuration: one view
-// (pattern index, decoded numeric and witness columns) serves the
-// check, the coverage and the Unique site extraction. Every contract
-// keeps its own containment and fault-injection site, so the result and
-// its diagnostics equal those of the three separate calls.
+// (pattern index, decoded numeric and witness columns) and one
+// evaluation per contract serve both the check and the coverage, and
+// the same view serves the Unique site extraction. The result equals
+// that of separate Check, Coverage and UniqueContributions calls; a
+// contract that panics is skipped in both halves with one diagnostic.
 func (ch *Checker) CheckConfig(cfg *lexer.Config) ConfigCheck {
 	v := ch.newView(cfg)
-	r := ConfigCheck{Violations: ch.checkView(v), Coverage: ch.coverView(v), Unique: ch.uniqueSites(v)}
+	vs, cov := ch.evalView(v, true, true)
+	r := ConfigCheck{Violations: vs, Coverage: cov, Unique: ch.uniqueSites(v)}
 	ch.flushCache(v)
 	return r
 }
@@ -395,113 +397,163 @@ func (ch *Checker) CheckConfig(cfg *lexer.Config) ConfigCheck {
 // (present, unique existence) are always evaluated, while ordering,
 // sequence, relational, and type contract groups whose anchor pattern
 // the view's index proves absent are skipped wholesale (they are
-// vacuously satisfied). The linear reference strategy (checkLinear)
-// produces identical violations.
+// vacuously satisfied). The linear reference strategy produces
+// identical violations.
 func (ch *Checker) Check(cfg *lexer.Config) []Violation {
 	v := ch.newView(cfg)
-	out := ch.checkView(v)
+	out, _ := ch.evalView(v, true, false)
 	ch.flushCache(v)
 	return out
 }
 
-// checkView is Check's body over an already built view.
-func (ch *Checker) checkView(v *view) []Violation {
-	var out []Violation
-	if ch.linear {
-		out = ch.checkLinear(v)
-	} else {
-		out = ch.checkCompiled(v)
-	}
-	SortViolations(out)
-	ch.rec.Add("check.violations", int64(len(out)))
-	return out
+// sink receives one evaluation's output: violations when check is set,
+// covered lines when cov is non-nil. marks buffers the covered lines of
+// the contract being evaluated, so a contract that panics leaves
+// nothing behind in either half.
+type sink struct {
+	v     *view
+	check bool
+	out   []Violation
+	cov   *CoverageResult
+	marks []int
 }
 
-// checkLinear is the pre-compilation strategy: every contract of the
-// set is evaluated in set order. Kept as the reference the tests diff
-// the compiled path against.
-func (ch *Checker) checkLinear(v *view) []Violation {
-	var out []Violation
-	for _, c := range ch.set.Contracts {
-		c := c
-		ch.contained(c, v.cfg.Name, func() {
-			if faultinject.Armed() {
-				faultinject.At("contracts.check.contract", c.ID())
-			}
-			switch c := c.(type) {
-			case *Present:
-				out = append(out, ch.checkPresent(v, c)...)
-			case *Ordering:
-				out = append(out, ch.checkOrdering(v, c)...)
-			case *TypeError:
-				out = append(out, ch.checkTypeScan(v, c)...)
-			case *Sequence:
-				out = append(out, ch.checkSequence(v, c)...)
-			case *Unique:
-				out = append(out, ch.checkUniqueExistence(v, c)...)
-			case *Relational:
-				out = append(out, ch.checkRelational(v, c)...)
-			}
-		})
-	}
-	ch.rec.Add("check.contracts_evaluated", int64(len(ch.set.Contracts)))
-	return out
+func (s *sink) violate(c Contract, line int, detail string) {
+	s.out = append(s.out, violation(c, s.v.cfg.Name, line, detail))
 }
 
-// checkCompiled is the indexed strategy (see Check).
-func (ch *Checker) checkCompiled(v *view) []Violation {
-	cs := ch.cs
-	var out []Violation
+// mark records that removing line li violates the contract being
+// evaluated; a no-op unless coverage is wanted.
+func (s *sink) mark(li int) {
+	if s.cov != nil {
+		s.marks = append(s.marks, li)
+	}
+}
+
+// commit moves a completed contract's marks into the coverage result.
+// Metadata lines are never covered.
+func (s *sink) commit(cat Category) {
+	lines := s.v.cfg.Lines
+	for _, li := range s.marks {
+		if lines[li].Meta {
+			continue
+		}
+		s.cov.Covered[li] = true
+		m := s.cov.ByCategory[cat]
+		if m == nil {
+			m = make(map[int]bool)
+			s.cov.ByCategory[cat] = m
+		}
+		m[li] = true
+	}
+	s.marks = s.marks[:0]
+}
+
+// evalView is the one evaluation behind Check, Coverage and CheckConfig:
+// check selects the violations, cover the coverage result (nil when
+// unset). The linear reference goes through the set in order. The
+// compiled path evaluates the absence contracts, then the anchored
+// groups of the patterns the view holds, then (check only; a type
+// contract never covers a line) the type buckets.
+func (ch *Checker) evalView(v *view, check, cover bool) ([]Violation, *CoverageResult) {
+	s := &sink{v: v, check: check}
+	if cover {
+		s.cov = &CoverageResult{
+			SourceLines: v.cfg.SourceLines,
+			Covered:     make(map[int]bool),
+			ByCategory:  make(map[Category]map[int]bool),
+		}
+	}
 	evaluated := 0
-	eval := func(c Contract, fn func()) {
-		evaluated++
-		ch.contained(c, v.cfg.Name, func() {
-			if faultinject.Armed() {
-				faultinject.At("contracts.check.contract", c.ID())
+	if ch.linear {
+		for _, c := range ch.set.Contracts {
+			ch.evalContract(s, c, nil)
+		}
+		evaluated = len(ch.set.Contracts)
+	} else {
+		for _, c := range ch.cs.absence {
+			ch.evalContract(s, c, nil)
+		}
+		evaluated = len(ch.cs.absence)
+		for _, id := range v.presentIDs {
+			for _, c := range ch.cs.anchored[id] {
+				ch.evalContract(s, c, nil)
 			}
-			fn()
-		})
+			evaluated += len(ch.cs.anchored[id])
+		}
+		if check {
+			for ag, lines := range v.byAg {
+				for _, c := range ch.cs.typesByAg[ag] {
+					ch.evalContract(s, c, lines)
+				}
+				evaluated += len(ch.cs.typesByAg[ag])
+			}
+		}
 	}
-	for _, c := range cs.absence {
+	if check {
+		SortViolations(s.out)
+		ch.rec.Add("check.violations", int64(len(s.out)))
+		ch.rec.Add("check.contracts_evaluated", int64(evaluated))
+		if !ch.linear {
+			ch.rec.Add("check.contracts_skipped_by_index", int64(len(ch.set.Contracts)-evaluated))
+		}
+	}
+	if cover {
+		ch.rec.Add("coverage.lines_covered", int64(len(s.cov.Covered)))
+	}
+	return s.out, s.cov
+}
+
+// evalContract evaluates one contract into the sink under one
+// containment and one fault site. A contract that panics is skipped in
+// both halves: its violations are cut off and its marks dropped. typeLines
+// is the view's agnostic bucket for a compiled type contract.
+func (ch *Checker) evalContract(s *sink, c Contract, typeLines []int) {
+	n := len(s.out)
+	ok := ch.contained(c, s.v.cfg.Name, func() {
+		if faultinject.Armed() {
+			faultinject.At("contracts.check.contract", c.ID())
+		}
 		switch c := c.(type) {
 		case *Present:
-			eval(c, func() { out = append(out, ch.checkPresent(v, c)...) })
+			ch.evalPresent(s, c)
 		case *Unique:
-			eval(c, func() { out = append(out, ch.checkUniqueExistence(v, c)...) })
-		}
-	}
-	for _, id := range v.presentIDs {
-		for _, c := range cs.anchored[id] {
-			switch c := c.(type) {
-			case *Ordering:
-				eval(c, func() { out = append(out, ch.checkOrdering(v, c)...) })
-			case *Sequence:
-				eval(c, func() { out = append(out, ch.checkSequence(v, c)...) })
-			case *Relational:
-				eval(c, func() { out = append(out, ch.checkRelational(v, c)...) })
+			ch.evalUnique(s, c)
+		case *Ordering:
+			ch.evalOrdering(s, c)
+		case *Sequence:
+			ch.evalSequence(s, c)
+		case *Relational:
+			ch.evalRelational(s, c)
+		case *TypeError:
+			if !s.check {
+				return
+			}
+			if ch.linear {
+				s.out = append(s.out, ch.checkTypeScan(s.v, c)...)
+			} else {
+				s.out = append(s.out, ch.checkTypeLines(s.v, c, typeLines)...)
 			}
 		}
+	})
+	if !ok {
+		s.out = s.out[:n]
+		s.marks = s.marks[:0]
+		return
 	}
-	for ag, lines := range v.byAg {
-		for _, c := range cs.typesByAg[ag] {
-			c := c
-			eval(c, func() { out = append(out, ch.checkTypeLines(v, c, lines)...) })
-		}
-	}
-	ch.rec.Add("check.contracts_evaluated", int64(evaluated))
-	ch.rec.Add("check.contracts_skipped_by_index", int64(len(ch.set.Contracts)-evaluated))
-	return out
+	s.commit(c.Category())
 }
 
 // contained runs one contract's evaluation with panic containment when
 // a diagnostics collector is attached and strict mode is off: a
 // recovered panic skips the contract for the current configuration (or
 // batch), recording an error diagnostic and a check.contracts_skipped
-// count. Otherwise the panic propagates unchanged.
-func (ch *Checker) contained(c Contract, source string, eval func()) {
+// count, and contained reports false. Otherwise the panic propagates
+// unchanged.
+func (ch *Checker) contained(c Contract, source string, eval func()) (ok bool) {
 	if ch.dc == nil || ch.strict {
 		eval()
-		return
+		return true
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -512,6 +564,7 @@ func (ch *Checker) contained(c Contract, source string, eval func()) {
 		}
 	}()
 	eval()
+	return true
 }
 
 // flushCache folds a view's witness-cache statistics into the recorder.
@@ -562,12 +615,30 @@ func violation(c Contract, file string, line int, detail string) Violation {
 	}
 }
 
-func (ch *Checker) checkPresent(v *view, c *Present) []Violation {
-	if len(v.matches(c)) > 0 {
-		return nil
+// evalPresent evaluates a present contract: a configuration with no
+// matching line violates it, and a sole match is covered.
+func (ch *Checker) evalPresent(s *sink, c *Present) {
+	lines := s.v.matches(c)
+	if s.check && len(lines) == 0 {
+		s.violate(c, 0, fmt.Sprintf("no line matches required pattern %s", c.Display))
 	}
-	return []Violation{violation(c, v.cfg.Name, 0,
-		fmt.Sprintf("no line matches required pattern %s", c.Display))}
+	if len(lines) == 1 {
+		s.mark(lines[0])
+	}
+}
+
+// evalUnique enforces the per-configuration existence component of a
+// unique contract. The violation is file-level (no line): there is no
+// line to point at when the definition is missing. A sole definition is
+// covered.
+func (ch *Checker) evalUnique(s *sink, c *Unique) {
+	lines := s.v.lines(c.Pattern)
+	if s.check && len(lines) == 0 {
+		s.violate(c, 0, fmt.Sprintf("no line defines the unique parameter of %s", c.Display))
+	}
+	if len(lines) == 1 {
+		s.mark(lines[0])
+	}
 }
 
 // successor returns the index of the line following li within the same
@@ -580,17 +651,30 @@ func successor(cfg *lexer.Config, li int) int {
 	return next
 }
 
-func (ch *Checker) checkOrdering(v *view, c *Ordering) []Violation {
-	var out []Violation
-	for _, li := range v.lines(c.First) {
-		next := successor(v.cfg, li)
-		if next < 0 || v.cfg.Lines[next].Pattern != c.Second {
-			line := &v.cfg.Lines[li]
-			out = append(out, violation(c, v.cfg.Name, line.Num,
-				fmt.Sprintf("line %q is not followed by a line matching %s", line.Raw, c.DisplaySecond)))
+// evalOrdering walks each forall line's successor once: a successor not
+// matching Second is a violation, and a successor whose removal would
+// leave one not matching Second is covered.
+func (ch *Checker) evalOrdering(s *sink, c *Ordering) {
+	cfg := s.v.cfg
+	for _, li := range s.v.lines(c.First) {
+		next := successor(cfg, li)
+		if next < 0 || cfg.Lines[next].Pattern != c.Second {
+			if s.check {
+				line := &cfg.Lines[li]
+				s.violate(c, line.Num,
+					fmt.Sprintf("line %q is not followed by a line matching %s", line.Raw, c.DisplaySecond))
+			}
+			if next < 0 {
+				continue
+			}
+		}
+		// Removing the successor makes the line after it the new
+		// successor; if that no longer matches Second, the removed line
+		// was load-bearing.
+		if after := successor(cfg, next); after < 0 || cfg.Lines[after].Pattern != c.Second {
+			s.mark(next)
 		}
 	}
-	return out
 }
 
 // checkTypeScan is the pre-compilation type check: it scans every line
@@ -672,60 +756,55 @@ func decodeNumeric(cfg *lexer.Config, lines []int, paramIdx int) (vals []*big.In
 	return vals, at
 }
 
-// equidistant reports whether consecutive differences are all equal and
-// nonzero. Fewer than two values are trivially equidistant.
-func equidistant(vals []*big.Int) bool {
+// stepBreak returns the index of the first value that breaks the step
+// of the sequence (the first consecutive difference), or -1 when the
+// values are equidistant. A zero step is itself the break, so the
+// second value (the first duplicate) breaks it, even when later
+// differences vary. Fewer than two values never break.
+func stepBreak(vals []*big.Int) int {
 	if len(vals) < 2 {
-		return true
+		return -1
 	}
 	diff := new(big.Int).Sub(vals[1], vals[0])
 	if diff.Sign() == 0 {
-		return false
+		return 1
 	}
+	d := new(big.Int)
 	for i := 2; i < len(vals); i++ {
-		d := new(big.Int).Sub(vals[i], vals[i-1])
-		if d.Cmp(diff) != 0 {
-			return false
+		if d.Sub(vals[i], vals[i-1]).Cmp(diff) != 0 {
+			return i
 		}
 	}
-	return true
+	return -1
 }
 
-func (ch *Checker) checkSequence(v *view, c *Sequence) []Violation {
+// evalSequence reads the decoded column once: the first value that
+// breaks the step is the violation, and a value whose removal leaves
+// the rest not equidistant is covered.
+func (ch *Checker) evalSequence(s *sink, c *Sequence) {
+	v := s.v
 	vals, at := v.numericValues(c.Pattern, c.ParamIdx)
-	if len(vals) < 2 || equidistant(vals) {
-		return nil
-	}
-	// Localize to the first value that breaks the step. The step is the
-	// first consecutive difference; a zero step is itself the break, so
-	// the second value (the first duplicate) is the violation — even
-	// when later differences vary.
-	diff := new(big.Int).Sub(vals[1], vals[0])
-	if diff.Sign() == 0 {
-		line := &v.cfg.Lines[at[1]]
-		return []Violation{violation(c, v.cfg.Name, line.Num,
-			fmt.Sprintf("value %s repeats the previous value (sequence step is zero)", vals[1]))}
-	}
-	for i := 2; i < len(vals); i++ {
-		d := new(big.Int).Sub(vals[i], vals[i-1])
-		if d.Cmp(diff) != 0 {
-			line := &v.cfg.Lines[at[i]]
-			return []Violation{violation(c, v.cfg.Name, line.Num,
-				fmt.Sprintf("value %s breaks the sequence step %s", vals[i], diff))}
+	if s.check {
+		if i := stepBreak(vals); i == 1 {
+			s.violate(c, v.cfg.Lines[at[1]].Num,
+				fmt.Sprintf("value %s repeats the previous value (sequence step is zero)", vals[1]))
+		} else if i > 1 {
+			s.violate(c, v.cfg.Lines[at[i]].Num,
+				fmt.Sprintf("value %s breaks the sequence step %s", vals[i], new(big.Int).Sub(vals[1], vals[0])))
 		}
 	}
-	return nil // unreachable: a nonzero-step non-equidistant column has a break
-}
-
-// checkUniqueExistence enforces the per-configuration existence
-// component of a unique contract. The violation is file-level (no
-// line): there is no line to point at when the definition is missing.
-func (ch *Checker) checkUniqueExistence(v *view, c *Unique) []Violation {
-	if len(v.lines(c.Pattern)) > 0 {
-		return nil
+	if s.cov == nil || len(vals) < 3 {
+		return
 	}
-	return []Violation{violation(c, v.cfg.Name, 0,
-		fmt.Sprintf("no line defines the unique parameter of %s", c.Display))}
+	scratch := make([]*big.Int, 0, len(vals)-1)
+	for i := range vals {
+		scratch = scratch[:0]
+		scratch = append(scratch, vals[:i]...)
+		scratch = append(scratch, vals[i+1:]...)
+		if stepBreak(scratch) >= 0 {
+			s.mark(at[i])
+		}
+	}
 }
 
 // CheckUniqueAcross evaluates only the cross-configuration uniqueness
@@ -900,19 +979,26 @@ func selfPair(c *Relational) bool {
 	return c.Pattern2 == c.Pattern1 && c.ParamIdx2 == c.ParamIdx1
 }
 
-func (ch *Checker) checkRelational(v *view, c *Relational) []Violation {
+// evalRelational runs one witness search per forall line, counting the
+// witnesses up to one (check only) or two (with coverage) and keeping
+// the first: no witness is a violation, exactly one marks that witness
+// covered.
+func (ch *Checker) evalRelational(s *sink, c *Relational) {
+	v := s.v
 	l1s := v.lines(c.Pattern1)
 	if len(l1s) == 0 {
-		return nil // vacuously true
+		return // vacuously true
 	}
 	t1, ok := ch.transforms[c.Transform1]
 	if !ok {
-		return []Violation{violation(c, v.cfg.Name, 0,
-			fmt.Sprintf("unknown transform %q", c.Transform1))}
+		if s.check {
+			s.violate(c, 0, fmt.Sprintf("unknown transform %q", c.Transform1))
+		}
+		return
 	}
 	// Equality contracts use the column's key index: one key
 	// stringification per forall line instead of one per (forall,
-	// witness) pair.
+	// witness) pair. The index keeps column (line) order per bucket.
 	var eq map[string][]int
 	if ch.equalsFast(c) {
 		if col := v.column(ch, c.Pattern2, c.ParamIdx2, c.Transform2); col != nil {
@@ -923,8 +1009,11 @@ func (ch *Checker) checkRelational(v *view, c *Relational) []Violation {
 	if eq == nil {
 		wits = v.values(ch, c.Pattern2, c.ParamIdx2, c.Transform2)
 	}
-	self := selfPair(c)
-	var out []Violation
+	limit := 1
+	if s.cov != nil {
+		limit = 2
+	}
+	self := selfPair(c) // a parameter is not its own witness
 	for _, li := range l1s {
 		line := &v.cfg.Lines[li]
 		if c.ParamIdx1 >= len(line.Params) {
@@ -934,73 +1023,40 @@ func (ch *Checker) checkRelational(v *view, c *Relational) []Violation {
 		if !ok {
 			continue
 		}
-		found := false
+		n, first := 0, -1
 		if eq != nil {
-			matches := eq[v1.Key()]
-			if self {
-				// A parameter is not its own witness: some other line
-				// must carry the matching value.
-				found = len(matches) > 1 || (len(matches) == 1 && matches[0] != li)
-			} else {
-				found = len(matches) > 0
+			for _, wl := range eq[v1.Key()] {
+				if wl == li && self {
+					continue
+				}
+				if n == 0 {
+					first = wl
+				}
+				n++
+				if n == limit {
+					break
+				}
 			}
 		} else {
 			for _, w := range wits {
-				if w.line == li && self {
-					continue // a parameter is not its own witness
+				if w.line == li && self || !ch.holds(c.Rel, v1, w.value) {
+					continue
 				}
-				if ch.holds(c.Rel, v1, w.value) {
-					found = true
+				if n == 0 {
+					first = w.line
+				}
+				n++
+				if n == limit {
 					break
 				}
 			}
 		}
-		if !found {
-			out = append(out, violation(c, v.cfg.Name, line.Num,
-				fmt.Sprintf("no witness matching %s relates to value %s",
-					c.Display2, line.Params[c.ParamIdx1].Value)))
+		if n == 0 && s.check {
+			s.violate(c, line.Num, fmt.Sprintf("no witness matching %s relates to value %s",
+				c.Display2, line.Params[c.ParamIdx1].Value))
+		}
+		if n == 1 {
+			s.mark(first)
 		}
 	}
-	return out
-}
-
-// FindWitness reports the witness line indexes satisfying the contract
-// for the forall line at index li, used by coverage analysis.
-func (ch *Checker) findWitnesses(v *view, c *Relational, li int) []int {
-	line := &v.cfg.Lines[li]
-	if c.ParamIdx1 >= len(line.Params) {
-		return nil
-	}
-	t1, ok := ch.transforms[c.Transform1]
-	if !ok {
-		return nil
-	}
-	v1, ok := t1.Apply(line.Params[c.ParamIdx1].Value)
-	if !ok {
-		return nil
-	}
-	self := selfPair(c)
-	if ch.equalsFast(c) {
-		if col := v.column(ch, c.Pattern2, c.ParamIdx2, c.Transform2); col != nil {
-			// The key index preserves column (line) order per bucket.
-			var out []int
-			for _, wl := range col.equalsIndex()[v1.Key()] {
-				if wl == li && self {
-					continue
-				}
-				out = append(out, wl)
-			}
-			return out
-		}
-	}
-	var out []int
-	for _, w := range v.values(ch, c.Pattern2, c.ParamIdx2, c.Transform2) {
-		if w.line == li && self {
-			continue
-		}
-		if ch.holds(c.Rel, v1, w.value) {
-			out = append(out, w.line)
-		}
-	}
-	return out
 }

@@ -80,12 +80,13 @@ func TestCheckContractPanicPropagates(t *testing.T) {
 }
 
 // TestCoverageContractPanicSkipped mirrors the check containment for
-// the coverage pass.
+// coverage: Coverage runs the same per-contract evaluation as Check, so
+// a fault at the one contract site degrades the coverage result too.
 func TestCoverageContractPanicSkipped(t *testing.T) {
 	defer faultinject.Reset()
 	bad := &Present{Pattern: "/hostname [word]", Display: "/hostname [a:word]"}
 	set := &Set{Contracts: []Contract{bad}}
-	faultinject.Set("contracts.coverage.contract", faultinject.PanicOn("boom", bad.ID()))
+	faultinject.Set("contracts.check.contract", faultinject.PanicOn("boom", bad.ID()))
 
 	dc := diag.New()
 	ch := NewChecker(set, WithDiagnostics(dc))

@@ -427,6 +427,39 @@ func TestCoverageSequence(t *testing.T) {
 	}
 }
 
+// TestWitnessSearchRunsOnce counts a custom relation's Holds calls:
+// CheckConfig searches each forall line's witnesses once for both the
+// violations and the coverage, so it calls Holds exactly as often as
+// Coverage alone does.
+func TestWitnessSearchRunsOnce(t *testing.T) {
+	calls := 0
+	same := func(lhs, witness relations.Value) bool {
+		calls++
+		return lhs.Key() == witness.Key()
+	}
+	set := &Set{Contracts: []Contract{&Relational{
+		Pattern1: "/vlan [num]", Display1: "/vlan [a:num]", Transform1: "id", Rel: "same",
+		Pattern2: "/id [num]", Display2: "/id [b:num]", Transform2: "id",
+	}}}
+	ch := NewChecker(set, WithRelations([]relations.Definition{{Rel: "same", Holds: same}}))
+	// vlan 1 has two witnesses, vlan 2 one (id 2, covered), vlan 3 none
+	// (a violation).
+	cfg := cfgFromText(t, "c", "vlan 1\nvlan 2\nvlan 3\nid 1\nid 1\nid 2\nid 9\n")
+	r := ch.CheckConfig(cfg)
+	onePass := calls
+	calls = 0
+	ch.Coverage(cfg)
+	if onePass == 0 || onePass != calls {
+		t.Errorf("CheckConfig made %d Holds calls, Coverage alone %d; want equal and nonzero", onePass, calls)
+	}
+	if len(r.Violations) != 1 || r.Violations[0].Line != 3 {
+		t.Errorf("violations = %+v, want one on line 3", r.Violations)
+	}
+	if cov := r.Coverage.ByCategory[CatRelation]; len(cov) != 1 || !cov[5] {
+		t.Errorf("relational coverage = %v, want only line index 5 (id 2)", cov)
+	}
+}
+
 func TestCheckAllDeterministicOrder(t *testing.T) {
 	set := &Set{Contracts: []Contract{
 		&Present{Pattern: "/x", Display: "/x"},

@@ -12,6 +12,8 @@ import (
 	"concord/internal/contracts"
 	"concord/internal/diag"
 	"concord/internal/faultinject"
+	"concord/internal/relations"
+	"concord/internal/telemetry"
 )
 
 // chaosSources builds a homogeneous corpus of n small configurations
@@ -291,6 +293,47 @@ func TestChaosCheckFaultContained(t *testing.T) {
 		if cc.Name == "r09.cfg" {
 			t.Error("faulty config still present in coverage")
 		}
+	}
+}
+
+// TestChaosCheckRelationPanicOneDiagnostic runs a hand-built set whose
+// one relational contract uses a custom relation that always panics:
+// every configuration skips the contract exactly once, so N checked
+// configurations give N diagnostics and N check.contracts_skipped, not
+// one per pass over the configuration.
+func TestChaosCheckRelationPanicOneDiagnostic(t *testing.T) {
+	const n = 5
+	srcs := chaosSources(n)
+	boom := func(lhs, witness relations.Value) bool { panic("injected relation fault") }
+	opts := DefaultOptions()
+	opts.Telemetry = telemetry.NewRecorder()
+	opts.ExtraRelations = []relations.Definition{{
+		Rel:      "boom",
+		Holds:    boom,
+		NewIndex: func() relations.Index { return relations.NewFuncIndex("boom", boom) },
+	}}
+	rel := &contracts.Relational{
+		Pattern1: "/interface Loopback[num]/ip address [ip4]", Transform1: "id", Rel: "boom",
+		Pattern2: "/router bgp [num]/router-id [ip4]", Transform2: "id",
+	}
+	eng := MustNew(opts)
+	cr, err := eng.Check(&contracts.Set{Contracts: []contracts.Contract{rel}}, srcs, nil)
+	if err != nil {
+		t.Fatalf("Check = %v, want containment", err)
+	}
+	if len(cr.Diagnostics) != n {
+		t.Fatalf("diagnostics = %d, want %d (one per configuration)", len(cr.Diagnostics), n)
+	}
+	for _, d := range cr.Diagnostics {
+		if !strings.Contains(d.Message, rel.ID()) || !strings.Contains(d.Message, "skipped") {
+			t.Errorf("diagnostic = %q, want the contract ID and skipped", d.Message)
+		}
+	}
+	if got := opts.Telemetry.Counter("check.contracts_skipped"); got != n {
+		t.Errorf("check.contracts_skipped = %d, want %d", got, n)
+	}
+	if len(cr.Violations) != 0 || len(cr.Coverage.PerConfig) != n {
+		t.Errorf("violations = %+v, coverage over %d configs; want none and %d", cr.Violations, len(cr.Coverage.PerConfig), n)
 	}
 }
 

@@ -11,7 +11,9 @@
 // configuration name, a contract ID), so hooks can target specific
 // inputs deterministically. Where building the key costs more than the
 // load (a contract ID is formatted), the caller guards the call with
-// Armed, which is also one atomic load, so production never builds it:
+// Armed, which is also one atomic load, so production never builds it.
+// The checker's one site per contract per configuration, which check
+// and coverage share, reads:
 //
 //	if faultinject.Armed() {
 //		faultinject.At("contracts.check.contract", c.ID())

@@ -386,7 +386,7 @@ func (m *Miner) contain(unit string, fn func()) (err error) {
 // isArithmetic reports whether the values form a nonzero arithmetic
 // progression in order. It works on *big.Int so values near or past the
 // int64 range (large hex tokens) neither wrap during subtraction nor
-// fall out of the evidence — the checker's equidistant (contracts
+// fall out of the evidence — the checker's stepBreak (contracts
 // package) uses the same arithmetic, so miner and checker always agree.
 func isArithmetic(vals []*big.Int) bool {
 	if len(vals) < 2 {
