@@ -45,9 +45,14 @@ fuzz-smoke:
 
 # chaos runs the fault-injection and pathological-input suites under
 # the race detector: panic containment, strict-mode aborts, input
-# guards, and goroutine-leak checks.
+# guards, and goroutine-leak checks, including the shared worker
+# pool's (internal/workpool): a panic re-raised on the caller
+# (TestWorkpoolPanicReraised), no claim after a cancel or a failure
+# (TestWorkpoolCancelStopsClaims, TestWorkpoolFailureStopsClaims), the
+# lowest failing index reported (TestWorkpoolLowestIndexFailure), and
+# no goroutine left after any case.
 chaos:
-	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Panic|Pathological|Lenient|Diagnostics|Guard|Limits|Binary|Oversize|DepthCap|LineBudget|EmptyCorpus|Poison|Warm|Artifact|Incremental|Corrupt|Concurrent|Registry|Singleflight|Eviction|Bundle|Reload|Rollback|Journal|Recover|Shard|ReduceUnique|OnePass|Fleet|Worker|Dist|Frame|Accumulator' ./...
+	$(GO) test -race -timeout 10m -run 'Workpool|Chaos|Fault|Panic|Pathological|Lenient|Diagnostics|Guard|Limits|Binary|Oversize|DepthCap|LineBudget|EmptyCorpus|Poison|Warm|Artifact|Incremental|Corrupt|Concurrent|Registry|Singleflight|Eviction|Bundle|Reload|Rollback|Journal|Recover|Shard|ReduceUnique|OnePass|Fleet|Worker|Dist|Frame|Accumulator' ./...
 
 # serve-smoke boots the resident HTTP service under the race detector
 # and drives it over real sockets: one-shot/served output identity, the

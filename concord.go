@@ -32,8 +32,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"concord/internal/artifact"
 	"concord/internal/contracts"
@@ -44,6 +42,7 @@ import (
 	"concord/internal/relations"
 	"concord/internal/server"
 	"concord/internal/telemetry"
+	"concord/internal/workpool"
 )
 
 // Re-exported types: the engine's options and inputs, the contract
@@ -365,18 +364,8 @@ func LoadGlobLenient(pattern string) ([]Source, []Diagnostic, error) {
 
 // loadWorkers bounds the file-read worker pool: enough to overlap I/O,
 // capped so a huge glob doesn't open hundreds of files at once.
-func loadWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+func loadWorkers() int {
+	return min(runtime.GOMAXPROCS(0), 8)
 }
 
 func loadGlob(pattern string) ([]Source, []Diagnostic, error) {
@@ -397,38 +386,28 @@ func loadGlob(pattern string) ([]Source, []Diagnostic, error) {
 		d   *Diagnostic
 	}
 	slots := make([]slot, len(paths))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < loadWorkers(len(paths)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(paths) {
-					return
-				}
-				p := paths[i]
-				data, err := os.ReadFile(p)
-				if err != nil {
-					slots[i].d = &Diagnostic{
-						Severity: SevError,
-						Stage:    "load",
-						Source:   filepath.ToSlash(p),
-						Message:  err.Error(),
-						Cause:    err,
-					}
-					continue
-				}
-				name := p
-				if rel, err := filepath.Rel(base, p); err == nil && !strings.HasPrefix(rel, "..") {
-					name = rel
-				}
-				slots[i].src = Source{Name: filepath.ToSlash(name), Text: data}
+	// A read never fails the pool (it becomes a diagnostic) and the
+	// background context is never cancelled, so Run returns nil.
+	_ = workpool.Run(context.Background(), loadWorkers(), len(paths), func(_, i int) error {
+		p := paths[i]
+		data, err := os.ReadFile(p)
+		if err != nil {
+			slots[i].d = &Diagnostic{
+				Severity: SevError,
+				Stage:    "load",
+				Source:   filepath.ToSlash(p),
+				Message:  err.Error(),
+				Cause:    err,
 			}
-		}()
-	}
-	wg.Wait()
+			return nil
+		}
+		name := p
+		if rel, err := filepath.Rel(base, p); err == nil && !strings.HasPrefix(rel, "..") {
+			name = rel
+		}
+		slots[i].src = Source{Name: filepath.ToSlash(name), Text: data}
+		return nil
+	})
 	var out []Source
 	var ds []Diagnostic
 	for i := range slots {

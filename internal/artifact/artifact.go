@@ -211,12 +211,19 @@ func (c *Cache) Store(kind Kind, key Key, payload []byte) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	buf := EncodeFrame(magic, SchemaVersion, payload)
+	return writeAtomic(p, EncodeFrame(magic, SchemaVersion, payload))
+}
+
+// writeAtomic replaces the file at p with data: it writes a temporary
+// file in p's directory and renames it over p, so a concurrent reader
+// sees the old content or the new, never a partial write. It does not
+// fsync: the cache is rebuildable, and a lost write is a miss.
+func writeAtomic(p string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	if _, err := tmp.Write(buf); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("artifact: %w", err)
@@ -261,25 +268,7 @@ func (c *Cache) WriteManifest(m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	p := filepath.Join(c.root, "manifest.json")
-	tmp, err := os.CreateTemp(c.root, ".tmp-manifest-*")
-	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact: %w", err)
-	}
-	return nil
+	return writeAtomic(filepath.Join(c.root, "manifest.json"), data)
 }
 
 // ReadManifest returns the manifest of the last incremental run, or

@@ -124,31 +124,51 @@ func TestChaosLearnContainsProcessFaults(t *testing.T) {
 	}
 }
 
-// TestChaosLearnStrictFailsFast asserts strict mode converts the first
+// TestChaosLearnStrictFailsFast asserts strict mode converts an
 // injected fault into an error carrying the cause, with no partial
-// result and no leaked workers.
+// result and no leaked workers. With two faulty sources the error names
+// the lower one in corpus order, even when the higher one fails first:
+// r05.cfg sleeps 50 ms before panicking while r13.cfg panics at once.
 func TestChaosLearnStrictFailsFast(t *testing.T) {
 	defer faultinject.Reset()
 	injected := errors.New("injected process fault")
-	faultinject.Set("core.process.source", faultinject.PanicOn(injected, "r05.cfg"))
-
-	opts := DefaultOptions()
-	opts.Parallelism = 4
-	opts.Strict = true
-	before := runtime.NumGoroutine()
-	lr, err := MustNew(opts).Learn(chaosSources(20), nil)
-	assertNoLeak(t, before)
-	if err == nil {
-		t.Fatal("strict Learn succeeded despite injected fault")
-	}
-	if lr != nil {
-		t.Error("strict Learn returned a partial result alongside the error")
-	}
-	if !errors.Is(err, injected) {
-		t.Errorf("strict error lost the cause: %v", err)
-	}
-	if !strings.Contains(err.Error(), "r05.cfg") {
-		t.Errorf("strict error does not name the faulty source: %v", err)
+	for _, tc := range []struct {
+		name   string
+		hook   func(key string)
+		rounds int
+	}{
+		{"one fault", faultinject.PanicOn(injected, "r05.cfg"), 1},
+		{"lower fault fails later", func(key string) {
+			switch key {
+			case "r05.cfg":
+				time.Sleep(50 * time.Millisecond)
+				panic(injected)
+			case "r13.cfg":
+				panic(injected)
+			}
+		}, 10},
+	} {
+		faultinject.Set("core.process.source", tc.hook)
+		opts := DefaultOptions()
+		opts.Parallelism = 4
+		opts.Strict = true
+		for round := 0; round < tc.rounds; round++ {
+			before := runtime.NumGoroutine()
+			lr, err := MustNew(opts).Learn(chaosSources(20), nil)
+			assertNoLeak(t, before)
+			if err == nil {
+				t.Fatalf("%s: strict Learn succeeded despite injected fault", tc.name)
+			}
+			if lr != nil {
+				t.Errorf("%s: strict Learn returned a partial result alongside the error", tc.name)
+			}
+			if !errors.Is(err, injected) {
+				t.Errorf("%s: strict error lost the cause: %v", tc.name, err)
+			}
+			if !strings.Contains(err.Error(), "r05.cfg") {
+				t.Errorf("%s, round %d: strict error does not name r05.cfg: %v", tc.name, round, err)
+			}
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"concord/internal/mining"
 	"concord/internal/relations"
 	"concord/internal/telemetry"
+	"concord/internal/workpool"
 )
 
 // Source is one input file: a configuration or a metadata document.
@@ -428,18 +429,6 @@ func (e *Engine) Process(sources, meta []Source) ([]*lexer.Config, ProcessStats)
 	return cfgs, st
 }
 
-// ProcessContext is Process with cooperative cancellation: workers stop
-// within one configuration of ctx being cancelled, and the error is
-// ctx.Err(). The stage is timed under the "process" span. Sources that
-// panic a worker or violate input guards are dropped with diagnostics
-// (delivered to Options.Diagnostics); with Options.Strict the first
-// fault aborts with an error instead.
-func (e *Engine) ProcessContext(ctx context.Context, sources, meta []Source) ([]*lexer.Config, ProcessStats, error) {
-	dc := diag.New()
-	defer e.opts.Diagnostics.Merge(dc)
-	return e.processContext(ctx, dc, sources, meta)
-}
-
 // sourceArt is one configuration's artifact-cache state.
 type sourceArt struct {
 	// hash is the content hash of the raw source bytes; zero when the
@@ -454,11 +443,16 @@ type sourceArt struct {
 	clean bool
 }
 
-// processContext is the diagnostics-threaded implementation behind
-// ProcessContext and coverage: the stream with a step that keeps each
-// configuration, compacted to the survivors in input order. Per-run
-// collectors let each run surface only its own diagnostics.
-func (e *Engine) processContext(ctx context.Context, dc *diag.Collector, sources, meta []Source) ([]*lexer.Config, ProcessStats, error) {
+// ProcessContext is Process with cooperative cancellation: workers stop
+// within one configuration of ctx being cancelled, and the error is
+// ctx.Err(). The stage is timed under the "process" span. Sources that
+// panic a worker or violate input guards are dropped with diagnostics
+// (delivered to Options.Diagnostics); with Options.Strict the first
+// fault aborts with an error instead. It is the stream with a step that
+// keeps each configuration, compacted to the survivors in input order.
+func (e *Engine) ProcessContext(ctx context.Context, sources, meta []Source) ([]*lexer.Config, ProcessStats, error) {
+	dc := diag.New()
+	defer e.opts.Diagnostics.Merge(dc)
 	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageProcess))
 	defer sp.EndCount(len(sources))
 	cr, err := e.newCorpusRun(dc, meta)
@@ -771,92 +765,38 @@ func (e *Engine) progress(stage telemetry.Stage, done, total int) {
 	e.progressMu.Unlock()
 }
 
-// forEachCtx runs fn(w, i) for i in 0..n-1 on a pool of at most
-// workers goroutines, stopping within one item of ctx being cancelled;
-// w is the index of the worker running the item, so fn can keep
-// per-worker state without locks. Workers take items dynamically and
-// never start new ones after cancellation; the first non-nil ctx error
-// is returned once all workers have drained. It is the engine's one
-// worker pool: the stream runs it over sources, coverage and the
-// staged check over configurations. Progress is the caller's: fn ticks
-// its stage's progressCounter.
-//
-// Panics inside fn are contained per item: in lenient mode (the
-// default) a recovered panic becomes an error diagnostic in dc
-// attributed to name(i) — with stack captured — and the remaining items
-// continue. With Options.Strict the first panic aborts the stage (the
-// remaining items are never started) and is returned as an error, so
-// tests and CI keep fail-fast semantics. An error returned by fn aborts
-// the run the same way in either mode.
+// forEachCtx runs fn(w, i) for i in 0..n-1 on workpool.Run with at most
+// workers workers, each item under contain attributed to stage and
+// name(i): a lenient panic becomes a diagnostic and the remaining items
+// continue; a strict panic, or an error returned by fn, is the item's
+// failure, which stops the claims and, for the lowest failing index, is
+// returned. The stream runs it over sources, the staged check over
+// configurations. Progress is the caller's: fn ticks its stage's
+// progressCounter.
 func (e *Engine) forEachCtx(ctx context.Context, dc *diag.Collector, stage telemetry.Stage, workers, n int, name func(int) string, fn func(w, i int) error) error {
-	workers = min(workers, n)
-	ictx, abort := context.WithCancel(ctx)
-	defer abort()
-	var failOnce sync.Once
-	var failErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			failErr = err
-			abort()
-		})
-	}
-	call := func(w, i int) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			d := diag.FromPanic(string(stage), name(i), r)
+	return workpool.Run(ctx, workers, n, func(w, i int) error {
+		return e.contain(dc, stage, name(i), func() error { return fn(w, i) })
+	})
+}
+
+// contain runs fn with the engine's per-unit panic containment: in
+// lenient mode a recovered panic becomes an error diagnostic in dc
+// attributed to stage and unit, with its stack, and contain returns
+// nil; with Options.Strict it returns the stage's strict abort error.
+// fn's own error is returned as is.
+func (e *Engine) contain(dc *diag.Collector, stage telemetry.Stage, unit string, fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			d := diag.FromPanic(string(stage), unit, r)
 			if e.opts.Strict {
-				fail(fmt.Errorf("core: %s stage aborted (strict): %w", stage, d.AsError()))
+				err = fmt.Errorf("core: %s stage aborted (strict): %w", stage, d.AsError())
 				return
 			}
 			dc.Add(d)
 			e.opts.Telemetry.Add("diag.panics", 1)
-		}()
-		if err := fn(w, i); err != nil {
-			fail(err)
 		}
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ictx.Err() != nil {
-				break
-			}
-			call(0, i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ictx.Err() != nil {
-						continue // drain the channel without starting new work
-					}
-					call(w, i)
-				}
-			}()
-		}
-	feed:
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-			case <-ictx.Done():
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
-	}
-	// failErr is published before abort() and read after wg.Wait (or
-	// after the sequential loop), so the read is race-free.
-	if failErr != nil {
-		return failErr
-	}
-	return ctx.Err()
+	}()
+	return fn()
 }
 
 // progressCounter reports monotonic (done, total) progress for one
@@ -1267,24 +1207,21 @@ func (e *Engine) checkOne(dc *diag.Collector, checker *contracts.Checker, cfg *l
 
 // checkStep is checkOne under per-config containment, the check step of
 // the stream (in process, in a shard worker, for a registry entry) and
-// of the staged CheckProcessed. A
-// lenient panic records a diagnostic and drops the config's coverage
-// but recovers its Unique sites, since the config joined the corpus and
-// the cross-config reduce must see it; strict returns the abort error.
+// of the staged CheckProcessed. A lenient panic records a diagnostic and
+// drops the config's coverage but recovers its Unique sites, since the
+// config joined the corpus and the cross-config reduce must see it;
+// strict returns the abort error.
 func (e *Engine) checkStep(dc *diag.Collector, checker *contracts.Checker, cfg *lexer.Config, sa sourceArt, warm bool, checkFP artifact.Key) (out checkedConfig, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			d := diag.FromPanic(string(telemetry.StageCheck), cfg.Name, r)
-			if e.opts.Strict {
-				err = fmt.Errorf("core: %s stage aborted (strict): %w", telemetry.StageCheck, d.AsError())
-				return
-			}
-			dc.Add(d)
-			e.opts.Telemetry.Add("diag.panics", 1)
-			out.Unique = checker.UniqueContributions(cfg)
-		}
-	}()
-	return e.checkOne(dc, checker, cfg, sa, warm, checkFP), nil
+	checked := false
+	err = e.contain(dc, telemetry.StageCheck, cfg.Name, func() error {
+		out = e.checkOne(dc, checker, cfg, sa, warm, checkFP)
+		checked = true
+		return nil
+	})
+	if !checked && err == nil {
+		out.Unique = checker.UniqueContributions(cfg)
+	}
+	return out, err
 }
 
 // finishCheck is the check pipeline's shared tail for every path: it

@@ -39,55 +39,80 @@ func (e *Engine) CoverageLines(set *contracts.Set, sources, meta []Source) ([]Li
 func (e *Engine) CoverageLinesContext(ctx context.Context, set *contracts.Set, sources, meta []Source) ([]LineCoverage, error) {
 	dc := diag.New()
 	defer e.opts.Diagnostics.Merge(dc)
-	cfgs, _, err := e.processContext(ctx, dc, sources, meta)
-	if err != nil {
-		return nil, err
-	}
-	return e.coverageLinesWith(ctx, dc, e.newChecker(set, dc, lexer.CommonInterns(cfgs)), cfgs)
+	return e.coverageSources(ctx, dc, set, sources, meta, nil)
 }
 
-// coverageLinesWith is the checker-parameterized implementation behind
-// CoverageLinesContext; registry entries pass their shared compiled
-// checker (forked with request-scoped sinks) instead of compiling anew.
-func (e *Engine) coverageLinesWith(ctx context.Context, dc *diag.Collector, checker *contracts.Checker, cfgs []*lexer.Config) ([]LineCoverage, error) {
-	perCfg := make([][]LineCoverage, len(cfgs))
-	sp := e.opts.Telemetry.StartSpan(string(telemetry.StageCoverage))
-	prog := &progressCounter{e: e, stage: telemetry.StageCoverage, total: len(cfgs)}
-	err := e.forEachCtx(ctx, dc, telemetry.StageCoverage, e.opts.Parallelism, len(cfgs),
-		func(i int) string { return cfgs[i].Name },
-		func(_, i int) error {
-			defer prog.tick()
-			cov := checker.Coverage(cfgs[i])
-			var out []LineCoverage
-			for li := range cfgs[i].Lines {
-				line := &cfgs[i].Lines[li]
-				if line.Meta {
-					continue
-				}
-				lc := LineCoverage{
-					File:    cfgs[i].Name,
-					Line:    line.Num,
-					Raw:     line.Raw,
-					Covered: cov.Covered[li],
-				}
-				for _, cat := range contracts.Categories() {
-					if cov.ByCategory[cat][li] {
-						lc.Categories = append(lc.Categories, cat)
-					}
-				}
-				out = append(out, lc)
-			}
-			sort.Slice(out, func(a, b int) bool { return out[a].Line < out[b].Line })
-			perCfg[i] = out
-			return nil
+// coverageSources is the coverage front from sources, behind
+// CoverageLinesContext and RegistryEntry.CoverageLinesContext, shaped
+// like checkSources: it builds the run's corpus state and checker,
+// streams each source through a step that computes its configuration's
+// line coverage into the source's slot, applies the strict gate, and
+// concatenates the slots in corpus order. checker, when non-nil, is a
+// pre-compiled checker to reuse; nil compiles one against the run's
+// intern table.
+func (e *Engine) coverageSources(ctx context.Context, dc *diag.Collector, set *contracts.Set, sources, meta []Source, checker *contracts.Checker) ([]LineCoverage, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	spProc := e.opts.Telemetry.StartSpan(string(telemetry.StageProcess))
+	cr, err := e.newCorpusRun(dc, meta)
+	if err != nil {
+		spProc.EndCount(0)
+		return nil, err
+	}
+	if checker == nil {
+		checker = e.newChecker(set, dc, cr.interns)
+	}
+	spCov := e.opts.Telemetry.StartSpan(string(telemetry.StageCoverage))
+	procProg := &progressCounter{e: e, stage: telemetry.StageProcess, total: len(sources)}
+	covProg := &progressCounter{e: e, stage: telemetry.StageCoverage, total: len(sources)}
+	perCfg := make([][]LineCoverage, len(sources))
+	tally, err := e.streamSources(ctx, dc, cr, sources, e.opts.Parallelism, procProg, covProg,
+		func(_, i int, cfg *lexer.Config, _ sourceArt) error {
+			return e.contain(dc, telemetry.StageCoverage, cfg.Name, func() error {
+				perCfg[i] = lineCoverage(checker, cfg)
+				return nil
+			})
 		})
-	sp.EndCount(len(cfgs))
+	cr.emitCacheStats(e)
+	spProc.EndCount(len(sources))
+	spCov.EndCount(len(sources))
+	if err == nil {
+		err = e.strictGate(dc)
+	}
 	if err != nil {
 		return nil, err
 	}
+	e.setCorpusGauges(tally.stats())
 	var all []LineCoverage
 	for _, lines := range perCfg {
 		all = append(all, lines...)
 	}
 	return all, nil
+}
+
+// lineCoverage reports every non-metadata line of cfg, in line order.
+func lineCoverage(checker *contracts.Checker, cfg *lexer.Config) []LineCoverage {
+	cov := checker.Coverage(cfg)
+	var out []LineCoverage
+	for li := range cfg.Lines {
+		line := &cfg.Lines[li]
+		if line.Meta {
+			continue
+		}
+		lc := LineCoverage{
+			File:    cfg.Name,
+			Line:    line.Num,
+			Raw:     line.Raw,
+			Covered: cov.Covered[li],
+		}
+		for _, cat := range contracts.Categories() {
+			if cov.ByCategory[cat][li] {
+				lc.Categories = append(lc.Categories, cat)
+			}
+		}
+		out = append(out, lc)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Line < out[b].Line })
+	return out
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -214,5 +216,38 @@ func TestCoverageLines(t *testing.T) {
 			t.Fatalf("line order broken at %+v", lc)
 		}
 		prevFile, prevLine = lc.File, lc.Line
+	}
+
+	// The Engine and a registry entry stream coverage through one front:
+	// over the whole corpus they return identical lines, at any
+	// parallelism.
+	var ref []LineCoverage
+	for _, par := range []int{1, 8} {
+		opts := DefaultOptions()
+		opts.Parallelism = par
+		got, err := MustNew(opts).CoverageLines(lr.Set, srcs, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, err := NewEngineRegistry(opts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		en, err := reg.Acquire(context.Background(), lr.Set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident, err := en.CoverageLinesContext(context.Background(), srcs, meta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resident, got) {
+			t.Fatalf("parallelism %d: registry coverage diverges from the engine's", par)
+		}
+		if ref == nil {
+			ref = got
+		} else if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("parallelism %d: coverage diverges from parallelism 1", par)
+		}
 	}
 }

@@ -420,11 +420,7 @@ func (en *RegistryEntry) CoverageLinesContext(ctx context.Context, sources, meta
 	e := en.eng.forRequest(rec)
 	dc := diag.New()
 	defer en.eng.opts.Diagnostics.Merge(dc)
-	cfgs, _, err := e.processContext(ctx, dc, sources, meta)
-	if err != nil {
-		return nil, err
-	}
-	return e.coverageLinesWith(ctx, dc, en.checker.ForRequest(rec, dc), cfgs)
+	return e.coverageSources(ctx, dc, en.set, sources, meta, en.checker.ForRequest(rec, dc))
 }
 
 // forRequest returns a shallow engine that shares the receiver's

@@ -6,9 +6,10 @@
 // takes each source through one fused step — process, then check it
 // into its row or fold it into the calling worker's accumulator — and
 // drops the configuration, so peak memory is bounded by the
-// configurations in flight, not by corpus size. Workers take sources
-// dynamically from one pool (forEachCtx) and keep private corpus
-// tallies and accumulators, merged once the pool drains.
+// configurations in flight, not by corpus size. Workers claim sources
+// in corpus order from the engine's one pool (workpool.Run, through
+// forEachCtx) and keep private corpus tallies and accumulators, merged
+// once the pool drains.
 //
 // Each pipeline has one front (checkSources, learnSources) that builds
 // the run's shared state and streams the corpus. Learn always streams in
@@ -33,15 +34,17 @@ import (
 	"concord/internal/telemetry"
 )
 
-// streamSources runs one fused step per source on a pool of at most
-// workers goroutines: the source is processed (ticking procProg), and a
-// surviving configuration goes to step on the calling worker w; a
+// streamSources runs one fused step per source on forEachCtx with at
+// most workers workers: the source is processed (ticking procProg), and
+// a surviving configuration goes to step on the calling worker w; a
 // source dropped by an input guard or a contained panic never reaches
 // step. stageProg ticks once per source either way, after its step, so
 // a stage's (done, total) stays exact over the whole corpus. A
 // processing panic is contained per source under the process stage; a
-// step contains its own faults. The returned tally covers the corpus:
-// every source either joined it or is counted skipped.
+// step contains its own faults. A failure (a strict abort, a step's
+// error) stops the stream and is reported for the lowest failing
+// source. The returned tally covers the corpus: every source either
+// joined it or is counted skipped.
 func (e *Engine) streamSources(ctx context.Context, dc *diag.Collector, cr *corpusRun, sources []Source, workers int, procProg, stageProg *progressCounter, step func(w, i int, cfg *lexer.Config, sa sourceArt) error) (corpusTally, error) {
 	workers = max(min(workers, len(sources)), 1)
 	tallies := make([]corpusTally, workers)

@@ -13,7 +13,6 @@ import (
 	"math/big"
 	"sort"
 	"strconv"
-	"sync"
 
 	"concord/internal/contracts"
 	"concord/internal/diag"
@@ -22,6 +21,7 @@ import (
 	"concord/internal/lexer"
 	"concord/internal/relations"
 	"concord/internal/telemetry"
+	"concord/internal/workpool"
 )
 
 // Options controls learning. The zero value is not useful; use
@@ -245,35 +245,14 @@ func (m *Miner) MineAccumulated(ctx context.Context, acc *StatsAccumulator) (*co
 		},
 	}
 	found := make([][]contracts.Contract, len(steps))
-	stepErrs := make([]error, len(steps))
-	stepPanics := make([]any, len(steps))
-	var wg sync.WaitGroup
-	for i, step := range steps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// With containment off (no diagnostics, not strict), contain()
-			// lets miner panics propagate; capture them here and re-panic
-			// on the caller goroutine so fail-fast semantics survive the
-			// concurrency.
-			defer func() {
-				if r := recover(); r != nil {
-					stepPanics[i] = r
-				}
-			}()
-			found[i], stepErrs[i] = step()
-		}()
-	}
-	wg.Wait()
-	for _, r := range stepPanics {
-		if r != nil {
-			panic(r)
-		}
-	}
-	for _, err := range stepErrs {
-		if err != nil {
-			return nil, err
-		}
+	// With containment off (no diagnostics, not strict), contain() lets
+	// a miner's panic through; Run re-raises it on this goroutine, so
+	// fail-fast survives the concurrency.
+	if err := workpool.Run(ctx, len(steps), len(steps), func(_, i int) (err error) {
+		found[i], err = steps[i]()
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	for _, fs := range found {
 		set.Contracts = append(set.Contracts, fs...)

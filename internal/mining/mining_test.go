@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -550,6 +551,30 @@ func TestMineConcurrentCategoryPanicPropagates(t *testing.T) {
 		}
 	}()
 	New(DefaultOptions()).Mine(cfgs)
+}
+
+// TestMineFoldPanicPropagates asserts a panic in one configuration's
+// relational fold reaches the caller when containment is off (no
+// diagnostics collector, not strict) and the fold runs on two workers:
+// the pool re-raises it on the caller's goroutine instead of letting it
+// kill the process from a worker.
+func TestMineFoldPanicPropagates(t *testing.T) {
+	defer faultinject.Reset()
+	cfgs := figure1Corpus(t, 12)
+	injected := errors.New("injected fold fault")
+	faultinject.Set("mining.relational.config", faultinject.PanicOn(injected, "dev7"))
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("fold panic was swallowed")
+		}
+		if err, ok := r.(error); !ok || !errors.Is(err, injected) {
+			t.Fatalf("recovered %v, want the injected fault", r)
+		}
+	}()
+	opts := DefaultOptions()
+	opts.Parallelism = 2
+	New(opts).MineContext(context.Background(), cfgs)
 }
 
 // TestMineConcurrentCategoryContainment asserts a panicking category

@@ -3,7 +3,6 @@ package mining
 import (
 	"context"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"concord/internal/contracts"
@@ -13,6 +12,7 @@ import (
 	"concord/internal/relations"
 	"concord/internal/score"
 	"concord/internal/trie"
+	"concord/internal/workpool"
 )
 
 // candKey identifies a candidate relational contract globally by its
@@ -117,75 +117,28 @@ func (m *Miner) acceptRelational(global map[candKeyI]*candState, st *stats, tab 
 // relationalPass is MineContext's fold driver over held
 // configurations: it folds every configuration (statistics and
 // relational scan, see StatsAccumulator.Fold) into per-worker
-// accumulators, scheduling configurations dynamically, and merges the
-// accumulators in worker order. The merge laws make the result independent of which worker
+// accumulators on workpool.Run and merges the accumulators in worker
+// order. The merge laws make the result independent of which worker
 // folded which configuration, so it equals a sequential fold. A strict
-// fault or cancellation stops workers from starting new configurations.
-// An empty corpus yields one empty accumulator.
+// fault or cancellation stops workers from claiming new configurations,
+// and an uncontained panic is re-raised on the caller's goroutine. An
+// empty corpus yields one empty accumulator.
 func (m *Miner) relationalPass(ctx context.Context, cfgs []*lexer.Config, tab *intern.Table) (*StatsAccumulator, error) {
-	workers := max(min(m.opts.Parallelism, len(cfgs)), 1)
-	accs := make([]*StatsAccumulator, workers)
+	accs := make([]*StatsAccumulator, max(min(m.opts.Parallelism, len(cfgs)), 1))
 	for w := range accs {
 		accs[w] = m.NewStatsAccumulator(tab, len(cfgs))
 	}
 	var done atomic.Int64
-	fold := func(acc *StatsAccumulator, cfg *lexer.Config) error {
-		if err := acc.Fold(cfg); err != nil {
+	err := workpool.Run(ctx, len(accs), len(cfgs), func(w, i int) error {
+		if err := accs[w].Fold(cfgs[i]); err != nil {
 			return err
 		}
 		if m.opts.Progress != nil {
 			m.opts.Progress(int(done.Add(1)), len(cfgs))
 		}
 		return nil
-	}
-	if workers <= 1 {
-		for _, cfg := range cfgs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := fold(accs[0], cfg); err != nil {
-				return nil, err
-			}
-		}
-		return accs[0], nil
-	}
-	ictx, abort := context.WithCancel(ctx)
-	defer abort()
-	var failOnce sync.Once
-	var failErr error
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range next {
-				if ictx.Err() != nil {
-					continue // drain without working
-				}
-				if err := fold(accs[w], cfgs[ci]); err != nil {
-					failOnce.Do(func() {
-						failErr = err
-						abort()
-					})
-				}
-			}
-		}()
-	}
-feed:
-	for ci := range cfgs {
-		select {
-		case next <- ci:
-		case <-ictx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if failErr != nil {
-		return nil, failErr
-	}
-	if err := ctx.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	for _, acc := range accs[1:] {

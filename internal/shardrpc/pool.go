@@ -2,9 +2,9 @@
 //
 // Run executes one shard Task per request on a bounded pool of worker
 // processes. Each worker is a child process speaking the shardrpc wire
-// protocol over its stdin/stdout. The pool has the shape of the
-// engine's in-process worker pool: one goroutine per slot pulls the
-// next task index from a shared counter and performs the synchronous
+// protocol over its stdin/stdout. The pool runs on the engine's one
+// worker pool (workpool.Run): each slot is one of its workers, claims
+// the next task index in order and performs the synchronous
 // Task→Result round-trip on the one child process it owns.
 //
 // The failure taxonomy drives the policy:
@@ -22,9 +22,9 @@
 //
 // Drain is unconditional: cancellation — the caller's, or FailFast's on
 // the first failure — kills every live child, so a slot blocked
-// mid-round-trip errors out; each slot reaps its own process, and Run
-// joins every slot before it returns, so no orphan processes or
-// goroutines survive, whatever the exit path.
+// mid-round-trip errors out; once every slot has returned, Run reaps
+// every slot's process, so no orphan processes or goroutines survive,
+// whatever the exit path.
 package shardrpc
 
 import (
@@ -35,10 +35,10 @@ import (
 	"os"
 	"os/exec"
 	"sync"
-	"sync/atomic"
 
 	"concord/internal/artifact"
 	"concord/internal/telemetry"
+	"concord/internal/workpool"
 )
 
 // PoolOptions configures Run.
@@ -113,28 +113,24 @@ func Run(ctx context.Context, job *Job, tasks []Task, opts PoolOptions) ([]*Resu
 		}
 	}()
 
+	// Every slot is reaped once the pool has drained, on every exit path.
+	defer func() {
+		for _, sl := range slots {
+			sl.reap()
+		}
+	}()
 	results := make([]*Result, len(tasks))
 	errs := make([]error, len(tasks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, sl := range slots {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sl.reap()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(tasks) || ictx.Err() != nil {
-					return
-				}
-				results[i], errs[i] = sl.runTask(ictx, tasks[i])
-				if opts.FailFast && (errs[i] != nil || results[i] != nil && results[i].Err != "") {
-					cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	// No task fails the pool: a FailFast abort cancels ictx, which stops
+	// the claims and kills the live children, and the caller's
+	// cancellation is reported as ctx.Err() below.
+	_ = workpool.Run(ictx, len(slots), len(tasks), func(w, i int) error {
+		results[i], errs[i] = slots[w].runTask(ictx, tasks[i])
+		if opts.FailFast && (errs[i] != nil || results[i] != nil && results[i].Err != "") {
+			cancel()
+		}
+		return nil
+	})
 
 	var failures []ShardFailure
 	for i, err := range errs {
@@ -145,9 +141,9 @@ func Run(ctx context.Context, job *Job, tasks []Task, opts PoolOptions) ([]*Resu
 	return results, failures, ctx.Err()
 }
 
-// slot owns at most one child process at a time. Only the slot's
-// goroutine spawns, replaces and reaps it; mu guards proc against the
-// cancellation kill.
+// slot owns at most one child process at a time. Only the worker
+// running the slot's tasks spawns and replaces it, and Run reaps it
+// after the pool drains; mu guards proc against the cancellation kill.
 type slot struct {
 	opts     *PoolOptions
 	jobFrame []byte
